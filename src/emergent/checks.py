@@ -477,11 +477,13 @@ def processes_suite(theory: GlobalTheory, systems=None) -> SuiteResult:
         if ident.dom != oi or ident.cod != oi:
             violations.append(f"processes: identity of object {oi} has wrong endpoints")
 
+    by_dom: dict[int, list[int]] = {}
+    for gi, g in enumerate(cat.classes):
+        by_dom.setdefault(g.dom, []).append(gi)
     composable = [
         (gi, fi)
         for fi, f in enumerate(cat.classes)
-        for gi, g in enumerate(cat.classes)
-        if f.cod == g.dom
+        for gi in by_dom.get(f.cod, ())
     ]
     rng = random.Random(SAMPLE_SEED)
     if len(composable) > COMPOSE_SAMPLE:

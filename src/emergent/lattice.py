@@ -19,14 +19,7 @@ from .errors import (
     NotSelfBicommutant,
     ResourceLimit,
 )
-from .perms import (
-    GlobalTheory,
-    Perm,
-    Subgroup,
-    centralizer,
-    require_subgroup,
-    subgroup_closure,
-)
+from .perms import GlobalTheory, Perm, Subgroup, require_subgroup
 
 DEFAULT_MAX_NODES = 4096
 
@@ -35,7 +28,8 @@ DEFAULT_MAX_NODES = 4096
 def commutant(theory: GlobalTheory, sub: Subgroup) -> Subgroup:
     """Centralizer of ``sub`` inside the global group."""
     require_subgroup(theory, sub)
-    return centralizer(theory.group, sub.members)
+    group = theory.group
+    return Subgroup.from_mask(group, group.index.centralizer(sub.mask))
 
 
 def bicommutant(theory: GlobalTheory, sub: Subgroup) -> Subgroup:
@@ -43,7 +37,9 @@ def bicommutant(theory: GlobalTheory, sub: Subgroup) -> Subgroup:
 
 
 def is_self_bicommutant(theory: GlobalTheory, sub: Subgroup) -> bool:
-    return bicommutant(theory, sub) == sub
+    require_subgroup(theory, sub)
+    index = theory.group.index
+    return index.centralizer(index.centralizer(sub.mask)) == sub.mask
 
 
 def require_self_bicommutant(theory: GlobalTheory, sub: Subgroup) -> None:
@@ -66,16 +62,15 @@ def enumerate_self_bicommutant(
     as centralizer(identity) and the centre.
     """
     group = theory.group
-    seeds = set()
-    for g in group.elements:
-        seeds.add(centralizer(group, (g,)))
+    index = group.index
+    seeds = {index.element_centralizer(i) for i in range(group.order)}
     nodes = set(seeds)
     frontier = set(seeds)
     while frontier:
         new = set()
         for a in frontier:
             for b in seeds:
-                c = Subgroup(group, tuple(sorted(a.member_set & b.member_set)))
+                c = a & b
                 if c not in nodes:
                     nodes.add(c)
                     new.add(c)
@@ -84,8 +79,12 @@ def enumerate_self_bicommutant(
                             f"lattice exceeds cap of {max_nodes} subgroups"
                         )
         frontier = new
-    ordered = tuple(sorted(nodes, key=lambda s: (s.order, s.members)))
-    return SbcLattice(theory, ordered)
+    # Element numbers follow the sorted element order, so the ascending
+    # member numbers order nodes exactly as their member tuples do.
+    ordered = sorted(nodes, key=lambda m: (m.bit_count(), index.indices(m)))
+    return SbcLattice(
+        theory, tuple(Subgroup.from_mask(group, m) for m in ordered)
+    )
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class SbcLattice:
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
         return tuple(
-            tuple(a.member_set <= b.member_set for b in self.nodes)
+            tuple((a.mask & ~b.mask) == 0 for b in self.nodes)
             for a in self.nodes
         )
 
@@ -153,7 +152,7 @@ def intersection(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
     """Set intersection of two subgroups, with no lattice preconditions."""
     require_subgroup(theory, a)
     require_subgroup(theory, b)
-    return Subgroup(theory.group, tuple(sorted(a.member_set & b.member_set)))
+    return Subgroup.from_mask(theory.group, a.mask & b.mask)
 
 
 def meet(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -171,17 +170,15 @@ def join(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
     """
     require_self_bicommutant(theory, a)
     require_self_bicommutant(theory, b)
-    return commutant(
-        theory, intersection(theory, commutant(theory, a), commutant(theory, b))
-    )
+    index = theory.group.index
+    outer = index.centralizer(a.mask) & index.centralizer(b.mask)
+    return Subgroup.from_mask(theory.group, index.centralizer(outer))
 
 
 def is_orthogonal(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> bool:
     """Whether every element of ``a`` commutes with every element of ``b``."""
-    forward = b.is_subset_of(commutant(theory, a))
-    backward = a.is_subset_of(commutant(theory, b))
-    assert forward == backward
-    return forward
+    require_subgroup(theory, b)
+    return b.is_subset_of(commutant(theory, a))
 
 
 def is_orthocomplemented(theory: GlobalTheory, sub: Subgroup) -> bool:
@@ -220,10 +217,11 @@ def product_set(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
     """The set {h k : h in a, k in b}, a subgroup when the inputs commute."""
     if not is_orthogonal(theory, a, b):
         raise NotOrthogonal("the product set is only formed for commuting subgroups")
-    members = sorted({h * k for h in a.members for k in b.members})
-    result = Subgroup(theory.group, tuple(members))
-    assert result == subgroup_closure(theory.group, members)
-    return result
+    index = theory.group.index
+    return Subgroup.from_mask(
+        theory.group,
+        index.pack(index.mul(h, k) for h in a.indices for k in b.indices),
+    )
 
 
 def tensor_element(
@@ -232,8 +230,8 @@ def tensor_element(
     """The joint transformation h k of commuting local transformations."""
     if not is_orthogonal(theory, a, b):
         raise NotOrthogonal("joint transformations require commuting subgroups")
-    if h not in a.member_set:
+    if h not in a:
         raise ElementNotInGroup(f"{h!r} is not in the first subgroup")
-    if k not in b.member_set:
+    if k not in b:
         raise ElementNotInGroup(f"{k!r} is not in the second subgroup")
     return h * k

@@ -7,14 +7,29 @@ product tuple is ``g`` applied to every entry of ``h``.
 Groups store their full element list in a canonical sorted order; all
 derived structures (subgroup lattices, orbits, state sets) inherit
 determinism from that order.
+
+Element numbering: element ``i`` of a group is ``group.elements[i]``, so
+the numbers follow the sorted order and the identity is element 0.
+``group.index``, a :class:`GroupIndex` built on first use, maps elements
+to their numbers and holds one compiled right multiplication per element.
+It keeps nothing of size |G|^2, so every group order takes the same path.
+
+Bitmasks: a set of elements is a Python int whose bit ``i`` is set
+exactly when element ``i`` is in the set.  A :class:`Subgroup` is
+identified by such a mask over its parent's numbering.  Intersection is
+``a & b``, inclusion is ``a & ~b == 0``, and the centralizer of a set is
+the AND of the centralizer masks of its elements, each computed once per
+group.  ``Subgroup.members`` is the sorted member tuple, derived from the
+mask when first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, partial
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -84,6 +99,42 @@ class Perm(tuple):
         return f"Perm{tuple(self)}"
 
 
+# Wraps a known-valid image tuple without re-validating it.
+_as_perm = partial(tuple.__new__, Perm)
+
+
+def _right_multiplier(g: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """The map ``h -> h * g`` as one C-level call returning a plain tuple."""
+    # itemgetter with a single index returns a scalar rather than a tuple;
+    # on at most one point every permutation is the identity, so h * g == h.
+    return itemgetter(*g) if len(g) > 1 else tuple
+
+
+def _close(
+    span: set, frontier: list, gens: Sequence[Perm], cap: int | None = None
+) -> None:
+    """Grow ``span`` breadth-first from ``frontier`` by right products with ``gens``.
+
+    ``span`` must already hold ``frontier``; added elements are plain image
+    tuples.  With ``cap`` set, growing past ``cap`` elements raises
+    ResourceLimit.
+    """
+    steps = [_right_multiplier(g) for g in gens]
+    while frontier:
+        new = []
+        for h in frontier:
+            for step in steps:
+                p = step(h)
+                if p not in span:
+                    span.add(p)
+                    new.append(p)
+                    if cap is not None and len(span) > cap:
+                        raise ResourceLimit(
+                            f"group order exceeds cap of {cap} elements"
+                        )
+        frontier = new
+
+
 def generate_group(
     degree: int,
     generators: Iterable[Sequence[int]],
@@ -98,21 +149,88 @@ def generate_group(
         gens.append(p)
     identity = Perm.identity(degree)
     elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in gens:
-                p = g * h
-                if p not in elements:
-                    elements.add(p)
-                    new.append(p)
-                    if len(elements) > max_order:
-                        raise ResourceLimit(
-                            f"group order exceeds cap of {max_order} elements"
-                        )
-        frontier = new
-    return FiniteGroup(degree, tuple(sorted(elements)))
+    _close(elements, [identity], gens, cap=max_order)
+    return FiniteGroup(degree, tuple(map(_as_perm, sorted(elements))))
+
+
+class GroupIndex:
+    """The numbering of a group's elements, in their sorted order.
+
+    ``position[g]`` is the number of element ``g`` and ``right[i](h)`` is
+    the product ``h * elements[i]`` as a plain tuple.  Inverses, point
+    images and single-element centralizer masks are computed on first use.
+    """
+
+    def __init__(self, elements: tuple[Perm, ...]) -> None:
+        self.elements = elements
+        self.position = {g: i for i, g in enumerate(elements)}
+        self.right = [_right_multiplier(g) for g in elements]
+        self.full = (1 << len(elements)) - 1
+        self._centralizers: list[int | None] = [None] * len(elements)
+        self._set_centralizers: dict[int, int] = {}
+
+    def mul(self, i: int, j: int) -> int:
+        """The number of ``elements[i] * elements[j]``."""
+        return self.position[self.right[j](self.elements[i])]
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """``inverse[i]`` is the number of the inverse of element ``i``."""
+        return tuple(self.position[g.inverse()] for g in self.elements)
+
+    @cached_property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        """``images[p][i]`` is the image of point ``p`` under element ``i``."""
+        return tuple(zip(*self.elements))
+
+    def pack(self, indices: Iterable[int]) -> int:
+        """The mask with exactly the bits ``indices`` set."""
+        bits = bytearray(b"0") * len(self.elements)
+        for i in indices:
+            bits[i] = ord("1")
+        return int(bits[::-1], 2)
+
+    @staticmethod
+    def indices(mask: int) -> list[int]:
+        """The numbers of the set bits of ``mask``, ascending."""
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+    def mask_of(self, items: Iterable[Perm]) -> int:
+        """The mask of a set of elements, all of which must be in the group."""
+        numbers = []
+        for g in items:
+            i = self.position.get(g)
+            if i is None:
+                raise ElementNotInGroup(f"{g!r} is not in the parent group")
+            numbers.append(i)
+        return self.pack(numbers)
+
+    def element_centralizer(self, i: int) -> int:
+        """The mask of the elements commuting with element ``i``, memoised."""
+        mask = self._centralizers[i]
+        if mask is None:
+            g = self.elements[i]
+            times_g = self.right[i]
+            mask = self.pack(
+                j
+                for j, (x, times_x) in enumerate(zip(self.elements, self.right))
+                if times_g(x) == times_x(g)
+            )
+            self._centralizers[i] = mask
+        return mask
+
+    def centralizer(self, mask: int) -> int:
+        """The mask of the elements commuting with every element of ``mask``.
+
+        Memoised per mask, so repeated commutants cost one dict lookup.
+        """
+        result = self._set_centralizers.get(mask)
+        if result is None:
+            result = self.full
+            for i in self.indices(mask):
+                result &= self.element_centralizer(i)
+            self._set_centralizers[mask] = result
+        return result
 
 
 @dataclass(frozen=True)
@@ -129,6 +247,8 @@ class FiniteGroup:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return self.degree == other.degree and self.elements == other.elements
@@ -136,6 +256,10 @@ class FiniteGroup:
     @cached_property
     def element_set(self) -> frozenset[Perm]:
         return frozenset(self.elements)
+
+    @cached_property
+    def index(self) -> GroupIndex:
+        return GroupIndex(self.elements)
 
     @property
     def order(self) -> int:
@@ -155,28 +279,39 @@ class FiniteGroup:
         return len(self.elements)
 
     def subgroup(self, members: Iterable[Perm]) -> "Subgroup":
-        mems = tuple(sorted(set(members)))
-        for m in mems:
-            if m not in self.element_set:
-                raise ElementNotInGroup(f"{m!r} is not in the parent group")
-        return Subgroup(self, mems)
+        return Subgroup(self, members)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.elements)
+        return Subgroup.from_mask(self, self.index.full)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,))
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a fixed parent group, as a sorted member tuple."""
+    """A subgroup of a fixed parent group, identified by its element mask.
 
-    parent: FiniteGroup
-    members: tuple[Perm, ...]
+    ``mask`` is a bitmask over the parent's element numbering (see the
+    module docstring); ``members`` is the sorted member tuple.  Instances
+    are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.parent, self.members)))
+    def __init__(self, parent: FiniteGroup, members: Iterable[Perm]) -> None:
+        self._bind(parent, parent.index.mask_of(members))
+
+    @classmethod
+    def from_mask(cls, parent: FiniteGroup, mask: int) -> "Subgroup":
+        sub = cls.__new__(cls)
+        sub._bind(parent, mask)
+        return sub
+
+    def _bind(self, parent: FiniteGroup, mask: int) -> None:
+        self.parent = parent
+        self.mask = mask
+        self._hash = hash((parent, mask))
+
+    def __repr__(self) -> str:
+        return f"Subgroup(parent={self.parent!r}, members={self.members!r})"
 
     def __hash__(self) -> int:
         return self._hash
@@ -184,7 +319,19 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent == other.parent and self.members == other.members
+        return self.mask == other.mask and (
+            self.parent is other.parent or self.parent == other.parent
+        )
+
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """The numbers of the members in the parent, ascending."""
+        return tuple(GroupIndex.indices(self.mask))
+
+    @cached_property
+    def members(self) -> tuple[Perm, ...]:
+        elements = self.parent.elements
+        return tuple(elements[i] for i in self.indices)
 
     @cached_property
     def member_set(self) -> frozenset[Perm]:
@@ -192,23 +339,26 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.members) == 1
+        return self.order == 1
 
     def __contains__(self, p: object) -> bool:
-        return p in self.member_set
+        i = self.parent.index.position.get(p)
+        return i is not None and (self.mask >> i) & 1 == 1
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.order
 
     def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.member_set <= other.member_set
+        if self.parent is not other.parent and self.parent != other.parent:
+            return self.member_set <= other.member_set
+        return (self.mask & ~other.mask) == 0
 
 
 def subgroup_closure(parent: FiniteGroup, seed: Iterable[Perm]) -> Subgroup:
@@ -218,38 +368,20 @@ def subgroup_closure(parent: FiniteGroup, seed: Iterable[Perm]) -> Subgroup:
         if g not in parent.element_set:
             raise ElementNotInGroup(f"{g!r} is not in the parent group")
     elements = {parent.identity}
-    frontier = [parent.identity]
-    while frontier:
-        new = []
-        for h in frontier:
-            for g in gens:
-                p = g * h
-                if p not in elements:
-                    elements.add(p)
-                    new.append(p)
-        frontier = new
-    return Subgroup(parent, tuple(sorted(elements)))
+    _close(elements, [parent.identity], gens)
+    return Subgroup(parent, elements)
 
 
 def _reduce_generators(members: Sequence[Perm], degree: int) -> list[Perm]:
     # Greedy generating subset: centralizing a few generators is equivalent
-    # to centralizing the whole subgroup and far cheaper to test.
+    # to centralizing the whole subgroup and needs far fewer masks.
     gens: list[Perm] = []
     span = {Perm.identity(degree)}
     for m in members:
         if m in span:
             continue
         gens.append(m)
-        frontier = list(span)
-        while frontier:
-            new = []
-            for h in frontier:
-                for g in gens:
-                    p = g * h
-                    if p not in span:
-                        span.add(p)
-                        new.append(p)
-            frontier = new
+        _close(span, list(span), gens)
         if len(span) == len(members):
             break
     return gens
@@ -257,18 +389,12 @@ def _reduce_generators(members: Sequence[Perm], degree: int) -> list[Perm]:
 
 def centralizer(group: FiniteGroup, subset: Iterable[Perm]) -> Subgroup:
     """All elements of ``group`` commuting with every element of ``subset``."""
-    items = list(subset)
-    gens = _reduce_generators(sorted(set(items)), group.degree) if items else []
-    if not gens:
-        return group.full_subgroup()
-    members = tuple(
-        g for g in group.elements if all(g * s == s * g for s in gens)
-    )
-    return Subgroup(group, members)
+    index = group.index
+    return Subgroup.from_mask(group, index.centralizer(index.mask_of(subset)))
 
 
 def centre(group: FiniteGroup) -> Subgroup:
-    return centralizer(group, group.elements)
+    return centralizer(group, _reduce_generators(group.elements, group.degree))
 
 
 def orbit(elements: Iterable[Perm], point: int) -> frozenset[int]:
@@ -339,7 +465,7 @@ def validate_global_theory(group: FiniteGroup, degree: int | None = None) -> Glo
 
 
 def require_subgroup(theory: GlobalTheory, sub: Subgroup) -> None:
-    if sub.parent != theory.group:
+    if sub.parent is not theory.group and sub.parent != theory.group:
         raise SubgroupNotInTheory("subgroup belongs to a different global group")
 
 
@@ -352,8 +478,10 @@ def stabilizer(theory: GlobalTheory, sub: Subgroup, point: int) -> Subgroup:
     """Members of ``sub`` fixing ``point``."""
     require_subgroup(theory, sub)
     require_point(theory, point)
-    return Subgroup(
-        sub.parent, tuple(g for g in sub.members if g[point] == point)
+    index = sub.parent.index
+    images = index.images[point]
+    return Subgroup.from_mask(
+        sub.parent, index.pack(i for i in sub.indices if images[i] == point)
     )
 
 

@@ -12,7 +12,7 @@ purification so that dynamics can always be computed upstairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ElementNotInGroup,
@@ -407,7 +407,7 @@ class ProcessCategory:
     tensor_mor: dict[tuple[int, int], int]
     unit: int
 
-    @property
+    @cached_property
     def object_index(self) -> dict[SystemEnvironmentPair, int]:
         return {obj: i for i, obj in enumerate(self.objects)}
 

@@ -53,8 +53,9 @@ def restrict(theory: GlobalTheory, sub: Subgroup, point: int) -> LocalState:
     """The local state ``sub`` sees at the global state ``point``."""
     require_subgroup(theory, sub)
     require_point(theory, point)
+    images = theory.group.index.images[point]
     comm = commutant(theory, sub)
-    return LocalState(sub, frozenset(k[point] for k in comm.members))
+    return LocalState(sub, frozenset(images[k] for k in comm.indices))
 
 
 def act_local(theory: GlobalTheory, h: Perm, state: LocalState) -> LocalState:
@@ -63,7 +64,7 @@ def act_local(theory: GlobalTheory, h: Perm, state: LocalState) -> LocalState:
     Well defined because the owner commutes with the commutant orbit that
     defines the state.
     """
-    if h not in state.owner.member_set:
+    if h not in state.owner:
         raise ElementNotInOwner(f"{h!r} does not belong to the state's owner")
     return LocalState(state.owner, frozenset(h[p] for p in state.points))
 
@@ -95,28 +96,28 @@ def _joint_split(
     state stabilizers, and whether the pointwise stabilizer of the product
     subgroup splits as the product of the pointwise marginal stabilizers.
     """
-    orbit_a = frozenset(h[point] for h in a.members)
-    orbit_b = frozenset(k[point] for k in b.members)
-    stab_a = [h for h in a.members if h[point] in orbit_b]
-    stab_b = [k for k in b.members if k[point] in orbit_a]
-    joint = 0
-    for h in a.members:
-        target = h.inverse()[point]
-        for k in b.members:
-            if k[point] == target:
-                joint += 1
-    fix_a = {h for h in a.members if h[point] == point}
-    fix_b = {k for k in b.members if k[point] == point}
-    product_fix = {h * k for h in fix_a for k in fix_b}
-    joint_fix = {
-        h * k for h in a.members for k in b.members if h[k[point]] == point
-    }
-    split_holds = product_fix == joint_fix
+    index = theory.group.index
+    image = index.images[point]
+    orbit_a = {image[h] for h in a.indices}
+    orbit_b = {image[k] for k in b.indices}
+    stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
+    stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
+    # h k fixes the point exactly when k sends it to h^-1(point), so
+    # bucket the members of ``a`` by the preimage of the point.
+    inverse = index.inverse
+    by_preimage: dict[int, list[int]] = {}
+    for h in a.indices:
+        by_preimage.setdefault(image[inverse[h]], []).append(h)
+    pairs = [(h, k) for k in b.indices for h in by_preimage.get(image[k], ())]
+    fix_a = [h for h in a.indices if image[h] == point]
+    fix_b = [k for k in b.indices if image[k] == point]
+    product_fix = {index.mul(h, k) for h in fix_a for k in fix_b}
+    joint_fix = {index.mul(h, k) for h, k in pairs}
     return (
-        joint,
-        Subgroup(a.parent, tuple(sorted(stab_a))),
-        Subgroup(b.parent, tuple(sorted(stab_b))),
-        split_holds,
+        len(pairs),
+        Subgroup.from_mask(a.parent, stab_a),
+        Subgroup.from_mask(b.parent, stab_b),
+        product_fix == joint_fix,
     )
 
 
@@ -186,11 +187,12 @@ def pure_stabilizer(
     point = state.representative
     if not is_product_state(theory, state.owner, point).pure:
         raise NotPure("the stabilizer shortcut only applies to pure local states")
-    local = tuple(
-        h for h in state.owner.members if h[point] in state.points
-    )
-    fixed = tuple(h for h in state.owner.members if h[point] == point)
+    owner = state.owner
+    index = owner.parent.index
+    image = index.images[point]
+    local = index.pack(h for h in owner.indices if image[h] in state.points)
+    fixed = index.pack(h for h in owner.indices if image[h] == point)
     return (
-        Subgroup(state.owner.parent, local),
-        Subgroup(state.owner.parent, fixed),
+        Subgroup.from_mask(owner.parent, local),
+        Subgroup.from_mask(owner.parent, fixed),
     )

@@ -211,10 +211,10 @@ def test_max_order_flag(capsys):
     assert json.loads(out)["node_count"] == 6
 
 
-def _subprocess_run(argv, seed):
+def _subprocess_run(argv, seed, flags=()):
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
     proc = subprocess.run(
-        [sys.executable, "-m", "emergent.cli", *argv],
+        [sys.executable, *flags, "-m", "emergent.cli", *argv],
         capture_output=True,
         env=env,
         cwd=str(FIXTURES.parent),
@@ -237,3 +237,18 @@ def test_output_bytes_deterministic(argv):
     outputs = {out for _, out in runs}
     assert codes == {0}
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--suite", "all", "--input", "fixtures/s3.json"],
+        ["lattice", "--input", "fixtures/s3x3.json"],
+    ],
+)
+def test_output_unchanged_under_optimize_flag(argv):
+    # Stripping assert statements with -O must not change any result.
+    plain = _subprocess_run(argv, 0)
+    optimized = _subprocess_run(argv, 0, flags=("-O",))
+    assert plain[1]
+    assert optimized == plain

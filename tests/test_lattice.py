@@ -253,3 +253,22 @@ def test_tensor_element(t1):
         tensor_element(
             t1, _sub(t1, (1, 0, 2)), _sub(t1, (2, 1, 0)), Perm((1, 0, 2)), Perm((2, 1, 0))
         )
+
+
+def test_orthogonality_is_symmetric_on_every_node_pair(t1, t2, t3, t5):
+    for theory in (t1, t5, t3, t2):
+        nodes = enumerate_self_bicommutant(theory).nodes
+        for a in nodes:
+            for b in nodes:
+                assert is_orthogonal(theory, a, b) == is_orthogonal(theory, b, a)
+
+
+def test_product_set_of_commuting_nodes_is_a_subgroup(t1, t2, t3, t5):
+    for theory in (t1, t5, t3, t2):
+        nodes = enumerate_self_bicommutant(theory).nodes
+        for a in nodes:
+            for b in nodes:
+                if not is_orthogonal(theory, a, b):
+                    continue
+                product = product_set(theory, a, b)
+                assert product == subgroup_closure(theory.group, product.members)
