@@ -111,7 +111,10 @@ def _parse_perm_list(raw, degree: int, where: str) -> list[Perm]:
     return perms
 
 
-def theory_from_dict(data) -> tuple[GlobalTheory, dict[str, Subgroup]]:
+def theory_from_dict(
+    data, max_order: int | None = None
+) -> tuple[GlobalTheory, dict[str, Subgroup]]:
+    """Validate a parsed theory description; ``max_order`` replaces its limit."""
     if not isinstance(data, dict):
         raise ParseError("a theory description must be a JSON object")
     if "degree" not in data or "generators" not in data:
@@ -122,7 +125,8 @@ def theory_from_dict(data) -> tuple[GlobalTheory, dict[str, Subgroup]]:
     limits = data.get("limits", {})
     if not isinstance(limits, dict):
         raise ParseError("'limits' must be a JSON object")
-    max_order = limits.get("max_order", DEFAULT_MAX_ORDER)
+    if max_order is None:
+        max_order = limits.get("max_order", DEFAULT_MAX_ORDER)
     if not isinstance(max_order, int) or max_order < 1:
         raise ParseError("'max_order' must be a positive integer")
     arrays = data["generators"]
@@ -158,7 +162,9 @@ def theory_from_dict(data) -> tuple[GlobalTheory, dict[str, Subgroup]]:
     return theory, named
 
 
-def load_theory(path) -> tuple[GlobalTheory, dict[str, Subgroup]]:
+def load_theory(
+    path, max_order: int | None = None
+) -> tuple[GlobalTheory, dict[str, Subgroup]]:
     """Read and validate a theory from a JSON file."""
     try:
         text = Path(path).read_text()
@@ -168,7 +174,7 @@ def load_theory(path) -> tuple[GlobalTheory, dict[str, Subgroup]]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return theory_from_dict(data)
+    return theory_from_dict(data, max_order)
 
 
 def theory_to_dict(theory: GlobalTheory, subgroups: dict[str, Subgroup] | None = None) -> dict:

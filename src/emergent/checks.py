@@ -25,7 +25,7 @@ from .lattice import (
     meet,
     product_set,
 )
-from .perms import GlobalTheory
+from .perms import GlobalTheory, reduce_generators
 from .processes import (
     build_process_category,
     compose_process,
@@ -47,15 +47,12 @@ from .systems import (
     check_associativity_triple,
     enumerate_systems,
     tensor_pure_states,
+    tensor_state_candidates,
     tensor_systems,
     trivial_system,
 )
 
 SAMPLE_SEED = 20240801
-QUADRUPLE_LIMIT = 1_000_000
-QUADRUPLE_SAMPLE = 10_000
-PAIR_LIMIT = 250_000
-PAIR_SAMPLE = 10_000
 TRIPLE_LIMIT = 300_000
 TRIPLE_SAMPLE = 10_000
 COMPOSE_SAMPLE = 2_000
@@ -147,7 +144,10 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
                     f"lattice: commutant of meet breaks duality on nodes {i}, {j}"
                 )
 
-    rng = random.Random(SAMPLE_SEED)
+    # Every h in A commutes with every k in B exactly when their generators
+    # do, and (h1 k1)(h2 k2) = (h1 h2)(k1 k2) reduces to k1 h2 = h2 k1 by
+    # cancelling h1 and k2: one exact test settles both properties.
+    gens = [reduce_generators(a.members, theory.degree) for a in nodes]
     centre_meet_gaps = 0
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes):
@@ -175,40 +175,15 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
                 violations.append(
                     f"lattice: factorisation over nodes {i}, {j} is not unique"
                 )
-            pair_count = a.order * b.order
-            if pair_count <= PAIR_LIMIT:
-                pairs = itertools.product(a.members, b.members)
-            else:
-                pairs = (
-                    (rng.choice(a.members), rng.choice(b.members))
-                    for _ in range(PAIR_SAMPLE)
+            if any(h * k != k * h for h in gens[i] for k in gens[j]):
+                violations.append(
+                    f"lattice: swapping the factors of nodes {i}, {j} "
+                    "changes the joint transformation"
                 )
-            for h, k in pairs:
-                if h * k != k * h:
-                    violations.append(
-                        f"lattice: swapping the factors of nodes {i}, {j} "
-                        "changes the joint transformation"
-                    )
-                    break
-            if pair_count**2 <= QUADRUPLE_LIMIT:
-                quads = itertools.product(a.members, b.members, a.members, b.members)
-            else:
-                quads = (
-                    (
-                        rng.choice(a.members),
-                        rng.choice(b.members),
-                        rng.choice(a.members),
-                        rng.choice(b.members),
-                    )
-                    for _ in range(QUADRUPLE_SAMPLE)
+                violations.append(
+                    f"lattice: joint transformations of nodes {i}, {j} "
+                    "do not multiply factorwise"
                 )
-            for h1, k1, h2, k2 in quads:
-                if (h1 * k1) * (h2 * k2) != (h1 * h2) * (k1 * k2):
-                    violations.append(
-                        f"lattice: joint transformations of nodes {i}, {j} "
-                        "do not multiply factorwise"
-                    )
-                    break
 
     if centre_meet_gaps:
         notices.append(
@@ -227,6 +202,7 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
         notices.append(f"lattice: orthomodular identity fails for {failures} nested pairs")
 
     n = len(nodes)
+    rng = random.Random(SAMPLE_SEED)
     triples = (
         itertools.product(range(n), repeat=3)
         if n**3 <= TRIPLE_LIMIT
@@ -389,6 +365,12 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                         f"systems: no composite state for a state pair of {i}, {j}"
                     )
                     continue
+                candidates = tensor_state_candidates(theory, a, b, rho, sigma)
+                if len({restrict(theory, composite.transf, p) for p in candidates}) != 1:
+                    violations.append(
+                        f"systems: a state pair of {i}, {j} has more than one "
+                        "composite state"
+                    )
                 if tau not in composite_orbit:
                     violations.append(
                         f"systems: a composite state of {i}, {j} is not pure"
@@ -503,6 +485,12 @@ def processes_suite(theory: GlobalTheory, systems=None) -> SuiteResult:
         tensorable = rng.sample(tensorable, COMPOSE_SAMPLE)
     for (ci, cj), out in tensorable:
         c, d = cat.classes[ci], cat.classes[cj]
+        h, k = c.representative.transform, d.representative.transform
+        if h * k != k * h:
+            violations.append(
+                f"processes: the transformations of representatives of {ci}, {cj} "
+                "do not commute"
+            )
         prod = tensor_processes(theory, c.representative, d.representative)
         if process_table(theory, prod) != cat.classes[out].table:
             violations.append(

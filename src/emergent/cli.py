@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .catalog import load_theory, theory_from_dict
+from .catalog import load_theory
 from .checks import SUITES, SuiteResult, run_suites
 from .errors import (
     DegreeMismatch,
@@ -49,28 +49,6 @@ INPUT_ERRORS = (ParseError, InvalidTheory, DegreeMismatch, PointOutOfRange, Zero
 
 def _dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _load(args) -> GlobalTheory:
-    import pathlib
-
-    try:
-        text = pathlib.Path(args.input).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {args.input}: {exc}") from exc
-    if args.max_order is not None:
-        if not isinstance(data, dict):
-            raise ParseError("a theory description must be a JSON object")
-        data = dict(data)
-        limits = dict(data.get("limits") or {})
-        limits["max_order"] = args.max_order
-        data["limits"] = limits
-    theory, _ = theory_from_dict(data)
-    return theory
 
 
 def lattice_json(theory: GlobalTheory, lattice: SbcLattice) -> dict:
@@ -111,7 +89,7 @@ def lattice_dot(theory: GlobalTheory, lattice: SbcLattice) -> str:
 
 
 def cmd_lattice(args) -> int:
-    theory = _load(args)
+    theory, _ = load_theory(args.input, args.max_order)
     lattice = enumerate_self_bicommutant(theory)
     if args.format == "dot":
         sys.stdout.write(lattice_dot(theory, lattice))
@@ -121,7 +99,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_systems(args) -> int:
-    theory = _load(args)
+    theory, _ = load_theory(args.input, args.max_order)
     lattice = enumerate_self_bicommutant(theory)
     systems = enumerate_systems(theory)
     payload = {
@@ -147,7 +125,7 @@ def cmd_systems(args) -> int:
 
 
 def cmd_scan_mixed(args) -> int:
-    theory = _load(args)
+    theory, _ = load_theory(args.input, args.max_order)
     lattice = enumerate_self_bicommutant(theory)
     nodes = []
     both = []
@@ -179,7 +157,7 @@ def render_check_report(results: tuple[SuiteResult, ...]) -> tuple[str, int]:
 
 
 def cmd_check(args) -> int:
-    theory = _load(args)
+    theory, _ = load_theory(args.input, args.max_order)
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     results = run_suites(theory, names)
     text, code = render_check_report(results)

@@ -89,10 +89,6 @@ class TypeMismatch(TheoryError):
     """Process composition or construction with mismatched types."""
 
 
-class PreconditionUnmet(TheoryError):
-    """A structured check was invoked outside its stated preconditions."""
-
-
 class ParseError(TheoryError):
     """Malformed textual or JSON input."""
 

@@ -372,9 +372,13 @@ def subgroup_closure(parent: FiniteGroup, seed: Iterable[Perm]) -> Subgroup:
     return Subgroup(parent, elements)
 
 
-def _reduce_generators(members: Sequence[Perm], degree: int) -> list[Perm]:
-    # Greedy generating subset: centralizing a few generators is equivalent
-    # to centralizing the whole subgroup and needs far fewer masks.
+def reduce_generators(members: Sequence[Perm], degree: int) -> list[Perm]:
+    """Greedy generating subset of the subgroup with elements ``members``.
+
+    Commuting with the subgroup is the same as commuting with these few
+    generators, so centralizers and commutation checks need far fewer
+    products.
+    """
     gens: list[Perm] = []
     span = {Perm.identity(degree)}
     for m in members:
@@ -394,7 +398,7 @@ def centralizer(group: FiniteGroup, subset: Iterable[Perm]) -> Subgroup:
 
 
 def centre(group: FiniteGroup) -> Subgroup:
-    return centralizer(group, _reduce_generators(group.elements, group.degree))
+    return centralizer(group, reduce_generators(group.elements, group.degree))
 
 
 def orbit(elements: Iterable[Perm], point: int) -> frozenset[int]:

@@ -111,9 +111,9 @@ def tensor_pure_processes(
     prep = tensor_pure_states(
         theory, left.ancilla, right.ancilla, left.prep, right.prep
     )
-    transform = left.transform * right.transform
-    assert transform == right.transform * left.transform
-    return make_pure_process(theory, domain, ancilla, prep, transform)
+    return make_pure_process(
+        theory, domain, ancilla, prep, left.transform * right.transform
+    )
 
 
 def identity_pure(theory: GlobalTheory, system: System) -> PureProcess:
@@ -306,14 +306,12 @@ def tensor_processes(theory: GlobalTheory, left: Process, right: Process) -> Pro
     prep = tensor_pure_states(
         theory, left.ancilla, right.ancilla, left.prep, right.prep
     )
-    transform = left.transform * right.transform
-    assert transform == right.transform * left.transform
     return make_process(
         theory,
         domain,
         ancilla,
         prep,
-        transform,
+        left.transform * right.transform,
         tensor_systems(theory, left.codomain_system, right.codomain_system),
         tensor_systems(theory, left.discarded, right.discarded),
     )

@@ -176,9 +176,7 @@ def tensor_pure_states(
             "no joint global state realizes the given pair of pure states"
         )
     composite = tensor_systems(theory, a, b)
-    results = {restrict(theory, composite.transf, p) for p in candidates}
-    assert len(results) == 1
-    return next(iter(results))
+    return restrict(theory, composite.transf, candidates[0])
 
 
 @dataclass(frozen=True)

@@ -126,6 +126,18 @@ def test_theory_from_dict_order_cap():
         theory_from_dict(capped)
 
 
+def test_max_order_argument_replaces_only_the_limit():
+    capped = {**S3_DOC, "limits": {"max_order": 2}}
+    theory, _ = theory_from_dict(capped, max_order=6)
+    assert theory.group.order == 6
+    with pytest.raises(ResourceLimit):
+        theory_from_dict(S3_DOC, max_order=2)
+    with pytest.raises(ParseError):
+        theory_from_dict({**S3_DOC, "limits": [1]}, max_order=6)
+    with pytest.raises(ParseError):
+        theory_from_dict(S3_DOC, max_order=0)
+
+
 def test_load_theory_good_fixtures():
     expected = {
         "s3": (3, 6, {}),

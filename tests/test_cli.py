@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +196,19 @@ def test_bad_theory_exits_2(capsys, fixture):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("limits", [[1], "ab"])
+def test_bad_limits_with_max_order_exits_2(capsys, tmp_path, limits):
+    data = json.loads((FIXTURES / "s3.json").read_text())
+    data["limits"] = limits
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(
+        capsys, ["lattice", "--input", str(path), "--max-order", "10"]
+    )
+    assert code == 2
+    assert err == "error: 'limits' must be a JSON object\n"
+
+
 def test_resource_cap_exits_3(capsys):
     code, _, err = run_cli(
         capsys, ["lattice", "--input", str(FIXTURES / "s3_capped.json")]
@@ -222,6 +237,27 @@ def _subprocess_run(argv, seed, flags=()):
     return proc.returncode, proc.stdout
 
 
+def test_lattice_suite_on_27_points_within_budget():
+    # A fresh process, as on the command line: in a long test session the
+    # theory-keyed caches may hold nodes of an equal but distinct group.
+    start = time.perf_counter()
+    code, out = _subprocess_run(
+        ["check", "--suite", "lattice", "--input", "fixtures/s3x3x3.json"], 0
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    (suite,) = json.loads(out)["suites"]
+    assert suite["violations"] == []
+    assert suite["notices"] == [
+        "lattice: the centre of the product differs from the meet for "
+        "1516 commuting pairs",
+        "lattice: orthomodular identity fails for 2044 nested pairs",
+        "lattice: distributivity fails for 2983 node triples",
+        "lattice: 216 nodes",
+    ]
+    assert elapsed < 30.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -244,6 +280,8 @@ def test_output_bytes_deterministic(argv):
     [
         ["check", "--suite", "all", "--input", "fixtures/s3.json"],
         ["lattice", "--input", "fixtures/s3x3.json"],
+        ["check", "--suite", "systems", "--input", "fixtures/s3x3.json"],
+        ["check", "--suite", "processes", "--input", "fixtures/s3x3.json"],
     ],
 )
 def test_output_unchanged_under_optimize_flag(argv):
@@ -252,3 +290,16 @@ def test_output_unchanged_under_optimize_flag(argv):
     optimized = _subprocess_run(argv, 0, flags=("-O",))
     assert plain[1]
     assert optimized == plain
+
+
+def test_library_has_no_assert_statements():
+    # Properties are proved by the suites and tests; an assert in the
+    # library would be a second, -O-dependent proof.
+    source = FIXTURES.parent / "src" / "emergent"
+    found = [
+        f"{path.relative_to(source)}:{node.lineno}"
+        for path in sorted(source.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

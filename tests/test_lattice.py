@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from emergent import checks
 from emergent import (
     ElementNotInGroup,
     NotNested,
@@ -272,3 +273,28 @@ def test_product_set_of_commuting_nodes_is_a_subgroup(t1, t2, t3, t5):
                     continue
                 product = product_set(theory, a, b)
                 assert product == subgroup_closure(theory.group, product.members)
+
+
+def test_lattice_suite_flags_a_planted_non_commuting_pair(monkeypatch, t1):
+    # Declare every node pair orthogonal: the commutation checks must then
+    # flag exactly the pairs that an exhaustive element search finds.
+    monkeypatch.setattr(checks, "is_orthogonal", lambda theory, a, b: True)
+    monkeypatch.setattr(checks, "product_set", checks.join)
+    result = checks.lattice_suite(t1)
+    nodes = enumerate_self_bicommutant(t1).nodes
+    expected = []
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes[i:], start=i):
+            if any(h * k != k * h for h in a.members for k in b.members):
+                expected += [
+                    f"lattice: swapping the factors of nodes {i}, {j} "
+                    "changes the joint transformation",
+                    f"lattice: joint transformations of nodes {i}, {j} "
+                    "do not multiply factorwise",
+                ]
+    flagged = [
+        v for v in result.violations if "swapping" in v or "factorwise" in v
+    ]
+    assert expected
+    assert flagged == expected
+    assert len(result.violations) == 37

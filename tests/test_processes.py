@@ -281,3 +281,12 @@ def test_the_one_point_theory_is_a_single_identity():
     assert len(cat.classes) == 1
     report = verify_generation(theory, cat)
     assert report.pure_ok and report.full_ok
+
+
+def test_tensorable_representatives_commute(t2):
+    cat = build_process_category(t2)
+    assert cat.tensor_mor
+    for ci, cj in cat.tensor_mor:
+        h = cat.classes[ci].representative.transform
+        k = cat.classes[cj].representative.transform
+        assert h * k == k * h

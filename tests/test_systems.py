@@ -210,3 +210,18 @@ def test_undefined_bracketing_is_reported(t2):
     rows, cols = _rows_cols(t2)
     report = check_associativity_triple(t2, rows, rows, cols)
     assert report.left is None
+
+
+def test_every_state_pair_has_exactly_one_composite_state(t2):
+    systems = enumerate_systems(t2)
+    pairs = 0
+    for a, b in itertools.product(systems, repeat=2):
+        if are_compatible(t2, a, b) is None:
+            continue
+        composite = tensor_systems(t2, a, b)
+        for rho, sigma in itertools.product(a.pure_orbit, b.pure_orbit):
+            candidates = tensor_state_candidates(t2, a, b, rho, sigma)
+            restricted = {restrict(t2, composite.transf, p) for p in candidates}
+            assert restricted == {tensor_pure_states(t2, a, b, rho, sigma)}
+            pairs += 1
+    assert pairs
