@@ -6,12 +6,18 @@ axioms plus the conditions specific to a strict, symmetric, partial
 tensor: fullness of the tensor on morphisms, invariance of definedness
 under isomorphism, associativity including definedness, a strict unit,
 and strict symmetry.
+
+Every check is exhaustive.  The hot loops read per-morphism row tables,
+built for each call, and visit only the table entries that exist.  A
+``compose`` or ``tensor_mor`` entry whose key or value names no morphism
+is itself a violation of its table's kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -80,11 +86,70 @@ class FiniteCategoryInstance:
         return frozenset(pairs)
 
 
-def _check_category(inst: FiniteCategoryInstance) -> list[Violation]:
-    out: list[Violation] = []
+class _Rows(NamedTuple):
+    """Row tables over one instance's composition and morphism tensor.
+
+    Built once per ``check_partially_monoidal`` call from the current
+    tables and dropped afterwards.  Entries whose key or value names no
+    morphism are kept out of the rows and listed in ``bad_compose`` /
+    ``bad_tensor``; the definedness checks still see their keys, the
+    checks on values skip them.
+    """
+
+    after: list[dict[int, int]]  # after[f][g] == g after f
+    succ: list[list[int]]  # succ[f]: the g composable after f, ascending
+    row: list[tuple]  # row[f][i] == succ[f][i] after f, or None
+    tens: list[dict[int, int]]  # tens[f][g] == f x g, ascending g
+    tens_from: list[dict[int, list[tuple[int, int]]]]  # y -> (g, f x g), dom g == y
+    tensor_entries: list[tuple[int, int, int]]  # (f, g, f x g) in table order
+    bad_compose: list[tuple[tuple, object]]
+    bad_tensor: list[tuple[tuple, object]]
+
+
+def _rows(inst: FiniteCategoryInstance) -> _Rows:
     n_mor = len(inst.morphisms)
+    after: list[dict[int, int]] = [{} for _ in range(n_mor)]
+    bad_compose = []
+    for key, h in inst.compose.items():
+        g, f = key
+        if 0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor:
+            after[f][g] = h
+        else:
+            bad_compose.append((key, h))
+    empty: list[int] = []
+    succ = [inst.by_dom.get(c, empty) for c in inst.cod]
+    row = [tuple(map(after_f.get, succ_f)) for after_f, succ_f in zip(after, succ)]
+
+    tensor_entries = []
+    bad_tensor = []
+    for key, fg in inst.tensor_mor.items():
+        f, g = key
+        if 0 <= f < n_mor and 0 <= g < n_mor and 0 <= fg < n_mor:
+            tensor_entries.append((f, g, fg))
+        else:
+            bad_tensor.append((key, fg))
+    tens: list[dict[int, int]] = [{} for _ in range(n_mor)]
+    tens_from: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n_mor)]
+    for f, g, fg in sorted(tensor_entries):
+        tens[f][g] = fg
+        tens_from[f].setdefault(inst.dom[g], []).append((g, fg))
+    return _Rows(after, succ, row, tens, tens_from, tensor_entries, bad_compose, bad_tensor)
+
+
+def _malformed(kind: str, table: str, bad: list[tuple[tuple, object]]) -> list[Violation]:
+    return [
+        Violation(kind, key, f"{table} entry {key} -> {value!r} names no morphism")
+        for key, value in bad
+    ]
+
+
+def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+    out = _malformed("category-composition", "composition", rows.bad_compose)
+    n_mor = len(inst.morphisms)
+    dom, cod = inst.dom, inst.cod
+    after, succ, row = rows.after, rows.succ, rows.row
     for x, i in enumerate(inst.identity):
-        if inst.dom[i] != x or inst.cod[i] != x:
+        if dom[i] != x or cod[i] != x:
             out.append(
                 Violation(
                     "category-identity",
@@ -93,20 +158,21 @@ def _check_category(inst: FiniteCategoryInstance) -> list[Violation]:
                 )
             )
     for f in range(n_mor):
-        for g in range(n_mor):
-            if inst.cod[f] != inst.dom[g]:
-                continue
-            if (g, f) not in inst.compose:
-                out.append(
-                    Violation(
-                        "category-composition",
-                        (g, f),
-                        f"composite of {inst.morphisms[f]} then {inst.morphisms[g]} is missing",
+        after_f = after[f].get
+        for g in succ[f]:
+            h = after_f(g)
+            if h is None:
+                # A present key here named no morphism and is reported above.
+                if (g, f) not in inst.compose:
+                    out.append(
+                        Violation(
+                            "category-composition",
+                            (g, f),
+                            f"composite of {inst.morphisms[f]} then {inst.morphisms[g]} is missing",
+                        )
                     )
-                )
                 continue
-            h = inst.compose[(g, f)]
-            if inst.dom[h] != inst.dom[f] or inst.cod[h] != inst.cod[g]:
+            if dom[h] != dom[f] or cod[h] != cod[g]:
                 out.append(
                     Violation(
                         "category-composition",
@@ -115,8 +181,8 @@ def _check_category(inst: FiniteCategoryInstance) -> list[Violation]:
                     )
                 )
     for f in range(n_mor):
-        left = inst.compose.get((inst.identity[inst.cod[f]], f))
-        right = inst.compose.get((f, inst.identity[inst.dom[f]]))
+        left = after[f].get(inst.identity[cod[f]])
+        right = after[inst.identity[dom[f]]].get(f)
         if left is not None and left != f:
             out.append(
                 Violation(
@@ -133,17 +199,25 @@ def _check_category(inst: FiniteCategoryInstance) -> list[Violation]:
                     f"pre-composing {inst.morphisms[f]} with an identity changes it",
                 )
             )
+    # Associativity by rows: row[g][i] is h g for the i-th h after g, so
+    # h (g f) and (h g) f agree for every h exactly when row[g f] equals
+    # row[g] composed after f -- provided g f ends where g does, so that
+    # both rows run over the same h.  Only a row that differs is searched
+    # h by h.
     for f in range(n_mor):
-        for g in inst.by_dom.get(inst.cod[f], ()):
-            gf = inst.compose.get((g, f))
+        after_f = after[f].get
+        for g, gf in zip(succ[f], row[f]):
             if gf is None:
                 continue
-            for h in inst.by_dom.get(inst.cod[g], ()):
-                hg = inst.compose.get((h, g))
+            row_g = row[g]
+            if cod[gf] == cod[g] and row[gf] == tuple(map(after_f, row_g)):
+                continue
+            after_gf = after[gf].get
+            for h, hg in zip(succ[g], row_g):
                 if hg is None:
                     continue
-                lhs = inst.compose.get((h, gf))
-                rhs = inst.compose.get((hg, f))
+                lhs = after_gf(h)
+                rhs = after_f(hg)
                 if lhs is not None and rhs is not None and lhs != rhs:
                     out.append(
                         Violation(
@@ -156,42 +230,53 @@ def _check_category(inst: FiniteCategoryInstance) -> list[Violation]:
 
 
 def _check_fullness(inst: FiniteCategoryInstance) -> list[Violation]:
-    out: list[Violation] = []
+    found: list[tuple[int, int, str]] = []
     n_mor = len(inst.morphisms)
-    for f in range(n_mor):
-        for g in range(n_mor):
-            doms = (inst.dom[f], inst.dom[g])
-            cods = (inst.cod[f], inst.cod[g])
-            if doms in inst.tensor_obj and cods in inst.tensor_obj:
-                if (f, g) not in inst.tensor_mor:
-                    out.append(
-                        Violation(
-                            "fullness",
-                            (f, g),
-                            f"tensor of {inst.morphisms[f]} and {inst.morphisms[g]} "
-                            "is missing although both endpoint tensors exist",
-                        )
-                    )
-            elif (f, g) in inst.tensor_mor:
-                out.append(
-                    Violation(
-                        "fullness",
-                        (f, g),
-                        f"tensor of {inst.morphisms[f]} and {inst.morphisms[g]} "
-                        "is present although an endpoint tensor is undefined",
-                    )
-                )
-    return out
+    dom, cod = inst.dom, inst.cod
+    tensor_obj, tensor_mor = inst.tensor_obj, inst.tensor_mor
+    homs_from: dict[int, list[tuple[int, list[int]]]] = {}
+    for (a, c), members in inst.hom_sets.items():
+        homs_from.setdefault(a, []).append((c, members))
+    # Every missing tensor in a pair of hom-set blocks whose endpoint
+    # tensors both exist.
+    for a, b in tensor_obj:
+        for c, fs in homs_from.get(a, ()):
+            for d, gs in homs_from.get(b, ()):
+                if (c, d) not in tensor_obj:
+                    continue
+                for f in fs:
+                    for g in gs:
+                        if (f, g) not in tensor_mor:
+                            found.append((f, g, "is missing although both endpoint tensors exist"))
+    # Every present tensor of two morphisms with an undefined endpoint tensor.
+    for f, g in tensor_mor:
+        if not (0 <= f < n_mor and 0 <= g < n_mor):
+            continue
+        if (dom[f], dom[g]) not in tensor_obj or (cod[f], cod[g]) not in tensor_obj:
+            found.append((f, g, "is present although an endpoint tensor is undefined"))
+    # Each (f, g) is found at most once, so this is the ascending scan order.
+    found.sort()
+    return [
+        Violation(
+            "fullness",
+            (f, g),
+            f"tensor of {inst.morphisms[f]} and {inst.morphisms[g]} {reason}",
+        )
+        for f, g, reason in found
+    ]
 
 
-def _check_functoriality(inst: FiniteCategoryInstance) -> list[Violation]:
-    out: list[Violation] = []
-    for (f, g), m in inst.tensor_mor.items():
-        doms = inst.tensor_obj.get((inst.dom[f], inst.dom[g]))
-        cods = inst.tensor_obj.get((inst.cod[f], inst.cod[g]))
+def _check_functoriality(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+    out = _malformed("functoriality", "morphism tensor", rows.bad_tensor)
+    dom, cod = inst.dom, inst.cod
+    after, succ, row = rows.after, rows.succ, rows.row
+    tens, tens_from = rows.tens, rows.tens_from
+    for f, g, m in rows.tensor_entries:
+        doms = inst.tensor_obj.get((dom[f], dom[g]))
+        cods = inst.tensor_obj.get((cod[f], cod[g]))
         if doms is None or cods is None:
             continue
-        if inst.dom[m] != doms or inst.cod[m] != cods:
+        if dom[m] != doms or cod[m] != cods:
             out.append(
                 Violation(
                     "functoriality",
@@ -200,7 +285,7 @@ def _check_functoriality(inst: FiniteCategoryInstance) -> list[Violation]:
                 )
             )
     for (a, b), ab in inst.tensor_obj.items():
-        m = inst.tensor_mor.get((inst.identity[a], inst.identity[b]))
+        m = tens[inst.identity[a]].get(inst.identity[b])
         if m is not None and m != inst.identity[ab]:
             out.append(
                 Violation(
@@ -209,22 +294,27 @@ def _check_functoriality(inst: FiniteCategoryInstance) -> list[Violation]:
                     "tensor of identities is not the identity of the tensor",
                 )
             )
-    for (f, p), fp in inst.tensor_mor.items():
-        for g in inst.by_dom.get(inst.cod[f], ()):
-            gf = inst.compose.get((g, f))
+    # (g f) x (q p) against (g x q)(f x p): q runs only over the defined
+    # tensors g x q with dom q == cod p, ascending.
+    for f, p, fp in rows.tensor_entries:
+        after_p = after[p].get
+        after_fp = after[fp].get
+        cod_p = cod[p]
+        for g, gf in zip(succ[f], row[f]):
             if gf is None:
                 continue
-            for q in inst.by_dom.get(inst.cod[p], ()):
-                gq = inst.tensor_mor.get((g, q))
-                if gq is None:
-                    continue
-                qp = inst.compose.get((q, p))
+            pairs = tens_from[g].get(cod_p)
+            if pairs is None:
+                continue
+            tens_gf = tens[gf].get
+            for q, gq in pairs:
+                qp = after_p(q)
                 if qp is None:
                     continue
-                whole = inst.tensor_mor.get((gf, qp))
+                whole = tens_gf(qp)
                 if whole is None:
                     continue
-                stepwise = inst.compose.get((gq, fp))
+                stepwise = after_fp(gq)
                 if stepwise is not None and stepwise != whole:
                     out.append(
                         Violation(
@@ -262,7 +352,7 @@ def _check_repleteness(inst: FiniteCategoryInstance) -> list[Violation]:
     return out
 
 
-def _check_associativity(inst: FiniteCategoryInstance) -> list[Violation]:
+def _check_associativity(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
     out: list[Violation] = []
     seen: set[tuple[int, int, int]] = set()
     n = len(inst.objects)
@@ -299,16 +389,16 @@ def _check_associativity(inst: FiniteCategoryInstance) -> list[Violation]:
                     )
                 elif left is not None and right is not None and left != right:
                     record(a, b, c, "the two bracketings produce different objects")
-    for f in range(len(inst.morphisms)):
-        for g in range(len(inst.morphisms)):
-            fg = inst.tensor_mor.get((f, g))
-            if fg is None:
-                continue
-            for h in range(len(inst.morphisms)):
-                gh = inst.tensor_mor.get((g, h))
-                left = inst.tensor_mor.get((fg, h))
-                right = inst.tensor_mor.get((f, gh)) if gh is not None else None
-                if left is not None and right is not None and left != right:
+    # (f x g) x h and f x (g x h) are both defined only for the h that
+    # g and f x g both tensor with.
+    tens = rows.tens
+    for f, tens_f in enumerate(tens):
+        for g, fg in tens_f.items():
+            tens_g, tens_fg = tens[g], tens[fg]
+            for h in sorted(tens_fg.keys() & tens_g.keys()):
+                left = tens_fg[h]
+                right = tens_f.get(tens_g[h])
+                if right is not None and left != right:
                     record(
                         inst.dom[f],
                         inst.dom[g],
@@ -318,7 +408,7 @@ def _check_associativity(inst: FiniteCategoryInstance) -> list[Violation]:
     return out
 
 
-def _check_unit(inst: FiniteCategoryInstance) -> list[Violation]:
+def _check_unit(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
     out: list[Violation] = []
     e = inst.unit
     for a in range(len(inst.objects)):
@@ -333,7 +423,7 @@ def _check_unit(inst: FiniteCategoryInstance) -> list[Violation]:
                 )
     for f in range(len(inst.morphisms)):
         for pair in ((inst.identity[e], f), (f, inst.identity[e])):
-            m = inst.tensor_mor.get(pair)
+            m = rows.tens[pair[0]].get(pair[1])
             if m is not None and m != f:
                 out.append(
                     Violation(
@@ -345,7 +435,7 @@ def _check_unit(inst: FiniteCategoryInstance) -> list[Violation]:
     return out
 
 
-def _check_symmetry(inst: FiniteCategoryInstance) -> list[Violation]:
+def _check_symmetry(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
     out: list[Violation] = []
     for (a, b), ab in inst.tensor_obj.items():
         ba = inst.tensor_obj.get((b, a))
@@ -366,8 +456,8 @@ def _check_symmetry(inst: FiniteCategoryInstance) -> list[Violation]:
                     "the tensor is not commutative on this object pair",
                 )
             )
-    for (f, g), m in inst.tensor_mor.items():
-        swapped = inst.tensor_mor.get((g, f))
+    for f, g, m in rows.tensor_entries:
+        swapped = rows.tens[g].get(f)
         if swapped is not None and swapped != m:
             out.append(
                 Violation(
@@ -381,14 +471,15 @@ def _check_symmetry(inst: FiniteCategoryInstance) -> list[Violation]:
 
 def check_partially_monoidal(inst: FiniteCategoryInstance) -> tuple[Violation, ...]:
     """Run every axiom check and return all violations found."""
+    rows = _rows(inst)
     out: list[Violation] = []
-    out.extend(_check_category(inst))
+    out.extend(_check_category(inst, rows))
     out.extend(_check_fullness(inst))
-    out.extend(_check_functoriality(inst))
+    out.extend(_check_functoriality(inst, rows))
     out.extend(_check_repleteness(inst))
-    out.extend(_check_associativity(inst))
-    out.extend(_check_unit(inst))
-    out.extend(_check_symmetry(inst))
+    out.extend(_check_associativity(inst, rows))
+    out.extend(_check_unit(inst, rows))
+    out.extend(_check_symmetry(inst, rows))
     return tuple(out)
 
 

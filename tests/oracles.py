@@ -7,6 +7,8 @@ The composition convention matches the package: (g h)(p) = g(h(p)).
 
 from __future__ import annotations
 
+from emergent.pmcat import FiniteCategoryInstance, Violation
+
 
 def compose(g, h):
     return tuple(g[p] for p in h)
@@ -109,3 +111,323 @@ def is_product_point(elements, sub, point):
     comm = centralizer_in(elements, sub)
     joint = orbit_of(product_elements(sub, comm), point)
     return len(joint) == len(orbit_of(sub, point)) * len(orbit_of(comm, point))
+
+
+# -- pmcat -----------------------------------------------------------------
+#
+# The seven axiom loops of ``emergent.pmcat`` as first written: every
+# candidate pair, triple and quadruple is looked up in the raw tables,
+# with no indexing beyond ``by_dom``.  They raise on a table value that
+# names no morphism, so they serve only well-formed instances.
+
+
+def _check_category(inst: FiniteCategoryInstance) -> list[Violation]:
+    out: list[Violation] = []
+    n_mor = len(inst.morphisms)
+    for x, i in enumerate(inst.identity):
+        if inst.dom[i] != x or inst.cod[i] != x:
+            out.append(
+                Violation(
+                    "category-identity",
+                    (x,),
+                    f"identity of {inst.objects[x]} has wrong endpoints",
+                )
+            )
+    for f in range(n_mor):
+        for g in range(n_mor):
+            if inst.cod[f] != inst.dom[g]:
+                continue
+            if (g, f) not in inst.compose:
+                out.append(
+                    Violation(
+                        "category-composition",
+                        (g, f),
+                        f"composite of {inst.morphisms[f]} then {inst.morphisms[g]} is missing",
+                    )
+                )
+                continue
+            h = inst.compose[(g, f)]
+            if inst.dom[h] != inst.dom[f] or inst.cod[h] != inst.cod[g]:
+                out.append(
+                    Violation(
+                        "category-composition",
+                        (g, f),
+                        f"composite of {inst.morphisms[f]} then {inst.morphisms[g]} has wrong endpoints",
+                    )
+                )
+    for f in range(n_mor):
+        left = inst.compose.get((inst.identity[inst.cod[f]], f))
+        right = inst.compose.get((f, inst.identity[inst.dom[f]]))
+        if left is not None and left != f:
+            out.append(
+                Violation(
+                    "category-identity",
+                    (f,),
+                    f"post-composing {inst.morphisms[f]} with an identity changes it",
+                )
+            )
+        if right is not None and right != f:
+            out.append(
+                Violation(
+                    "category-identity",
+                    (f,),
+                    f"pre-composing {inst.morphisms[f]} with an identity changes it",
+                )
+            )
+    for f in range(n_mor):
+        for g in inst.by_dom.get(inst.cod[f], ()):
+            gf = inst.compose.get((g, f))
+            if gf is None:
+                continue
+            for h in inst.by_dom.get(inst.cod[g], ()):
+                hg = inst.compose.get((h, g))
+                if hg is None:
+                    continue
+                lhs = inst.compose.get((h, gf))
+                rhs = inst.compose.get((hg, f))
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    out.append(
+                        Violation(
+                            "category-composition",
+                            (h, g, f),
+                            "composition is not associative on this triple",
+                        )
+                    )
+    return out
+
+
+def _check_fullness(inst: FiniteCategoryInstance) -> list[Violation]:
+    out: list[Violation] = []
+    n_mor = len(inst.morphisms)
+    for f in range(n_mor):
+        for g in range(n_mor):
+            doms = (inst.dom[f], inst.dom[g])
+            cods = (inst.cod[f], inst.cod[g])
+            if doms in inst.tensor_obj and cods in inst.tensor_obj:
+                if (f, g) not in inst.tensor_mor:
+                    out.append(
+                        Violation(
+                            "fullness",
+                            (f, g),
+                            f"tensor of {inst.morphisms[f]} and {inst.morphisms[g]} "
+                            "is missing although both endpoint tensors exist",
+                        )
+                    )
+            elif (f, g) in inst.tensor_mor:
+                out.append(
+                    Violation(
+                        "fullness",
+                        (f, g),
+                        f"tensor of {inst.morphisms[f]} and {inst.morphisms[g]} "
+                        "is present although an endpoint tensor is undefined",
+                    )
+                )
+    return out
+
+
+def _check_functoriality(inst: FiniteCategoryInstance) -> list[Violation]:
+    out: list[Violation] = []
+    for (f, g), m in inst.tensor_mor.items():
+        doms = inst.tensor_obj.get((inst.dom[f], inst.dom[g]))
+        cods = inst.tensor_obj.get((inst.cod[f], inst.cod[g]))
+        if doms is None or cods is None:
+            continue
+        if inst.dom[m] != doms or inst.cod[m] != cods:
+            out.append(
+                Violation(
+                    "functoriality",
+                    (f, g),
+                    f"tensor of {inst.morphisms[f]} and {inst.morphisms[g]} has wrong endpoints",
+                )
+            )
+    for (a, b), ab in inst.tensor_obj.items():
+        m = inst.tensor_mor.get((inst.identity[a], inst.identity[b]))
+        if m is not None and m != inst.identity[ab]:
+            out.append(
+                Violation(
+                    "functoriality",
+                    (a, b),
+                    "tensor of identities is not the identity of the tensor",
+                )
+            )
+    for (f, p), fp in inst.tensor_mor.items():
+        for g in inst.by_dom.get(inst.cod[f], ()):
+            gf = inst.compose.get((g, f))
+            if gf is None:
+                continue
+            for q in inst.by_dom.get(inst.cod[p], ()):
+                gq = inst.tensor_mor.get((g, q))
+                if gq is None:
+                    continue
+                qp = inst.compose.get((q, p))
+                if qp is None:
+                    continue
+                whole = inst.tensor_mor.get((gf, qp))
+                if whole is None:
+                    continue
+                stepwise = inst.compose.get((gq, fp))
+                if stepwise is not None and stepwise != whole:
+                    out.append(
+                        Violation(
+                            "functoriality",
+                            (g, f, q, p),
+                            "tensor does not commute with composition",
+                        )
+                    )
+    return out
+
+
+def _check_repleteness(inst: FiniteCategoryInstance) -> list[Violation]:
+    out: list[Violation] = []
+    seen: set[frozenset[int]] = set()
+    iso = inst.isomorphic_pairs
+    n = len(inst.objects)
+    for (a, b) in list(inst.tensor_obj):
+        candidates = [(a2, b) for a2 in range(n) if (a, a2) in iso]
+        candidates += [(a, b2) for b2 in range(n) if (b, b2) in iso]
+        for pair in candidates:
+            if pair in inst.tensor_obj:
+                continue
+            witness = frozenset(pair)
+            if witness in seen:
+                continue
+            seen.add(witness)
+            out.append(
+                Violation(
+                    "repleteness",
+                    tuple(sorted(witness)),
+                    f"tensor of {inst.objects[pair[0]]} and {inst.objects[pair[1]]} "
+                    "is undefined although an isomorphic replacement is defined",
+                )
+            )
+    return out
+
+
+def _check_associativity(inst: FiniteCategoryInstance) -> list[Violation]:
+    out: list[Violation] = []
+    seen: set[tuple[int, int, int]] = set()
+    n = len(inst.objects)
+
+    def record(a: int, b: int, c: int, message: str) -> None:
+        witness = (a, b, c)
+        if witness in seen:
+            return
+        seen.add(witness)
+        out.append(Violation("associativity-definedness", witness, message))
+
+    for a in range(n):
+        for b in range(n):
+            ab = inst.tensor_obj.get((a, b))
+            for c in range(n):
+                bc = inst.tensor_obj.get((b, c))
+                left = inst.tensor_obj.get((ab, c)) if ab is not None else None
+                right = inst.tensor_obj.get((a, bc)) if bc is not None else None
+                if left is not None and right is None:
+                    record(
+                        a,
+                        b,
+                        c,
+                        f"({inst.objects[a]} x {inst.objects[b]}) x {inst.objects[c]} "
+                        "is defined but the right-bracketed tensor is not",
+                    )
+                elif right is not None and left is None:
+                    record(
+                        a,
+                        b,
+                        c,
+                        f"{inst.objects[a]} x ({inst.objects[b]} x {inst.objects[c]}) "
+                        "is defined but the left-bracketed tensor is not",
+                    )
+                elif left is not None and right is not None and left != right:
+                    record(a, b, c, "the two bracketings produce different objects")
+    for f in range(len(inst.morphisms)):
+        for g in range(len(inst.morphisms)):
+            fg = inst.tensor_mor.get((f, g))
+            if fg is None:
+                continue
+            for h in range(len(inst.morphisms)):
+                gh = inst.tensor_mor.get((g, h))
+                left = inst.tensor_mor.get((fg, h))
+                right = inst.tensor_mor.get((f, gh)) if gh is not None else None
+                if left is not None and right is not None and left != right:
+                    record(
+                        inst.dom[f],
+                        inst.dom[g],
+                        inst.dom[h],
+                        "the two bracketings produce different morphisms",
+                    )
+    return out
+
+
+def _check_unit(inst: FiniteCategoryInstance) -> list[Violation]:
+    out: list[Violation] = []
+    e = inst.unit
+    for a in range(len(inst.objects)):
+        for pair in ((e, a), (a, e)):
+            if inst.tensor_obj.get(pair) != a:
+                out.append(
+                    Violation(
+                        "unit",
+                        pair,
+                        f"tensoring {inst.objects[a]} with the unit does not return it",
+                    )
+                )
+    for f in range(len(inst.morphisms)):
+        for pair in ((inst.identity[e], f), (f, inst.identity[e])):
+            m = inst.tensor_mor.get(pair)
+            if m is not None and m != f:
+                out.append(
+                    Violation(
+                        "unit",
+                        pair,
+                        f"tensoring {inst.morphisms[f]} with the unit identity changes it",
+                    )
+                )
+    return out
+
+
+def _check_symmetry(inst: FiniteCategoryInstance) -> list[Violation]:
+    out: list[Violation] = []
+    for (a, b), ab in inst.tensor_obj.items():
+        ba = inst.tensor_obj.get((b, a))
+        if ba is None:
+            out.append(
+                Violation(
+                    "symmetry",
+                    (b, a),
+                    f"tensor of {inst.objects[a]} and {inst.objects[b]} is defined "
+                    "but the swapped tensor is not",
+                )
+            )
+        elif ba != ab:
+            out.append(
+                Violation(
+                    "symmetry",
+                    (a, b),
+                    "the tensor is not commutative on this object pair",
+                )
+            )
+    for (f, g), m in inst.tensor_mor.items():
+        swapped = inst.tensor_mor.get((g, f))
+        if swapped is not None and swapped != m:
+            out.append(
+                Violation(
+                    "symmetry",
+                    (f, g),
+                    "the tensor is not commutative on this morphism pair",
+                )
+            )
+    return out
+
+
+def pmcat_violations(inst: FiniteCategoryInstance) -> tuple[Violation, ...]:
+    """Every axiom violation, in the order ``check_partially_monoidal`` gives."""
+    out: list[Violation] = []
+    out.extend(_check_category(inst))
+    out.extend(_check_fullness(inst))
+    out.extend(_check_functoriality(inst))
+    out.extend(_check_repleteness(inst))
+    out.extend(_check_associativity(inst))
+    out.extend(_check_unit(inst))
+    out.extend(_check_symmetry(inst))
+    return tuple(out)

@@ -258,6 +258,19 @@ def test_lattice_suite_on_27_points_within_budget():
     assert elapsed < 30.0
 
 
+def test_pmcat_suite_on_27_points_within_budget():
+    start = time.perf_counter()
+    code, out = _subprocess_run(
+        ["check", "--suite", "pmcat", "--input", "fixtures/s3x3x3.json"], 0
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    (suite,) = json.loads(out)["suites"]
+    assert suite["violations"] == []
+    assert suite["notices"] == ["pmcat: 27 objects, 2197 morphisms"]
+    assert elapsed < 60.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

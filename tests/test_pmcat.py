@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
+import oracles
 from emergent import (
     FiniteCategoryInstance,
     ResourceLimit,
@@ -12,6 +16,7 @@ from emergent import (
     generate_group,
     validate_global_theory,
 )
+from emergent.pmcat import Violation
 
 
 def test_extracted_instances_satisfy_every_axiom(t1, t2):
@@ -166,3 +171,121 @@ def test_every_violation_names_a_checkable_witness(t1):
         assert 0 <= f < len(inst.morphisms)
         assert 0 <= g < len(inst.morphisms)
         assert violation.message
+
+
+@pytest.mark.parametrize(
+    "table, kind, name",
+    [
+        ("compose", "category-composition", "composition"),
+        ("tensor_mor", "functoriality", "morphism tensor"),
+    ],
+)
+@pytest.mark.parametrize("past_the_end", [True, False])
+def test_a_table_value_that_names_no_morphism_is_one_violation(t1, table, kind, name, past_the_end):
+    inst = extract_instance(t1)
+    value = len(inst.morphisms) if past_the_end else -1
+    for key in sorted(getattr(inst, table)):
+        broken = dict(getattr(inst, table))
+        broken[key] = value
+        report = check_partially_monoidal(dataclasses.replace(inst, **{table: broken}))
+        assert report == (
+            Violation(kind, key, f"{name} entry {key} -> {value} names no morphism"),
+        )
+
+
+# Each change rewrites one entry of one table.  The "within-hom"
+# reassignment keeps the composite's endpoints and the "off-diagonal"
+# deletion spares the (a, a) object tensors, as the benchmark's planted
+# corruptions do.
+CHANGES = (
+    ("compose", "delete"),
+    ("compose", "reassign"),
+    ("compose", "reassign-within-hom"),
+    ("tensor_mor", "delete"),
+    ("tensor_mor", "reassign"),
+    ("tensor_obj", "delete"),
+    ("tensor_obj", "delete-off-diagonal"),
+    ("tensor_obj", "reassign"),
+)
+
+
+def _change(inst: FiniteCategoryInstance, rng: random.Random, table: str, change: str):
+    entries = dict(getattr(inst, table))
+
+    def hom_of(key):
+        g, f = key
+        return inst.hom_sets[(inst.dom[f], inst.cod[g])]
+
+    keys = sorted(entries)
+    if change == "reassign-within-hom":
+        keys = [k for k in keys if len(hom_of(k)) > 1]
+    elif change == "delete-off-diagonal":
+        keys = [k for k in keys if k[0] != k[1]]
+    key = rng.choice(keys)
+    if change.startswith("delete"):
+        del entries[key]
+    elif change == "reassign-within-hom":
+        entries[key] = rng.choice([m for m in hom_of(key) if m != entries[key]])
+    else:
+        size = len(inst.objects) if table == "tensor_obj" else len(inst.morphisms)
+        entries[key] = rng.randrange(size)
+    return dataclasses.replace(inst, **{table: entries})
+
+
+def _corrupted(clean: FiniteCategoryInstance, rng: random.Random, first: tuple[str, str]):
+    """The given change plus up to two random ones; table order may be shuffled.
+
+    Violations of one table are reported in that table's order, so a
+    shuffle is a change the oracle must agree on too.
+    """
+    inst = _change(clean, rng, *first)
+    for _ in range(rng.randrange(3)):
+        inst = _change(inst, rng, *rng.choice(CHANGES))
+    if rng.random() < 0.5:
+        table = rng.choice(("compose", "tensor_obj", "tensor_mor"))
+        items = list(getattr(inst, table).items())
+        rng.shuffle(items)
+        inst = dataclasses.replace(inst, **{table: dict(items)})
+    return inst
+
+
+@pytest.mark.parametrize("theory, per_change", [("t1", 16), ("t5", 8), ("t2", 1)])
+def test_violations_match_the_brute_force_oracle(request, theory, per_change):
+    clean = extract_instance(request.getfixturevalue(theory))
+    rng = random.Random(20190)
+    instances = [clean]
+    for first in CHANGES:
+        instances += [_corrupted(clean, rng, first) for _ in range(per_change)]
+    found = 0
+    for inst in instances:
+        report = check_partially_monoidal(inst)
+        assert report == oracles.pmcat_violations(inst)
+        found += len(report)
+    assert found > len(instances)
+
+
+def test_a_composite_with_the_wrong_codomain_is_searched_term_by_term():
+    # g f is recorded as k, which ends at D instead of C.  The rows of
+    # h (g f) and (h g) f then run over different h and may look alike
+    # -- here both are (k,) -- so only the term-by-term search sees that
+    # the stray entry for idC after k breaks associativity.
+    compose = {(i, i): i for i in range(4)}
+    compose.update({(1, 4): 4, (4, 0): 4, (2, 5): 5, (5, 1): 5, (3, 6): 6, (6, 0): 6})
+    compose[(5, 4)] = 6
+    compose[(2, 6)] = 4
+    inst = FiniteCategoryInstance(
+        objects=("A", "B", "C", "D"),
+        morphisms=("1A", "1B", "1C", "1D", "f", "g", "k"),
+        dom=(0, 1, 2, 3, 0, 1, 0),
+        cod=(0, 1, 2, 3, 1, 2, 3),
+        identity=(0, 1, 2, 3),
+        compose=compose,
+        tensor_obj={(0, 0): 0},
+        tensor_mor={(0, 0): 0},
+        unit=0,
+    )
+    report = check_partially_monoidal(inst)
+    assert report == oracles.pmcat_violations(inst)
+    assert Violation(
+        "category-composition", (2, 5, 4), "composition is not associative on this triple"
+    ) in report
