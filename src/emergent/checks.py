@@ -439,11 +439,15 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     return SuiteResult("systems", tuple(violations), tuple(notices))
 
 
-def processes_suite(theory: GlobalTheory, systems=None) -> SuiteResult:
-    """Process category: composition semantics, generation, unique effect."""
+def processes_suite(theory: GlobalTheory, systems=None, *, cat=None) -> SuiteResult:
+    """Process category: composition semantics, generation, unique effect.
+
+    ``cat``, when given, is the category already built for ``theory``.
+    """
     violations: list[str] = []
     notices: list[str] = []
-    cat = build_process_category(theory, systems=systems)
+    if cat is None:
+        cat = build_process_category(theory, systems=systems)
 
     for oi in range(len(cat.objects)):
         ident = cat.classes[cat.identity[oi]]
@@ -529,11 +533,16 @@ def processes_suite(theory: GlobalTheory, systems=None) -> SuiteResult:
     return SuiteResult("processes", tuple(violations), tuple(notices))
 
 
-def pmcat_suite(theory: GlobalTheory, systems=None) -> SuiteResult:
-    """Partially-monoidal category axioms on the extracted instance."""
-    from .pmcat import check_partially_monoidal, extract_instance
+def pmcat_suite(theory: GlobalTheory, systems=None, *, cat=None) -> SuiteResult:
+    """Partially-monoidal category axioms on the extracted instance.
 
-    inst = extract_instance(theory, systems=systems)
+    ``cat``, when given, is the category already built for ``theory``.
+    """
+    from .pmcat import check_partially_monoidal, instance_from_category
+
+    if cat is None:
+        cat = build_process_category(theory, systems=systems)
+    inst = instance_from_category(cat)
     found = check_partially_monoidal(inst)
     violations = tuple(
         f"{v.kind}: {v.message} (witness {v.witness})" for v in found
@@ -554,7 +563,14 @@ SUITES = {
 
 
 def run_suites(theory: GlobalTheory, names: tuple[str, ...]) -> tuple[SuiteResult, ...]:
+    """Run the named suites in order; the process category is built once."""
     results = []
+    cat = None
     for name in names:
-        results.append(SUITES[name](theory))
+        if name not in ("processes", "pmcat"):
+            results.append(SUITES[name](theory))
+            continue
+        if cat is None:
+            cat = build_process_category(theory)
+        results.append(SUITES[name](theory, cat=cat))
     return tuple(results)

@@ -485,11 +485,18 @@ def check_partially_monoidal(inst: FiniteCategoryInstance) -> tuple[Violation, .
 
 def extract_instance(theory, systems=None, object_cap=64) -> FiniteCategoryInstance:
     """Build the process category of a theory as a checkable instance."""
-    from .lattice import enumerate_self_bicommutant
     from .processes import build_process_category
 
-    cat = build_process_category(theory, systems=systems, object_cap=object_cap)
-    lattice = enumerate_self_bicommutant(theory)
+    return instance_from_category(
+        build_process_category(theory, systems=systems, object_cap=object_cap)
+    )
+
+
+def instance_from_category(cat) -> FiniteCategoryInstance:
+    """A built process category as a checkable instance."""
+    from .lattice import enumerate_self_bicommutant
+
+    lattice = enumerate_self_bicommutant(cat.theory)
 
     def system_label(system) -> str:
         return f"n{lattice.node_index[system.transf]}o{system.transf.order}"

@@ -13,18 +13,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ElementNotInGroup,
+    ElementNotInOwner,
     IncompatibleSystems,
+    NotNested,
     ResourceLimit,
     StateNotInPair,
     StateNotInSystem,
     TypeMismatch,
 )
 from .lattice import enumerate_self_bicommutant, is_orthocomplemented
-from .perms import GlobalTheory, Perm
-from .states import LocalState, act_local, iterated_restrict, pure_local_states, state_key
+from .perms import GlobalTheory, Perm, Subgroup, require_subgroup
+from .states import (
+    LocalState,
+    act_local,
+    iterated_restrict,
+    pure_local_states,
+    restrict,
+    state_key,
+)
 from .systems import (
     System,
     are_compatible,
@@ -344,6 +356,95 @@ def discard_process(theory: GlobalTheory, pair: SystemEnvironmentPair) -> Proces
     )
 
 
+# ---------------------------------------------------------------------------
+# State tables: state maps on point indices
+
+
+def _tuple_getter(positions: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*positions)`` that returns a tuple for one position too."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda seq: (seq[only],)
+    return itemgetter(*positions)
+
+
+def _require_owned(transf: Subgroup, owner: Subgroup) -> None:
+    """The guard of ``act_local``, for every element of ``transf`` at once."""
+    if not transf.is_subset_of(owner):
+        h = next(h for h in transf.members if h not in owner)
+        raise ElementNotInOwner(f"{h!r} does not belong to the state's owner")
+
+
+class _StateTables:
+    """Point-indexed tables for computing state maps of processes.
+
+    A process acts on the joint state of an input's purification and the
+    preparation, a local state of ``owner`` = composite x ancilla, and its
+    output is what the codomain system sees of the acted joint state.  A
+    joint state is an orbit of the owner's commutant, which ``u`` in the
+    owner permutes, so the acted joint state at point ``p`` holds ``u[p]``.
+    A subgroup of the owner has a larger commutant and so sees the same
+    local state at every point of it: the output is the restriction table
+    read at ``u[p]``.  States are named by their keys (sorted points), and
+    the tables live for one enumeration.
+    """
+
+    def __init__(self, theory: GlobalTheory) -> None:
+        self.theory = theory
+        self._restrictions: dict[Subgroup, tuple[tuple[int, ...], ...]] = {}
+        self._joints: dict[tuple, tuple[int, ...]] = {}
+
+    def restriction(
+        self, sub: Subgroup, owner: Subgroup
+    ) -> tuple[tuple[int, ...], ...]:
+        """Point -> key of the local state ``sub`` sees, for states of ``owner``.
+
+        Checks what ``iterated_restrict`` checks, once for every state.
+        """
+        require_subgroup(self.theory, sub)
+        if not sub.is_subset_of(owner):
+            raise NotNested("can only restrict a state to a subgroup of its owner")
+        table = self._restrictions.get(sub)
+        if table is None:
+            theory = self.theory
+            table = tuple(state_key(restrict(theory, sub, p)) for p in theory.points)
+            self._restrictions[sub] = table
+        return table
+
+    def joint_points(
+        self, pair: SystemEnvironmentPair, ancilla: System, prep: LocalState
+    ) -> tuple[int, ...]:
+        """One point of each input's joint state with ``prep``, in input order."""
+        key = (pair, ancilla, prep)
+        points = self._joints.get(key)
+        if points is None:
+            theory = self.theory
+            composite = pair_composite(theory, pair)
+            points = tuple(
+                tensor_pure_states(
+                    theory, composite, ancilla, s.purification, prep
+                ).representative
+                for s in pair_states(theory, pair)
+            )
+            self._joints[key] = points
+        return points
+
+    def outputs(self, proc: Process) -> tuple[tuple[int, ...], ...]:
+        """The output state keys of ``process_table(proc)``, in input order."""
+        theory = self.theory
+        owner = tensor_systems(
+            theory, pair_composite(theory, proc.domain), proc.ancilla
+        ).transf
+        u = proc.transform
+        if u not in owner:
+            raise ElementNotInOwner(f"{u!r} does not belong to the state's owner")
+        restricted = self.restriction(proc.codomain_system.transf, owner)
+        return tuple(
+            restricted[u[p]]
+            for p in self.joint_points(proc.domain, proc.ancilla, proc.prep)
+        )
+
+
 def enumerate_generalised_effects(
     theory: GlobalTheory,
     pair: SystemEnvironmentPair,
@@ -358,6 +459,9 @@ def enumerate_generalised_effects(
         ancillas = enumerate_systems(theory)
     unit = trivial_system(theory)
     composite = pair_composite(theory, pair)
+    tables = _StateTables(theory)
+    # The input states are those of ``pair`` for every candidate, so the
+    # output keys alone identify a state map.
     found: dict[tuple, Process] = {}
     for anc in sorted(ancillas, key=system_key):
         try:
@@ -371,9 +475,9 @@ def enumerate_generalised_effects(
                     proc = make_process(theory, pair, anc, prep, u, unit, total)
                 except (IncompatibleSystems, TypeMismatch):
                     continue
-                table = process_table(theory, proc)
-                if table not in found:
-                    found[table] = proc
+                outputs = tables.outputs(proc)
+                if outputs not in found:
+                    found[outputs] = proc
     return tuple(found.values())
 
 
@@ -461,7 +565,13 @@ def build_process_category(
     systems: tuple[System, ...] | None = None,
     object_cap: int = DEFAULT_OBJECT_CAP,
 ) -> ProcessCategory:
-    """Enumerate objects and morphism classes over a closed system universe."""
+    """Enumerate objects and morphism classes over a closed system universe.
+
+    Runs on state tables (see ``_StateTables``).  A class is keyed by its
+    domain, its codomain and the positions of its outputs in the
+    codomain's state list, so ``g . f`` is ``g``'s positions read at
+    ``f``'s, and only the pairs that compose or tensor are visited.
+    """
     if object_cap == 0:
         return ProcessCategory(theory, (), (), (), (), {}, {}, {}, -1)
     seeds = default_system_seeds(theory) if systems is None else tuple(systems)
@@ -478,70 +588,84 @@ def build_process_category(
             f"category would have {len(objects)} objects, above the cap of {object_cap}"
         )
     object_index = {obj: i for i, obj in enumerate(objects)}
+    state_keys = [
+        tuple(state_key(s.value) for s in pair_states(theory, obj)) for obj in objects
+    ]
+    state_position = [{key: i for i, key in enumerate(keys)} for keys in state_keys]
 
+    tables = _StateTables(theory)
     classes: list[MorphismClass] = []
+    positions: list[tuple[int, ...]] = []
     class_index: dict[tuple, int] = {}
     decomp_cache: dict[System, dict[System, list[System]]] = {}
     for oi, obj in enumerate(objects):
-        inputs = pair_states(theory, obj)
-        in_keys = tuple(state_key(s.value) for s in inputs)
+        in_keys = state_keys[oi]
         composite = pair_composite(theory, obj)
+        made: set[tuple] = set()
         for anc in universe:
             try:
                 total = tensor_systems(theory, obj.system, anc)
-                tensor_systems(theory, composite, anc)
+                owner = tensor_systems(theory, composite, anc).transf
             except IncompatibleSystems:
                 continue
             if total not in decomp_cache:
                 decomp_cache[total] = _decompositions(theory, universe, total)
-            decomps = decomp_cache[total]
+            _require_owned(total.transf, owner)
+            outs = []
+            for out_sys, discards in decomp_cache[total].items():
+                cods = []
+                for disc in discards:
+                    try:
+                        env_out = tensor_systems(theory, obj.environment, disc)
+                        cod_pair = make_pair(theory, out_sys, env_out)
+                    except IncompatibleSystems:
+                        continue
+                    cods.append((disc, object_index[cod_pair]))
+                outs.append((out_sys, tables.restriction(out_sys.transf, owner), cods))
+            # The classes a tuple of acted points gives were all made when it
+            # was first met, so a repeat under another ``prep`` or ``u`` is
+            # skipped.
+            met: set[tuple[int, ...]] = set()
             for prep in anc.pure_orbit:
-                joints = [
-                    tensor_pure_states(theory, composite, anc, s.purification, prep)
-                    for s in inputs
-                ]
+                joint_points = _tuple_getter(tables.joint_points(obj, anc, prep))
                 for u in total.transf.members:
-                    acted = [act_local(theory, u, joint) for joint in joints]
-                    for out_sys, discards in decomps.items():
-                        values = tuple(
-                            state_key(iterated_restrict(theory, out_sys.transf, a))
-                            for a in acted
-                        )
-                        table = tuple(zip(in_keys, values))
-                        for disc in discards:
-                            try:
-                                env_out = tensor_systems(
-                                    theory, obj.environment, disc
-                                )
-                                cod_pair = make_pair(theory, out_sys, env_out)
-                            except IncompatibleSystems:
+                    acted = joint_points(u)
+                    if acted in met:
+                        continue
+                    met.add(acted)
+                    at_acted = _tuple_getter(acted)
+                    for out_sys, restricted, cods in outs:
+                        values = at_acted(restricted)
+                        for disc, cod in cods:
+                            if (cod, values) in made:
                                 continue
-                            cod = object_index[cod_pair]
-                            key = (oi, cod, table)
-                            if key not in class_index:
-                                rep = make_process(
-                                    theory, obj, anc, prep, u, out_sys, disc
-                                )
-                                class_index[key] = len(classes)
-                                classes.append(MorphismClass(oi, cod, table, rep))
+                            made.add((cod, values))
+                            rep = make_process(theory, obj, anc, prep, u, out_sys, disc)
+                            where = tuple(map(state_position[cod].__getitem__, values))
+                            class_index[(oi, cod, where)] = len(classes)
+                            classes.append(
+                                MorphismClass(oi, cod, tuple(zip(in_keys, values)), rep)
+                            )
+                            positions.append(where)
 
-    identity = []
-    for oi, obj in enumerate(objects):
-        table = tuple(
-            (state_key(s.value), state_key(s.value))
-            for s in pair_states(theory, obj)
-        )
-        identity.append(class_index[(oi, oi, table)])
-    identity = tuple(identity)
+    identity = tuple(
+        class_index[(oi, oi, tuple(range(len(keys))))]
+        for oi, keys in enumerate(state_keys)
+    )
 
+    # For each object, the classes leaving it, their codomains and their
+    # output positions, in ascending order.
+    leaving: dict[int, tuple[list[int], list[int], list[tuple[int, ...]]]] = {}
+    for ci, c in enumerate(classes):
+        gis, cods, wheres = leaving.setdefault(c.dom, ([], [], []))
+        gis.append(ci)
+        cods.append(c.cod)
+        wheres.append(positions[ci])
     compose: dict[tuple[int, int], int] = {}
     for fi, f in enumerate(classes):
-        for gi, g in enumerate(classes):
-            if f.cod != g.dom:
-                continue
-            g_map = dict(g.table)
-            chained = tuple((src, g_map[mid]) for src, mid in f.table)
-            compose[(gi, fi)] = class_index[(f.dom, g.cod, chained)]
+        gis, cods, wheres = leaving[f.cod]
+        keys = zip(repeat(f.dom), cods, map(_tuple_getter(positions[fi]), wheres))
+        compose.update(zip(zip(gis, repeat(fi)), map(class_index.__getitem__, keys)))
 
     tensor_obj: dict[tuple[int, int], int] = {}
     for i, a in enumerate(objects):
@@ -554,18 +678,31 @@ def build_process_category(
                 continue
             tensor_obj[(i, j)] = object_index[pair]
 
+    # The classes ``d`` with c x d defined are those whose domain tensors
+    # with c's and whose codomain tensors with c's, in ascending order.
+    tensors_with: dict[int, list[int]] = {}
+    for i, j in tensor_obj:
+        tensors_with.setdefault(i, []).append(j)
+    by_ends: dict[tuple[int, int], list[int]] = {}
+    for ci, c in enumerate(classes):
+        by_ends.setdefault((c.dom, c.cod), []).append(ci)
+    partners: dict[tuple[int, int], list[int]] = {}
     tensor_mor: dict[tuple[int, int], int] = {}
     for ci, c in enumerate(classes):
-        for cj, d in enumerate(classes):
-            if (c.dom, d.dom) not in tensor_obj or (c.cod, d.cod) not in tensor_obj:
-                continue
-            prod = tensor_processes(theory, c.representative, d.representative)
-            key = (
-                tensor_obj[(c.dom, d.dom)],
-                tensor_obj[(c.cod, d.cod)],
-                process_table(theory, prod),
+        ends = (c.dom, c.cod)
+        if ends not in partners:
+            partners[ends] = sorted(
+                cj
+                for j in tensors_with.get(c.dom, ())
+                for k in tensors_with.get(c.cod, ())
+                for cj in by_ends.get((j, k), ())
             )
-            tensor_mor[(ci, cj)] = class_index[key]
+        for cj in partners[ends]:
+            d = classes[cj]
+            cod = tensor_obj[(c.cod, d.cod)]
+            prod = tensor_processes(theory, c.representative, d.representative)
+            where = tuple(map(state_position[cod].__getitem__, tables.outputs(prod)))
+            tensor_mor[(ci, cj)] = class_index[(tensor_obj[(c.dom, d.dom)], cod, where)]
 
     unit_pair = make_pair(theory, trivial_system(theory), trivial_system(theory))
     return ProcessCategory(
@@ -606,19 +743,41 @@ class GenerationReport:
         return self.full_generated == self.full_total
 
 
-def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
-    span = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for (gi, fi), out in cat.compose.items():
-            if gi in span and fi in span and out not in span:
+def _product_rows(cat: ProcessCategory) -> tuple[list[list[int]], list[list[int]]]:
+    """For each class, the partner and the result of each product it is in.
+
+    The products are the entries of ``compose`` and ``tensor_mor``, in
+    either position; two parallel lists per class keep the build cheap.
+    """
+    partners: list[list[int]] = [[] for _ in cat.classes]
+    results: list[list[int]] = [[] for _ in cat.classes]
+    add_partner = [row.append for row in partners]
+    add_result = [row.append for row in results]
+    for (a, b), out in chain(cat.compose.items(), cat.tensor_mor.items()):
+        add_partner[a](b)
+        add_result[a](out)
+        add_partner[b](a)
+        add_result[b](out)
+    return partners, results
+
+
+def _closure(
+    rows: tuple[list[list[int]], list[list[int]]], span: set[int], new: Iterable[int]
+) -> set[int]:
+    """Grow the product-closed ``span`` by ``new`` and all it generates, in place.
+
+    A worklist of the added classes: each is expanded once, and a product
+    of two classes in the span is met when the later of the two is expanded.
+    """
+    partners, results = rows
+    work = [x for x in new if x not in span]
+    span.update(work)
+    while work:
+        x = work.pop()
+        for partner, out in zip(partners[x], results[x]):
+            if out not in span and partner in span:
                 span.add(out)
-                changed = True
-        for (ci, cj), out in cat.tensor_mor.items():
-            if ci in span and cj in span and out not in span:
-                span.add(out)
-                changed = True
+                work.append(out)
     return span
 
 
@@ -663,8 +822,10 @@ def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationR
         cod = cat.object_index[process_codomain(theory, proc)]
         discard_gens.add(class_index[(oi, cod, process_table(theory, proc))])
 
-    pure_span = _closure(cat, transf_gens | prep_gens) & pure_ids
-    full_span = _closure(cat, transf_gens | prep_gens | discard_gens)
+    rows = _product_rows(cat)
+    span = _closure(rows, set(), transf_gens | prep_gens)
+    pure_span = span & pure_ids
+    full_span = _closure(rows, span, discard_gens)
     return GenerationReport(
         pure_total=len(pure_ids),
         pure_generated=len(pure_span),

@@ -7,7 +7,34 @@ The composition convention matches the package: (g h)(p) = g(h(p)).
 
 from __future__ import annotations
 
+from emergent.errors import IncompatibleSystems, ResourceLimit, TypeMismatch
+from emergent.perms import GlobalTheory
 from emergent.pmcat import FiniteCategoryInstance, Violation
+from emergent.processes import (
+    DEFAULT_OBJECT_CAP,
+    MorphismClass,
+    Process,
+    ProcessCategory,
+    SystemEnvironmentPair,
+    default_system_seeds,
+    make_pair,
+    make_process,
+    pair_composite,
+    pair_states,
+    process_table,
+    system_universe,
+    tensor_processes,
+)
+from emergent.states import act_local, iterated_restrict, state_key
+from emergent.systems import (
+    System,
+    are_compatible,
+    enumerate_systems,
+    system_key,
+    tensor_pure_states,
+    tensor_systems,
+    trivial_system,
+)
 
 
 def compose(g, h):
@@ -431,3 +458,197 @@ def pmcat_violations(inst: FiniteCategoryInstance) -> tuple[Violation, ...]:
     out.extend(_check_unit(inst))
     out.extend(_check_symmetry(inst))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The process category as first written: every class pair is visited and
+# each state map is computed through LocalState objects.  Kept verbatim as
+# the reference the indexed build must equal field for field.
+
+
+def _decompositions(
+    theory: GlobalTheory, universe: tuple[System, ...], total: System
+) -> dict[System, list[System]]:
+    """For each candidate output, the discards re-factorizing ``total``."""
+    options: dict[System, list[System]] = {}
+    for k in universe:
+        for m in universe:
+            if are_compatible(theory, k, m) is None:
+                continue
+            if tensor_systems(theory, k, m) == total:
+                options.setdefault(k, []).append(m)
+    return options
+
+
+def build_process_category(
+    theory: GlobalTheory,
+    systems: tuple[System, ...] | None = None,
+    object_cap: int = DEFAULT_OBJECT_CAP,
+) -> ProcessCategory:
+    """Enumerate objects and morphism classes over a closed system universe."""
+    if object_cap == 0:
+        return ProcessCategory(theory, (), (), (), (), {}, {}, {}, -1)
+    seeds = default_system_seeds(theory) if systems is None else tuple(systems)
+    universe = system_universe(theory, seeds)
+    objects = []
+    for a in universe:
+        for b in universe:
+            if are_compatible(theory, a, b) is not None:
+                objects.append(make_pair(theory, a, b))
+    objects.sort(key=lambda p: (system_key(p.system), system_key(p.environment)))
+    objects = tuple(objects)
+    if len(objects) > object_cap:
+        raise ResourceLimit(
+            f"category would have {len(objects)} objects, above the cap of {object_cap}"
+        )
+    object_index = {obj: i for i, obj in enumerate(objects)}
+
+    classes: list[MorphismClass] = []
+    class_index: dict[tuple, int] = {}
+    decomp_cache: dict[System, dict[System, list[System]]] = {}
+    for oi, obj in enumerate(objects):
+        inputs = pair_states(theory, obj)
+        in_keys = tuple(state_key(s.value) for s in inputs)
+        composite = pair_composite(theory, obj)
+        for anc in universe:
+            try:
+                total = tensor_systems(theory, obj.system, anc)
+                tensor_systems(theory, composite, anc)
+            except IncompatibleSystems:
+                continue
+            if total not in decomp_cache:
+                decomp_cache[total] = _decompositions(theory, universe, total)
+            decomps = decomp_cache[total]
+            for prep in anc.pure_orbit:
+                joints = [
+                    tensor_pure_states(theory, composite, anc, s.purification, prep)
+                    for s in inputs
+                ]
+                for u in total.transf.members:
+                    acted = [act_local(theory, u, joint) for joint in joints]
+                    for out_sys, discards in decomps.items():
+                        values = tuple(
+                            state_key(iterated_restrict(theory, out_sys.transf, a))
+                            for a in acted
+                        )
+                        table = tuple(zip(in_keys, values))
+                        for disc in discards:
+                            try:
+                                env_out = tensor_systems(
+                                    theory, obj.environment, disc
+                                )
+                                cod_pair = make_pair(theory, out_sys, env_out)
+                            except IncompatibleSystems:
+                                continue
+                            cod = object_index[cod_pair]
+                            key = (oi, cod, table)
+                            if key not in class_index:
+                                rep = make_process(
+                                    theory, obj, anc, prep, u, out_sys, disc
+                                )
+                                class_index[key] = len(classes)
+                                classes.append(MorphismClass(oi, cod, table, rep))
+
+    identity = []
+    for oi, obj in enumerate(objects):
+        table = tuple(
+            (state_key(s.value), state_key(s.value))
+            for s in pair_states(theory, obj)
+        )
+        identity.append(class_index[(oi, oi, table)])
+    identity = tuple(identity)
+
+    compose: dict[tuple[int, int], int] = {}
+    for fi, f in enumerate(classes):
+        for gi, g in enumerate(classes):
+            if f.cod != g.dom:
+                continue
+            g_map = dict(g.table)
+            chained = tuple((src, g_map[mid]) for src, mid in f.table)
+            compose[(gi, fi)] = class_index[(f.dom, g.cod, chained)]
+
+    tensor_obj: dict[tuple[int, int], int] = {}
+    for i, a in enumerate(objects):
+        for j, b in enumerate(objects):
+            try:
+                sys_t = tensor_systems(theory, a.system, b.system)
+                env_t = tensor_systems(theory, a.environment, b.environment)
+                pair = make_pair(theory, sys_t, env_t)
+            except IncompatibleSystems:
+                continue
+            tensor_obj[(i, j)] = object_index[pair]
+
+    tensor_mor: dict[tuple[int, int], int] = {}
+    for ci, c in enumerate(classes):
+        for cj, d in enumerate(classes):
+            if (c.dom, d.dom) not in tensor_obj or (c.cod, d.cod) not in tensor_obj:
+                continue
+            prod = tensor_processes(theory, c.representative, d.representative)
+            key = (
+                tensor_obj[(c.dom, d.dom)],
+                tensor_obj[(c.cod, d.cod)],
+                process_table(theory, prod),
+            )
+            tensor_mor[(ci, cj)] = class_index[key]
+
+    unit_pair = make_pair(theory, trivial_system(theory), trivial_system(theory))
+    return ProcessCategory(
+        theory,
+        universe,
+        objects,
+        tuple(classes),
+        identity,
+        compose,
+        tensor_obj,
+        tensor_mor,
+        object_index[unit_pair],
+    )
+
+
+def enumerate_generalised_effects(
+    theory: GlobalTheory,
+    pair: SystemEnvironmentPair,
+    ancillas: tuple[System, ...] | None = None,
+) -> tuple[Process, ...]:
+    """Processes from the pair to the trivial system, up to equal state maps.
+
+    Different ancillas and dynamics all collapse to the same state map,
+    so the result is the discarding effect alone.
+    """
+    if ancillas is None:
+        ancillas = enumerate_systems(theory)
+    unit = trivial_system(theory)
+    composite = pair_composite(theory, pair)
+    found: dict[tuple, Process] = {}
+    for anc in sorted(ancillas, key=system_key):
+        try:
+            total = tensor_systems(theory, pair.system, anc)
+            tensor_systems(theory, composite, anc)
+        except IncompatibleSystems:
+            continue
+        for prep in anc.pure_orbit:
+            for u in total.transf.members:
+                try:
+                    proc = make_process(theory, pair, anc, prep, u, unit, total)
+                except (IncompatibleSystems, TypeMismatch):
+                    continue
+                table = process_table(theory, proc)
+                if table not in found:
+                    found[table] = proc
+    return tuple(found.values())
+
+
+def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
+    span = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for (gi, fi), out in cat.compose.items():
+            if gi in span and fi in span and out not in span:
+                span.add(out)
+                changed = True
+        for (ci, cj), out in cat.tensor_mor.items():
+            if ci in span and cj in span and out not in span:
+                span.add(out)
+                changed = True
+    return span

@@ -271,6 +271,22 @@ def test_pmcat_suite_on_27_points_within_budget():
     assert elapsed < 60.0
 
 
+def test_processes_suite_on_27_points_within_budget():
+    start = time.perf_counter()
+    code, out = _subprocess_run(
+        ["check", "--suite", "processes", "--input", "fixtures/s3x3x3.json"], 0
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    (suite,) = json.loads(out)["suites"]
+    assert suite["violations"] == []
+    assert suite["notices"] == [
+        "processes: 27 objects, 2197 morphism classes",
+        "processes: generators 362 reversible, 63 preparations, 27 discards",
+    ]
+    assert elapsed < 60.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import oracles
 from emergent import (
     Perm,
     ResourceLimit,
@@ -38,7 +41,10 @@ from emergent import (
     validate_global_theory,
     verify_generation,
 )
-from emergent.processes import process_table
+import emergent.checks
+import emergent.processes
+from emergent.checks import pmcat_suite, processes_suite, run_suites
+from emergent.processes import _closure, _product_rows, process_table
 
 ROWS = ((3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
 COLS = ((1, 0, 2, 4, 3, 5, 7, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6))
@@ -290,3 +296,86 @@ def test_tensorable_representatives_commute(t2):
         h = cat.classes[ci].representative.transform
         k = cat.classes[cj].representative.transform
         assert h * k == k * h
+
+
+def _assert_same_category(new, old):
+    assert new.theory is old.theory
+    assert new.universe == old.universe
+    assert new.objects == old.objects
+    assert len(new.classes) == len(old.classes)
+    for mine, theirs in zip(new.classes, old.classes):
+        assert (mine.dom, mine.cod, mine.table) == (theirs.dom, theirs.cod, theirs.table)
+        assert mine.representative == theirs.representative
+    assert new.identity == old.identity
+    assert new.unit == old.unit
+    # pmcat reads the tables in order, so the item order must agree too.
+    for table in ("compose", "tensor_obj", "tensor_mor"):
+        assert list(getattr(new, table).items()) == list(getattr(old, table).items())
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
+def test_category_equals_the_first_written_build(request, theory):
+    theory = request.getfixturevalue(theory)
+    _assert_same_category(
+        build_process_category(theory), oracles.build_process_category(theory)
+    )
+
+
+def test_full_universe_category_equals_the_first_written_build(t1):
+    systems = enumerate_systems(t1)
+    cat = build_process_category(t1, systems=systems)
+    _assert_same_category(cat, oracles.build_process_category(t1, systems=systems))
+    # Objects with a single state make a one-index itemgetter return a
+    # scalar; they must still compose and tensor like the others.
+    single = [oi for oi, obj in enumerate(cat.objects) if len(pair_states(t1, obj)) == 1]
+    assert single
+    assert any(cat.classes[fi].dom in single for _, fi in cat.compose)
+    assert any(cat.classes[ci].dom in single for ci, _ in cat.tensor_mor)
+
+
+def test_effects_equal_the_first_written_enumeration(t2):
+    cat = build_process_category(t2)
+    for obj in cat.objects:
+        assert enumerate_generalised_effects(
+            t2, obj, ancillas=cat.universe
+        ) == oracles.enumerate_generalised_effects(t2, obj, ancillas=cat.universe)
+    rows, cols = _rows_cols(t2)
+    pair = make_pair(t2, rows, cols)
+    assert enumerate_generalised_effects(t2, pair) == (
+        oracles.enumerate_generalised_effects(t2, pair)
+    )
+
+
+@pytest.mark.parametrize("which", ["s3x3", "s3 full universe"])
+def test_worklist_closure_reaches_the_sweeping_fixpoint(t1, t2, which):
+    if which == "s3x3":
+        cat = build_process_category(t2)
+    else:
+        cat = build_process_category(t1, systems=enumerate_systems(t1))
+    rows = _product_rows(cat)
+    n = len(cat.classes)
+    rng = random.Random(5)
+    starts = [set(), set(cat.identity), {cat.identity[cat.unit]}]
+    starts += [{i} for i in range(0, n, max(1, n // 40))]
+    starts += [set(rng.sample(range(n), k)) for k in (2, 5, 20) for _ in range(3)]
+    for start in starts:
+        assert _closure(rows, set(), start) == oracles._closure(cat, start)
+    # Growing a closed span further gives the closure of the union.
+    first, second = set(cat.identity), set(rng.sample(range(n), 3))
+    grown = _closure(rows, _closure(rows, set(), first), second)
+    assert grown == oracles._closure(cat, first | second)
+
+
+def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build_process_category(*args, **kwargs)
+
+    monkeypatch.setattr(emergent.processes, "build_process_category", counting_build)
+    monkeypatch.setattr(emergent.checks, "build_process_category", counting_build)
+    results = run_suites(t2, ("processes", "pmcat"))
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert results == (processes_suite(t2), pmcat_suite(t2))
