@@ -27,6 +27,7 @@ from .lattice import (
 )
 from .perms import GlobalTheory, reduce_generators
 from .processes import (
+    ProcessCategory,
     build_process_category,
     compose_process,
     enumerate_generalised_effects,
@@ -439,15 +440,11 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     return SuiteResult("systems", tuple(violations), tuple(notices))
 
 
-def processes_suite(theory: GlobalTheory, systems=None, *, cat=None) -> SuiteResult:
-    """Process category: composition semantics, generation, unique effect.
-
-    ``cat``, when given, is the category already built for ``theory``.
-    """
+def processes_suite(cat: ProcessCategory) -> SuiteResult:
+    """Process category: composition semantics, generation, unique effect."""
+    theory = cat.theory
     violations: list[str] = []
     notices: list[str] = []
-    if cat is None:
-        cat = build_process_category(theory, systems=systems)
 
     for oi in range(len(cat.objects)):
         ident = cat.classes[cat.identity[oi]]
@@ -533,15 +530,10 @@ def processes_suite(theory: GlobalTheory, systems=None, *, cat=None) -> SuiteRes
     return SuiteResult("processes", tuple(violations), tuple(notices))
 
 
-def pmcat_suite(theory: GlobalTheory, systems=None, *, cat=None) -> SuiteResult:
-    """Partially-monoidal category axioms on the extracted instance.
-
-    ``cat``, when given, is the category already built for ``theory``.
-    """
+def pmcat_suite(cat: ProcessCategory) -> SuiteResult:
+    """Partially-monoidal category axioms on the process category."""
     from .pmcat import check_partially_monoidal, instance_from_category
 
-    if cat is None:
-        cat = build_process_category(theory, systems=systems)
     inst = instance_from_category(cat)
     found = check_partially_monoidal(inst)
     violations = tuple(
@@ -563,14 +555,18 @@ SUITES = {
 
 
 def run_suites(theory: GlobalTheory, names: tuple[str, ...]) -> tuple[SuiteResult, ...]:
-    """Run the named suites in order; the process category is built once."""
+    """Run the named suites in order.
+
+    The ``processes`` and ``pmcat`` suites check the process category, which
+    is built once for both.
+    """
     results = []
     cat = None
     for name in names:
-        if name not in ("processes", "pmcat"):
+        if name in ("processes", "pmcat"):
+            if cat is None:
+                cat = build_process_category(theory)
+            results.append(SUITES[name](cat))
+        else:
             results.append(SUITES[name](theory))
-            continue
-        if cat is None:
-            cat = build_process_category(theory)
-        results.append(SUITES[name](theory, cat=cat))
     return tuple(results)

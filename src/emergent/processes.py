@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ElementNotInGroup,
@@ -743,41 +743,19 @@ class GenerationReport:
         return self.full_generated == self.full_total
 
 
-def _product_rows(cat: ProcessCategory) -> tuple[list[list[int]], list[list[int]]]:
-    """For each class, the partner and the result of each product it is in.
-
-    The products are the entries of ``compose`` and ``tensor_mor``, in
-    either position; two parallel lists per class keep the build cheap.
-    """
-    partners: list[list[int]] = [[] for _ in cat.classes]
-    results: list[list[int]] = [[] for _ in cat.classes]
-    add_partner = [row.append for row in partners]
-    add_result = [row.append for row in results]
-    for (a, b), out in chain(cat.compose.items(), cat.tensor_mor.items()):
-        add_partner[a](b)
-        add_result[a](out)
-        add_partner[b](a)
-        add_result[b](out)
-    return partners, results
-
-
-def _closure(
-    rows: tuple[list[list[int]], list[list[int]]], span: set[int], new: Iterable[int]
-) -> set[int]:
-    """Grow the product-closed ``span`` by ``new`` and all it generates, in place.
-
-    A worklist of the added classes: each is expanded once, and a product
-    of two classes in the span is met when the later of the two is expanded.
-    """
-    partners, results = rows
-    work = [x for x in new if x not in span]
-    span.update(work)
-    while work:
-        x = work.pop()
-        for partner, out in zip(partners[x], results[x]):
-            if out not in span and partner in span:
+def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
+    span = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for (gi, fi), out in cat.compose.items():
+            if gi in span and fi in span and out not in span:
                 span.add(out)
-                work.append(out)
+                changed = True
+        for (ci, cj), out in cat.tensor_mor.items():
+            if ci in span and cj in span and out not in span:
+                span.add(out)
+                changed = True
     return span
 
 
@@ -822,10 +800,8 @@ def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationR
         cod = cat.object_index[process_codomain(theory, proc)]
         discard_gens.add(class_index[(oi, cod, process_table(theory, proc))])
 
-    rows = _product_rows(cat)
-    span = _closure(rows, set(), transf_gens | prep_gens)
-    pure_span = span & pure_ids
-    full_span = _closure(rows, span, discard_gens)
+    pure_span = _closure(cat, transf_gens | prep_gens) & pure_ids
+    full_span = _closure(cat, transf_gens | prep_gens | discard_gens)
     return GenerationReport(
         pure_total=len(pure_ids),
         pure_generated=len(pure_span),

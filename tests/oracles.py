@@ -636,19 +636,3 @@ def enumerate_generalised_effects(
                 if table not in found:
                     found[table] = proc
     return tuple(found.values())
-
-
-def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
-    span = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for (gi, fi), out in cat.compose.items():
-            if gi in span and fi in span and out not in span:
-                span.add(out)
-                changed = True
-        for (ci, cj), out in cat.tensor_mor.items():
-            if ci in span and cj in span and out not in span:
-                span.add(out)
-                changed = True
-    return span

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 import oracles
@@ -43,8 +41,8 @@ from emergent import (
 )
 import emergent.checks
 import emergent.processes
-from emergent.checks import pmcat_suite, processes_suite, run_suites
-from emergent.processes import _closure, _product_rows, process_table
+from emergent.checks import run_suites
+from emergent.processes import process_table
 
 ROWS = ((3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
 COLS = ((1, 0, 2, 4, 3, 5, 7, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6))
@@ -346,26 +344,6 @@ def test_effects_equal_the_first_written_enumeration(t2):
     )
 
 
-@pytest.mark.parametrize("which", ["s3x3", "s3 full universe"])
-def test_worklist_closure_reaches_the_sweeping_fixpoint(t1, t2, which):
-    if which == "s3x3":
-        cat = build_process_category(t2)
-    else:
-        cat = build_process_category(t1, systems=enumerate_systems(t1))
-    rows = _product_rows(cat)
-    n = len(cat.classes)
-    rng = random.Random(5)
-    starts = [set(), set(cat.identity), {cat.identity[cat.unit]}]
-    starts += [{i} for i in range(0, n, max(1, n // 40))]
-    starts += [set(rng.sample(range(n), k)) for k in (2, 5, 20) for _ in range(3)]
-    for start in starts:
-        assert _closure(rows, set(), start) == oracles._closure(cat, start)
-    # Growing a closed span further gives the closure of the union.
-    first, second = set(cat.identity), set(rng.sample(range(n), 3))
-    grown = _closure(rows, _closure(rows, set(), first), second)
-    assert grown == oracles._closure(cat, first | second)
-
-
 def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
     built = []
 
@@ -378,4 +356,4 @@ def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
     results = run_suites(t2, ("processes", "pmcat"))
     assert len(built) == 1
     monkeypatch.undo()
-    assert results == (processes_suite(t2), pmcat_suite(t2))
+    assert results == run_suites(t2, ("processes",)) + run_suites(t2, ("pmcat",))
