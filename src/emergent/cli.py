@@ -133,7 +133,8 @@ def cmd_scan_mixed(args) -> int:
         pure = [
             p for p in theory.points if is_product_state(theory, node, p).pure
         ]
-        mixed = [p for p in theory.points if p not in set(pure)]
+        pure_set = set(pure)
+        mixed = [p for p in theory.points if p not in pure_set]
         if pure and mixed:
             both.append(i)
         nodes.append(

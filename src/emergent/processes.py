@@ -72,7 +72,7 @@ def make_pure_process(
     prep: LocalState,
     transform: Perm,
 ) -> PureProcess:
-    if prep not in set(ancilla.pure_orbit):
+    if prep not in ancilla.pure_set:
         raise StateNotInSystem("the preparation is not a pure state of the ancilla")
     total = tensor_systems(theory, domain, ancilla)
     if transform not in total.transf.member_set:
@@ -87,7 +87,7 @@ def pure_codomain(theory: GlobalTheory, proc: PureProcess) -> System:
 
 
 def apply_pure(theory: GlobalTheory, proc: PureProcess, state: LocalState) -> LocalState:
-    if state not in set(proc.domain.pure_orbit):
+    if state not in proc.domain.pure_set:
         raise StateNotInSystem("the input is not a pure state of the domain")
     joint = tensor_pure_states(theory, proc.domain, proc.ancilla, state, proc.prep)
     return act_local(theory, proc.transform, joint)
@@ -184,7 +184,7 @@ def make_pair_state(
     theory: GlobalTheory, pair: SystemEnvironmentPair, purification: LocalState
 ) -> PairState:
     composite = pair_composite(theory, pair)
-    if purification not in set(composite.pure_orbit):
+    if purification not in composite.pure_set:
         raise StateNotInPair("the purification is not a pure state of the composite")
     value = iterated_restrict(theory, pair.system.transf, purification)
     return PairState(pair, value, purification)
@@ -234,7 +234,7 @@ def make_process(
     codomain_system: System,
     discarded: System,
 ) -> Process:
-    if prep not in set(ancilla.pure_orbit):
+    if prep not in ancilla.pure_set:
         raise StateNotInSystem("the preparation is not a pure state of the ancilla")
     total = tensor_systems(theory, domain.system, ancilla)
     if transform not in total.transf.member_set:

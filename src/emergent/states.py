@@ -4,7 +4,8 @@ The local state a subgroup H can see at a global state p is the orbit of
 p under the commutant of H: two global states related by a transformation
 H commutes with are indistinguishable to H.  A global state is a product
 state for H when its joint stabilizer over H and the commutant splits as
-a direct product of the marginal stabilizers.
+a direct product of the marginal stabilizers, that is, when its H-orbit
+and its commutant orbit meet only in the state itself.
 """
 
 from __future__ import annotations
@@ -87,6 +88,76 @@ def iterated_restrict(theory: GlobalTheory, sub: Subgroup, state: LocalState) ->
     return restrict(theory, sub, state.representative)
 
 
+def _orbits(theory: GlobalTheory, sub: Subgroup) -> list[frozenset[int]]:
+    """The orbit of every point under ``sub``; points of one orbit share it."""
+    images = theory.group.index.images
+    orbits: list[frozenset[int] | None] = [None] * theory.degree
+    for p in theory.points:
+        if orbits[p] is None:
+            image = images[p]
+            orbit = frozenset(image[h] for h in sub.indices)
+            for q in orbit:
+                orbits[q] = orbit
+    return orbits
+
+
+class _OrbitCensus:
+    """Product-state census of one commuting pair (A, B), one entry per point.
+
+    With Ap the A-orbit and A_p the stabilizer of a point p:
+
+    - {(h, k) : h k p = p} has |Ap ∩ Bp|·|A_p|·|B_p| members, and the
+      witness stabilizer {h ∈ A : h p ∈ Bp} has |Ap ∩ Bp|·|A_p|.  So p is a
+      product state exactly when its A-orbit and B-orbit meet only in p.
+    - A_p B_p lies in (AB)_p, so the two are equal exactly when
+      |AB|/|ABp| = |A_p|·|B_p|/|(A∩B)_p|.  Here |AB| = |A|·|B|/|A∩B| and
+      ABp, the orbit of p under AB, is the union of the B-orbits over Ap.
+    """
+
+    def __init__(self, theory: GlobalTheory, a: Subgroup, b: Subgroup) -> None:
+        self.index = theory.group.index
+        self.a = a
+        self.b = b
+        both = Subgroup.from_mask(a.parent, a.mask & b.mask)
+        self.both_order = both.order
+        self.product_order = a.order * b.order // both.order
+        self.orbits_a = _orbits(theory, a)
+        self.orbits_b = _orbits(theory, b)
+        self.orbits_both = _orbits(theory, both)
+        self.entries: dict[int, tuple[int, Subgroup, Subgroup, bool]] = {}
+
+    def entry(self, point: int) -> tuple[int, Subgroup, Subgroup, bool]:
+        found = self.entries.get(point)
+        if found is not None:
+            return found
+        a, b, index = self.a, self.b, self.index
+        image = index.images[point]
+        orbit_a = self.orbits_a[point]
+        orbit_b = self.orbits_b[point]
+        fixed_a = a.order // len(orbit_a)
+        fixed_b = b.order // len(orbit_b)
+        fixed_both = self.both_order // len(self.orbits_both[point])
+        orbit_product = set().union(*(self.orbits_b[q] for q in orbit_a))
+        split = (
+            self.product_order * fixed_both
+            == len(orbit_product) * fixed_a * fixed_b
+        )
+        stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
+        stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
+        found = self.entries[point] = (
+            len(orbit_a & orbit_b) * fixed_a * fixed_b,
+            Subgroup.from_mask(a.parent, stab_a),
+            Subgroup.from_mask(b.parent, stab_b),
+            split,
+        )
+        return found
+
+
+@lru_cache(maxsize=None)
+def _orbit_census(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> _OrbitCensus:
+    return _OrbitCensus(theory, a, b)
+
+
 def _joint_split(
     theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int
 ) -> tuple[int, Subgroup, Subgroup, bool]:
@@ -96,29 +167,7 @@ def _joint_split(
     state stabilizers, and whether the pointwise stabilizer of the product
     subgroup splits as the product of the pointwise marginal stabilizers.
     """
-    index = theory.group.index
-    image = index.images[point]
-    orbit_a = {image[h] for h in a.indices}
-    orbit_b = {image[k] for k in b.indices}
-    stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
-    stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
-    # h k fixes the point exactly when k sends it to h^-1(point), so
-    # bucket the members of ``a`` by the preimage of the point.
-    inverse = index.inverse
-    by_preimage: dict[int, list[int]] = {}
-    for h in a.indices:
-        by_preimage.setdefault(image[inverse[h]], []).append(h)
-    pairs = [(h, k) for k in b.indices for h in by_preimage.get(image[k], ())]
-    fix_a = [h for h in a.indices if image[h] == point]
-    fix_b = [k for k in b.indices if image[k] == point]
-    product_fix = {index.mul(h, k) for h in fix_a for k in fix_b}
-    joint_fix = {index.mul(h, k) for h, k in pairs}
-    return (
-        len(pairs),
-        Subgroup.from_mask(a.parent, stab_a),
-        Subgroup.from_mask(b.parent, stab_b),
-        product_fix == joint_fix,
-    )
+    return _orbit_census(theory, a, b).entry(point)
 
 
 @dataclass(frozen=True)
@@ -153,7 +202,6 @@ def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityV
     )
 
 
-@lru_cache(maxsize=None)
 def factorizes(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:
     """Product-state test for an arbitrary commuting pair of subgroups."""
     if not is_orthogonal(theory, a, b):

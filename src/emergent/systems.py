@@ -10,7 +10,7 @@ acts as a strict unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import IncompatibleSystems, NotProductState, StateNotInSystem
 from .lattice import (
@@ -50,6 +50,11 @@ class System:
     @property
     def state_count(self) -> int:
         return len(self.pure_orbit)
+
+    @cached_property
+    def pure_set(self) -> frozenset[LocalState]:
+        """The pure states as a set, for membership tests."""
+        return frozenset(self.pure_orbit)
 
 
 def system_key(system: System) -> tuple:
@@ -110,12 +115,10 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
     if not is_orthocomplementary(theory, a.transf, b.transf):
         return None
     j = join(theory, a.transf, b.transf)
-    orbit_a = set(a.pure_orbit)
-    orbit_b = set(b.pure_orbit)
     for point in theory.points:
-        if restrict(theory, a.transf, point) not in orbit_a:
+        if restrict(theory, a.transf, point) not in a.pure_set:
             continue
-        if restrict(theory, b.transf, point) not in orbit_b:
+        if restrict(theory, b.transf, point) not in b.pure_set:
             continue
         if not is_product_state(theory, j, point).pure:
             continue
@@ -143,9 +146,9 @@ def tensor_state_candidates(
     theory: GlobalTheory, a: System, b: System, rho: LocalState, sigma: LocalState
 ) -> tuple[int, ...]:
     """Global states realizing the given pair of pure local states."""
-    if rho not in set(a.pure_orbit):
+    if rho not in a.pure_set:
         raise StateNotInSystem("first state does not belong to the first system")
-    if sigma not in set(b.pure_orbit):
+    if sigma not in b.pure_set:
         raise StateNotInSystem("second state does not belong to the second system")
     if are_compatible(theory, a, b) is None:
         raise IncompatibleSystems("cannot tensor states of incompatible systems")

@@ -7,8 +7,13 @@ The composition convention matches the package: (g h)(p) = g(h(p)).
 
 from __future__ import annotations
 
+import itertools
+import random
+
+from emergent.checks import SAMPLE_SEED, TRIPLE_LIMIT, TRIPLE_SAMPLE, SuiteResult
 from emergent.errors import IncompatibleSystems, ResourceLimit, TypeMismatch
-from emergent.perms import GlobalTheory
+from emergent.lattice import commutant, enumerate_self_bicommutant, meet
+from emergent.perms import GlobalTheory, Subgroup
 from emergent.pmcat import FiniteCategoryInstance, Violation
 from emergent.processes import (
     DEFAULT_OBJECT_CAP,
@@ -25,13 +30,23 @@ from emergent.processes import (
     system_universe,
     tensor_processes,
 )
-from emergent.states import act_local, iterated_restrict, state_key
+from emergent.states import (
+    act_local,
+    is_product_state,
+    iterated_restrict,
+    pure_local_states,
+    pure_stabilizer,
+    restrict,
+    state_key,
+)
 from emergent.systems import (
     System,
     are_compatible,
+    check_associativity_triple,
     enumerate_systems,
     system_key,
     tensor_pure_states,
+    tensor_state_candidates,
     tensor_systems,
     trivial_system,
 )
@@ -636,3 +651,253 @@ def enumerate_generalised_effects(
                 if table not in found:
                     found[table] = proc
     return tuple(found.values())
+
+
+# ---------------------------------------------------------------------------
+# The product-state test by pair enumeration, and the states and systems
+# suites that loop over every member of every group.  Kept verbatim as the
+# reference the orbit census and the generator checks must equal.
+
+
+def _joint_split(
+    theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int
+) -> tuple[int, Subgroup, Subgroup, bool]:
+    """Joint-stabilizer census of ``point`` over a commuting pair.
+
+    Returns the size of {(h, k) : h k fixes point}, the two marginal local
+    state stabilizers, and whether the pointwise stabilizer of the product
+    subgroup splits as the product of the pointwise marginal stabilizers.
+    """
+    index = theory.group.index
+    image = index.images[point]
+    orbit_a = {image[h] for h in a.indices}
+    orbit_b = {image[k] for k in b.indices}
+    stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
+    stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
+    # h k fixes the point exactly when k sends it to h^-1(point), so
+    # bucket the members of ``a`` by the preimage of the point.
+    inverse = index.inverse
+    by_preimage: dict[int, list[int]] = {}
+    for h in a.indices:
+        by_preimage.setdefault(image[inverse[h]], []).append(h)
+    pairs = [(h, k) for k in b.indices for h in by_preimage.get(image[k], ())]
+    fix_a = [h for h in a.indices if image[h] == point]
+    fix_b = [k for k in b.indices if image[k] == point]
+    product_fix = {index.mul(h, k) for h in fix_a for k in fix_b}
+    joint_fix = {index.mul(h, k) for h, k in pairs}
+    return (
+        len(pairs),
+        Subgroup.from_mask(a.parent, stab_a),
+        Subgroup.from_mask(b.parent, stab_b),
+        product_fix == joint_fix,
+    )
+
+
+def states_suite(theory: GlobalTheory) -> SuiteResult:
+    """Restriction, local dynamics, and the product-state criterion."""
+    violations: list[str] = []
+    notices: list[str] = []
+    lattice = enumerate_self_bicommutant(theory)
+    nodes = lattice.nodes
+    divergences = 0
+
+    for i, sub in enumerate(nodes):
+        comm = commutant(theory, sub)
+        centre_local = meet(theory, sub, comm)
+        for point in theory.points:
+            state = restrict(theory, sub, point)
+            for k in comm.members:
+                if restrict(theory, sub, k[point]) != state:
+                    violations.append(
+                        f"states: restriction to node {i} distinguishes "
+                        f"states related by its commutant at point {point}"
+                    )
+                    break
+            for h in sub.members:
+                if act_local(theory, h, state) != restrict(theory, sub, h[point]):
+                    violations.append(
+                        f"states: local action on node {i} disagrees with "
+                        f"global action at point {point}"
+                    )
+                    break
+            for z in centre_local.members:
+                if act_local(theory, z, state) != state:
+                    violations.append(
+                        f"states: a central transformation of node {i} moves "
+                        f"the local state at point {point}"
+                    )
+                    break
+            verdict = is_product_state(theory, sub, point)
+            if verdict.pure != is_product_state(theory, comm, point).pure:
+                violations.append(
+                    f"states: the product-state test on node {i} is not "
+                    f"symmetric in the pair at point {point}"
+                )
+            for k in comm.members:
+                if is_product_state(theory, sub, k[point]).pure != verdict.pure:
+                    violations.append(
+                        f"states: purity at node {i} is not constant on the "
+                        f"commutant orbit of point {point}"
+                    )
+                    break
+            if verdict.pure != verdict.stabilizer_product_holds:
+                divergences += 1
+            if verdict.pure:
+                local_stab, fixed_stab = pure_stabilizer(theory, state)
+                if local_stab != fixed_stab:
+                    violations.append(
+                        f"states: the stabilizer of a pure state of node {i} "
+                        f"differs from the pointwise stabilizer at point {point}"
+                    )
+
+    for i, small in enumerate(nodes):
+        for j, big in enumerate(nodes):
+            if not small.is_subset_of(big):
+                continue
+            for point in theory.points:
+                nested = iterated_restrict(
+                    theory, small, restrict(theory, big, point)
+                )
+                if nested != restrict(theory, small, point):
+                    violations.append(
+                        f"states: restricting through node {j} to node {i} "
+                        f"changes the answer at point {point}"
+                    )
+                    break
+
+    if divergences:
+        notices.append(
+            "states: the splitting of pointwise stabilizers disagrees with "
+            f"the product-state test in {divergences} cases"
+        )
+    pure_counts = sum(len(pure_local_states(theory, sub)) for sub in nodes)
+    notices.append(f"states: {pure_counts} pure local states across all nodes")
+    return SuiteResult("states", tuple(violations), tuple(notices))
+
+
+def systems_suite(theory: GlobalTheory) -> SuiteResult:
+    """System composition: units, symmetry, state tensors, associativity."""
+    violations: list[str] = []
+    notices: list[str] = []
+    systems = enumerate_systems(theory)
+    unit = trivial_system(theory)
+    index = {s: i for i, s in enumerate(systems)}
+
+    for i, system in enumerate(systems):
+        orbit = set(system.pure_orbit)
+        for state in system.pure_orbit:
+            if not is_product_state(
+                theory, system.transf, state.representative
+            ).pure:
+                violations.append(f"systems: a listed state of system {i} is not pure")
+            for h in system.transf.members:
+                if act_local(theory, h, state) not in orbit:
+                    violations.append(
+                        f"systems: the pure states of system {i} are not "
+                        "closed under its transformations"
+                    )
+                    break
+        if tensor_systems(theory, system, unit) != system:
+            violations.append(f"systems: tensoring system {i} with the unit changes it")
+        if tensor_systems(theory, unit, system) != system:
+            violations.append(f"systems: tensoring the unit with system {i} changes it")
+
+    compatible_pairs = []
+    for i, a in enumerate(systems):
+        for j, b in enumerate(systems):
+            forward = are_compatible(theory, a, b)
+            backward = are_compatible(theory, b, a)
+            if (forward is None) != (backward is None):
+                violations.append(f"systems: compatibility of {i}, {j} is not symmetric")
+            if forward is not None:
+                compatible_pairs.append((i, j))
+                if tensor_systems(theory, a, b) != tensor_systems(theory, b, a):
+                    violations.append(
+                        f"systems: the composite of {i}, {j} depends on the order"
+                    )
+
+    for i, j in compatible_pairs:
+        a, b = systems[i], systems[j]
+        composite = tensor_systems(theory, a, b)
+        composite_orbit = set(composite.pure_orbit)
+        for rho in a.pure_orbit:
+            for sigma in b.pure_orbit:
+                try:
+                    tau = tensor_pure_states(theory, a, b, rho, sigma)
+                except IncompatibleSystems:
+                    violations.append(
+                        f"systems: no composite state for a state pair of {i}, {j}"
+                    )
+                    continue
+                candidates = tensor_state_candidates(theory, a, b, rho, sigma)
+                if len({restrict(theory, composite.transf, p) for p in candidates}) != 1:
+                    violations.append(
+                        f"systems: a state pair of {i}, {j} has more than one "
+                        "composite state"
+                    )
+                if tau not in composite_orbit:
+                    violations.append(
+                        f"systems: a composite state of {i}, {j} is not pure"
+                    )
+                if iterated_restrict(theory, a.transf, tau) != rho:
+                    violations.append(
+                        f"systems: the composite state of {i}, {j} does not "
+                        "restrict back to its first factor"
+                    )
+                if iterated_restrict(theory, b.transf, tau) != sigma:
+                    violations.append(
+                        f"systems: the composite state of {i}, {j} does not "
+                        "restrict back to its second factor"
+                    )
+        for h in a.transf.members:
+            for k in b.transf.members:
+                rho, sigma = a.pure_orbit[0], b.pure_orbit[0]
+                moved = tensor_pure_states(
+                    theory,
+                    a,
+                    b,
+                    act_local(theory, h, rho),
+                    act_local(theory, k, sigma),
+                )
+                joint = act_local(
+                    theory, h * k, tensor_pure_states(theory, a, b, rho, sigma)
+                )
+                if moved != joint:
+                    violations.append(
+                        f"systems: moving the factors of {i}, {j} disagrees "
+                        "with moving the composite"
+                    )
+                    break
+
+    n = len(systems)
+    rng = random.Random(SAMPLE_SEED)
+    triples = (
+        itertools.product(range(n), repeat=3)
+        if n**3 <= TRIPLE_LIMIT
+        else (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            for _ in range(TRIPLE_SAMPLE)
+        )
+    )
+    associativity_gaps = 0
+    for i, j, k in triples:
+        report = check_associativity_triple(
+            theory, systems[i], systems[j], systems[k]
+        )
+        if (report.left is None) != (report.right is None):
+            associativity_gaps += 1
+        elif not report.holds:
+            violations.append(
+                f"systems: the two bracketings of systems {i}, {j}, {k} differ"
+            )
+    if associativity_gaps:
+        notices.append(
+            "systems: one-sided definedness of triple composites in "
+            f"{associativity_gaps} cases"
+        )
+    notices.append(
+        f"systems: {n} systems, {len(compatible_pairs)} ordered compatible pairs"
+    )
+    if index.get(unit) is None:
+        violations.append("systems: the trivial system is missing")
+    return SuiteResult("systems", tuple(violations), tuple(notices))

@@ -287,6 +287,36 @@ def test_processes_suite_on_27_points_within_budget():
     assert elapsed < 60.0
 
 
+def test_states_suite_on_27_points_within_budget():
+    start = time.perf_counter()
+    code, out = _subprocess_run(
+        ["check", "--suite", "states", "--input", "fixtures/s3x3x3.json"], 0
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    (suite,) = json.loads(out)["suites"]
+    assert suite["violations"] == []
+    assert suite["notices"] == [
+        "states: the splitting of pointwise stabilizers disagrees with the "
+        "product-state test in 5103 cases",
+        "states: 343 pure local states across all nodes",
+    ]
+    assert elapsed < 30.0
+
+
+def test_systems_suite_on_27_points_within_budget():
+    start = time.perf_counter()
+    code, out = _subprocess_run(
+        ["check", "--suite", "systems", "--input", "fixtures/s3x3x3.json"], 0
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    (suite,) = json.loads(out)["suites"]
+    assert suite["violations"] == []
+    assert suite["notices"] == ["systems: 125 systems, 450 ordered compatible pairs"]
+    assert elapsed < 30.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -309,8 +339,10 @@ def test_output_bytes_deterministic(argv):
     [
         ["check", "--suite", "all", "--input", "fixtures/s3.json"],
         ["lattice", "--input", "fixtures/s3x3.json"],
+        ["check", "--suite", "states", "--input", "fixtures/s3x3.json"],
         ["check", "--suite", "systems", "--input", "fixtures/s3x3.json"],
         ["check", "--suite", "processes", "--input", "fixtures/s3x3.json"],
+        ["scan-mixed", "--input", "fixtures/s3x3.json"],
     ],
 )
 def test_output_unchanged_under_optimize_flag(argv):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from emergent import checks, states
 from emergent import (
     ElementNotInOwner,
+    LocalState,
     NotNested,
     NotOrthogonal,
     NotPure,
@@ -15,6 +17,7 @@ from emergent import (
     commutant,
     enumerate_self_bicommutant,
     factorizes,
+    is_orthogonal,
     is_product_state,
     iterated_restrict,
     local_orbit,
@@ -230,3 +233,57 @@ def test_pure_stabilizer_rejects_mixed_states(t1):
     a3 = _sub(t1, [(1, 2, 0)])
     with pytest.raises(NotPure):
         pure_stabilizer(t1, restrict(t1, a3, 0))
+
+
+def test_orbit_census_matches_the_pair_enumeration(t1, t5, t3, t2):
+    outcomes = set()
+    for theory in (t1, t5, t3, t2):
+        nodes = enumerate_self_bicommutant(theory).nodes
+        pairs = [(node, commutant(theory, node)) for node in nodes]
+        pairs += [
+            (a, b) for a in nodes for b in nodes if is_orthogonal(theory, a, b)
+        ]
+        for a, b in pairs:
+            fresh = states._OrbitCensus(theory, a, b)
+            for p in theory.points:
+                expected = oracles._joint_split(theory, a, b, p)
+                assert fresh.entry(p) == expected
+                assert states._joint_split(theory, a, b, p) == expected
+                joint, stab_a, stab_b, split = expected
+                outcomes.add((joint == stab_a.order * stab_b.order, split))
+    # A product state's stabilizer always splits; the other three outcomes
+    # all occur (s3_diagonal has the non-split ones), so neither formula
+    # is vacuous.
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_states_suite_equals_the_member_loops(t1, t5, t3, t2):
+    for theory in (t1, t5, t3, t2):
+        assert checks.states_suite(theory) == oracles.states_suite(theory)
+
+
+@pytest.mark.parametrize("fault", ["act_local", "restrict"])
+def test_planted_faults_give_the_member_loops_violations(t2, monkeypatch, fault):
+    rows = _sub(t2, ROWS)
+    ident = t2.group.identity
+
+    def bad_act_local(theory, h, state):
+        # Owner transformations send the lower two rows nowhere.
+        if state.owner == rows and h != ident and state.representative >= 3:
+            return LocalState(rows, frozenset())
+        return act_local(theory, h, state)
+
+    def bad_restrict(theory, sub, point):
+        if sub == rows and point == 4:
+            return LocalState(rows, frozenset({4}))
+        return restrict(theory, sub, point)
+
+    replacement = bad_act_local if fault == "act_local" else bad_restrict
+    monkeypatch.setattr(checks, fault, replacement)
+    monkeypatch.setattr(oracles, fault, replacement)
+    found = checks.states_suite(t2)
+    assert found == oracles.states_suite(t2)
+    assert any("local action on node" in v for v in found.violations)
+    if fault == "restrict":
+        assert any("distinguishes states" in v for v in found.violations)
+        assert any("restricting through node" in v for v in found.violations)

@@ -6,11 +6,15 @@ import itertools
 
 import pytest
 
+import oracles
+from emergent import checks
 from emergent import (
     IncompatibleSystems,
+    LocalState,
     NotProductState,
     Perm,
     StateNotInSystem,
+    act_local,
     are_compatible,
     check_associativity_triple,
     enumerate_self_bicommutant,
@@ -225,3 +229,32 @@ def test_every_state_pair_has_exactly_one_composite_state(t2):
             assert restricted == {tensor_pure_states(t2, a, b, rho, sigma)}
             pairs += 1
     assert pairs
+
+
+def test_systems_suite_equals_the_member_loops(t1, t5, t3, t2):
+    for theory in (t1, t5, t3, t2):
+        assert checks.systems_suite(theory) == oracles.systems_suite(theory)
+
+
+def test_planted_closure_fault_gives_the_member_loop_violations(t2, monkeypatch):
+    rows, _ = _rows_cols(t2)
+    first = rows.pure_orbit[0]
+    ident = t2.group.identity
+
+    def bad_act_local(theory, h, state):
+        # Every state of the rows system but the first leaves its orbit; the
+        # moved-factors loop starts from the first state, so it is unharmed.
+        if state.owner == rows.transf and state != first and h != ident:
+            return LocalState(rows.transf, frozenset())
+        return act_local(theory, h, state)
+
+    monkeypatch.setattr(checks, "act_local", bad_act_local)
+    monkeypatch.setattr(oracles, "act_local", bad_act_local)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    i = enumerate_systems(t2).index(rows)
+    closure = (
+        f"systems: the pure states of system {i} are not closed under its "
+        "transformations"
+    )
+    assert found.violations == (closure, closure)
