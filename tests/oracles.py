@@ -10,10 +10,21 @@ from __future__ import annotations
 import itertools
 import random
 
-from emergent.checks import SAMPLE_SEED, TRIPLE_LIMIT, TRIPLE_SAMPLE, SuiteResult
+from emergent.checks import SuiteResult
 from emergent.errors import IncompatibleSystems, ResourceLimit, TypeMismatch
-from emergent.lattice import commutant, enumerate_self_bicommutant, meet
-from emergent.perms import GlobalTheory, Subgroup
+from emergent.lattice import (
+    check_orthomodular,
+    commutant,
+    enumerate_self_bicommutant,
+    intersection,
+    is_orthocomplemented,
+    is_orthogonal,
+    is_self_bicommutant,
+    join,
+    meet,
+    product_set,
+)
+from emergent.perms import GlobalTheory, Subgroup, reduce_generators
 from emergent.pmcat import FiniteCategoryInstance, Violation
 from emergent.processes import (
     DEFAULT_OBJECT_CAP,
@@ -651,6 +662,166 @@ def enumerate_generalised_effects(
                 if table not in found:
                     found[table] = proc
     return tuple(found.values())
+
+
+# ---------------------------------------------------------------------------
+# The lattice suite that calls meet and join on every node triple, exhaustive
+# up to TRIPLE_LIMIT triples and sampled above it.  Kept verbatim as the
+# reference the meet and join tables must equal.
+
+SAMPLE_SEED = 20240801
+TRIPLE_LIMIT = 300_000
+TRIPLE_SAMPLE = 10_000
+
+
+def lattice_suite(theory: GlobalTheory) -> SuiteResult:
+    """Lattice structure: closure, duality, bounds, and product subgroups."""
+    violations: list[str] = []
+    notices: list[str] = []
+    lattice = enumerate_self_bicommutant(theory)
+    nodes = lattice.nodes
+    node_set = set(nodes)
+
+    if not lattice.bottom.is_trivial:
+        violations.append("lattice: the least node is not the trivial subgroup")
+    if lattice.top.member_set != theory.group.element_set:
+        violations.append("lattice: the greatest node is not the full group")
+
+    for i, a in enumerate(nodes):
+        if not is_self_bicommutant(theory, a):
+            violations.append(f"lattice: node {i} is not its own double commutant")
+        ca = commutant(theory, a)
+        if ca not in node_set:
+            violations.append(f"lattice: commutant of node {i} is not a node")
+        if is_orthocomplemented(theory, a) and join(theory, a, ca) != lattice.top:
+            violations.append(
+                f"lattice: node {i} and its commutant do not join to the top"
+            )
+
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if j < i:
+                continue
+            m = meet(theory, a, b)
+            jn = join(theory, a, b)
+            if m not in node_set:
+                violations.append(f"lattice: meet of nodes {i}, {j} is not a node")
+            if jn not in node_set:
+                violations.append(f"lattice: join of nodes {i}, {j} is not a node")
+            if meet(theory, a, jn) != a or meet(theory, b, jn) != b:
+                violations.append(
+                    f"lattice: meet does not absorb the join on nodes {i}, {j}"
+                )
+            if join(theory, a, m) != a or join(theory, b, m) != b:
+                violations.append(
+                    f"lattice: join does not absorb the meet on nodes {i}, {j}"
+                )
+            if a.is_subset_of(b) and not commutant(theory, b).is_subset_of(commutant(theory, a)):
+                violations.append(
+                    f"lattice: taking commutants does not reverse the "
+                    f"inclusion of nodes {i}, {j}"
+                )
+            if b.is_subset_of(a) and not commutant(theory, a).is_subset_of(commutant(theory, b)):
+                violations.append(
+                    f"lattice: taking commutants does not reverse the "
+                    f"inclusion of nodes {j}, {i}"
+                )
+            if commutant(theory, jn) != meet(
+                theory, commutant(theory, a), commutant(theory, b)
+            ):
+                violations.append(
+                    f"lattice: commutant of join breaks duality on nodes {i}, {j}"
+                )
+            if commutant(theory, m) != join(
+                theory, commutant(theory, a), commutant(theory, b)
+            ):
+                violations.append(
+                    f"lattice: commutant of meet breaks duality on nodes {i}, {j}"
+                )
+
+    # Every h in A commutes with every k in B exactly when their generators
+    # do, and (h1 k1)(h2 k2) = (h1 h2)(k1 k2) reduces to k1 h2 = h2 k1 by
+    # cancelling h1 and k2: one exact test settles both properties.
+    gens = [reduce_generators(a.members, theory.degree) for a in nodes]
+    centre_meet_gaps = 0
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if j < i or not is_orthogonal(theory, a, b):
+                continue
+            product = product_set(theory, a, b)
+            if product not in node_set:
+                notices.append(
+                    f"lattice: product of commuting nodes {i}, {j} is not a node"
+                )
+            centre_a = intersection(theory, a, commutant(theory, a))
+            centre_b = intersection(theory, b, commutant(theory, b))
+            centre_product = intersection(theory, product, commutant(theory, product))
+            if centre_product != product_set(theory, centre_a, centre_b):
+                violations.append(
+                    f"lattice: the centre of the product of nodes {i}, {j} "
+                    "is not the product of their centres"
+                )
+            if centre_product != meet(theory, a, b):
+                centre_meet_gaps += 1
+            if (
+                is_orthocomplemented(theory, a)
+                or is_orthocomplemented(theory, b)
+            ) and product.order != a.order * b.order:
+                violations.append(
+                    f"lattice: factorisation over nodes {i}, {j} is not unique"
+                )
+            if any(h * k != k * h for h in gens[i] for k in gens[j]):
+                violations.append(
+                    f"lattice: swapping the factors of nodes {i}, {j} "
+                    "changes the joint transformation"
+                )
+                violations.append(
+                    f"lattice: joint transformations of nodes {i}, {j} "
+                    "do not multiply factorwise"
+                )
+
+    if centre_meet_gaps:
+        notices.append(
+            "lattice: the centre of the product differs from the meet for "
+            f"{centre_meet_gaps} commuting pairs"
+        )
+
+    failures = 0
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            if i == j or not a.is_subset_of(b):
+                continue
+            if not check_orthomodular(theory, a, b):
+                failures += 1
+    if failures:
+        notices.append(f"lattice: orthomodular identity fails for {failures} nested pairs")
+
+    n = len(nodes)
+    rng = random.Random(SAMPLE_SEED)
+    triples = (
+        itertools.product(range(n), repeat=3)
+        if n**3 <= TRIPLE_LIMIT
+        else (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            for _ in range(TRIPLE_SAMPLE)
+        )
+    )
+    distributive_failures = 0
+    for i, j, k in triples:
+        lhs = meet(theory, nodes[i], join(theory, nodes[j], nodes[k]))
+        rhs = join(
+            theory,
+            meet(theory, nodes[i], nodes[j]),
+            meet(theory, nodes[i], nodes[k]),
+        )
+        if lhs != rhs:
+            distributive_failures += 1
+    if distributive_failures:
+        notices.append(
+            f"lattice: distributivity fails for {distributive_failures} node triples"
+        )
+    notices.append(f"lattice: {n} nodes")
+    return SuiteResult("lattice", tuple(violations), tuple(notices))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from emergent import (
     NotSelfBicommutant,
     Perm,
     ResourceLimit,
+    SbcLattice,
     Subgroup,
     bicommutant,
     check_orthomodular,
@@ -298,3 +299,42 @@ def test_lattice_suite_flags_a_planted_non_commuting_pair(monkeypatch, t1):
     assert expected
     assert flagged == expected
     assert len(result.violations) == 37
+
+
+def test_lattice_suite_equals_the_triple_loop(t1, t5, t3, t2):
+    for theory in (t1, t5, t3, t2):
+        assert checks.lattice_suite(theory) == oracles.lattice_suite(theory)
+
+
+def test_planted_join_fault_gives_the_triple_loop_result(monkeypatch, t2):
+    nodes = enumerate_self_bicommutant(t2).nodes
+    pair, target = {nodes[1], nodes[2]}, nodes[-2]
+    assert join(t2, nodes[1], nodes[2]) != target
+
+    def bad_join(theory, a, b):
+        # One node pair, in either order, joins to the wrong node.
+        if {a, b} == pair:
+            return target
+        return join(theory, a, b)
+
+    monkeypatch.setattr(checks, "join", bad_join)
+    monkeypatch.setattr(oracles, "join", bad_join)
+    found = checks.lattice_suite(t2)
+    assert found == oracles.lattice_suite(t2)
+    assert found.violations
+    (count,) = [x for x in found.notices if "distributivity" in x]
+    monkeypatch.undo()
+    assert count not in checks.lattice_suite(t2).notices
+
+
+def test_lattice_suite_reports_a_missing_node_without_a_traceback(
+    monkeypatch, t1
+):
+    # Drop the trivial subgroup: meets of the order-2 nodes are then not
+    # nodes, the meet table has holes, and distributivity is not counted.
+    nodes = enumerate_self_bicommutant(t1).nodes
+    partial = SbcLattice(t1, nodes[1:])
+    monkeypatch.setattr(checks, "enumerate_self_bicommutant", lambda theory: partial)
+    found = checks.lattice_suite(t1)
+    assert "lattice: meet of nodes 0, 1 is not a node" in found.violations
+    assert not any("distributivity" in x for x in found.notices)

@@ -8,12 +8,14 @@ import pytest
 
 import oracles
 from emergent import checks
+from emergent import systems as systems_module
 from emergent import (
     IncompatibleSystems,
     LocalState,
     NotProductState,
     Perm,
     StateNotInSystem,
+    System,
     act_local,
     are_compatible,
     check_associativity_triple,
@@ -258,3 +260,47 @@ def test_planted_closure_fault_gives_the_member_loop_violations(t2, monkeypatch)
         "transformations"
     )
     assert found.violations == (closure, closure)
+
+
+def test_planted_tensor_fault_gives_the_triple_loop_result(t2, monkeypatch):
+    # Tensoring system 19 with the unit, in either order, gives system 2.
+    # Its triples differ in an order that any other loop nesting would
+    # change, and one is defined only on the left, one only on the right.
+    # tensor_pure_states returns before tensoring a unit factor, so no
+    # cached function keeps a result of the patch.
+    systems = enumerate_systems(t2)
+    unit, big, small = systems[0], systems[19], systems[2]
+    assert unit == trivial_system(t2)
+
+    def bad_tensor_systems(theory, a, b):
+        if {a, b} == {unit, big}:
+            return small
+        return tensor_systems(theory, a, b)
+
+    for module in (checks, oracles, systems_module):
+        monkeypatch.setattr(module, "tensor_systems", bad_tensor_systems)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    assert [v for v in found.violations if "bracketings" in v] == [
+        f"systems: the two bracketings of systems {i}, {j}, {k} differ"
+        for i, j, k in ((0, 2, 19), (2, 0, 19), (19, 0, 2), (19, 2, 0))
+    ]
+    assert (
+        "systems: one-sided definedness of triple composites in 2 cases"
+        in found.notices
+    )
+
+
+def test_unlisted_composite_is_reported(t2, monkeypatch):
+    systems = enumerate_systems(t2)
+    whole = systems[-1]
+    partial = System(whole.transf, whole.pure_orbit[:1])
+
+    def bad_tensor_systems(theory, a, b):
+        if (a, b) == (systems[16], systems[17]):
+            return partial
+        return tensor_systems(theory, a, b)
+
+    monkeypatch.setattr(checks, "tensor_systems", bad_tensor_systems)
+    found = checks.systems_suite(t2)
+    assert "systems: the composite of 16, 17 is not listed" in found.violations
