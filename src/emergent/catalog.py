@@ -91,14 +91,17 @@ def named_theories() -> dict[str, GlobalTheory]:
     }
 
 
+def _is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer; JSON booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_perm_list(raw, degree: int, where: str) -> list[Perm]:
     if not isinstance(raw, list):
         raise ParseError(f"{where} must be a list of permutations")
     perms = []
     for entry in raw:
-        if not isinstance(entry, list) or not all(
-            isinstance(x, int) for x in entry
-        ):
+        if not isinstance(entry, list) or not all(_is_int(x) for x in entry):
             raise ParseError(f"{where} entries must be lists of integers")
         if len(entry) != degree:
             raise ParseError(
@@ -120,14 +123,14 @@ def theory_from_dict(
     if "degree" not in data or "generators" not in data:
         raise ParseError("a theory description needs 'degree' and 'generators'")
     degree = data["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise ParseError("'degree' must be a positive integer")
     limits = data.get("limits", {})
     if not isinstance(limits, dict):
         raise ParseError("'limits' must be a JSON object")
     if max_order is None:
         max_order = limits.get("max_order", DEFAULT_MAX_ORDER)
-    if not isinstance(max_order, int) or max_order < 1:
+    if not _is_int(max_order) or max_order < 1:
         raise ParseError("'max_order' must be a positive integer")
     arrays = data["generators"]
     if not isinstance(arrays, dict) or "global" not in arrays:
@@ -144,9 +147,7 @@ def theory_from_dict(
     if not isinstance(subgroups, dict):
         raise ParseError("'subgroups' must map names to generator index lists")
     for name, indices in subgroups.items():
-        if not isinstance(indices, list) or not all(
-            isinstance(i, int) for i in indices
-        ):
+        if not isinstance(indices, list) or not all(_is_int(i) for i in indices):
             raise ParseError(f"subgroup {name!r} must be a list of generator indices")
         bad = [i for i in indices if not 0 <= i < len(generators)]
         if bad:

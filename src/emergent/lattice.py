@@ -10,7 +10,7 @@ double commutant of the union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     ElementNotInGroup,
@@ -19,12 +19,12 @@ from .errors import (
     NotSelfBicommutant,
     ResourceLimit,
 )
-from .perms import GlobalTheory, Perm, Subgroup, require_subgroup
+from .perms import GlobalTheory, Perm, Subgroup, require_subgroup, theory_memo
 
 DEFAULT_MAX_NODES = 4096
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def commutant(theory: GlobalTheory, sub: Subgroup) -> Subgroup:
     """Centralizer of ``sub`` inside the global group."""
     require_subgroup(theory, sub)
@@ -49,7 +49,7 @@ def require_self_bicommutant(theory: GlobalTheory, sub: Subgroup) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def enumerate_self_bicommutant(
     theory: GlobalTheory, max_nodes: int = DEFAULT_MAX_NODES
 ) -> "SbcLattice":
@@ -212,7 +212,7 @@ def relative_commutant(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgro
     return meet(theory, commutant(theory, a), b)
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def product_set(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
     """The set {h k : h in a, k in b}, a subgroup when the inputs commute."""
     if not is_orthogonal(theory, a, b):

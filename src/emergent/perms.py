@@ -21,13 +21,17 @@ identified by such a mask over its parent's numbering.  Intersection is
 the AND of the centralizer masks of its elements, each computed once per
 group.  ``Subgroup.members`` is the sorted member tuple, derived from the
 mask when first read.
+
+Memoisation: :func:`theory_memo` stores ``fn(theory, *args)`` in a dict
+held by the theory object itself, so what is computed from a theory lives
+and dies with it, and an equal but distinct theory computes its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -418,6 +422,8 @@ class GlobalTheory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(self.group))
+        # Not a field: equality, hashing and repr ignore the memo.
+        object.__setattr__(self, "_memo", {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -429,6 +435,29 @@ class GlobalTheory:
     @property
     def points(self) -> range:
         return range(self.group.degree)
+
+
+_KEYWORDS = object()
+
+
+def theory_memo(fn):
+    """Memoise ``fn(theory, *args, **kwargs)`` in the memo ``theory`` holds.
+
+    As ``lru_cache(maxsize=None)`` with the theory kept out of the key: a
+    call that raises stores nothing, and keyword calls are keyed apart.
+    """
+
+    @wraps(fn)
+    def memoised(theory, *args, **kwargs):
+        key = (*args, _KEYWORDS, *kwargs.items()) if kwargs else args
+        try:
+            return theory._memo[memoised][key]
+        except KeyError:
+            pass
+        found = theory._memo.setdefault(memoised, {})[key] = fn(theory, *args, **kwargs)
+        return found
+
+    return memoised
 
 
 def theory_violations(group: FiniteGroup) -> tuple[str, ...]:

@@ -12,7 +12,7 @@ purification so that dynamics can always be computed upstairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -28,7 +28,7 @@ from .errors import (
     TypeMismatch,
 )
 from .lattice import enumerate_self_bicommutant, is_orthocomplemented
-from .perms import GlobalTheory, Perm, Subgroup, require_subgroup
+from .perms import GlobalTheory, Perm, Subgroup, require_subgroup, theory_memo
 from .states import (
     LocalState,
     act_local,
@@ -154,7 +154,7 @@ class SystemEnvironmentPair:
     environment: System
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def make_pair(
     theory: GlobalTheory, system: System, environment: System
 ) -> SystemEnvironmentPair:
@@ -190,7 +190,7 @@ def make_pair_state(
     return PairState(pair, value, purification)
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def pair_states(
     theory: GlobalTheory, pair: SystemEnvironmentPair
 ) -> tuple[PairState, ...]:
@@ -271,7 +271,7 @@ def apply_process(theory: GlobalTheory, proc: Process, state: PairState) -> Pair
     return PairState(process_codomain(theory, proc), value, acted)
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def process_state_map(
     theory: GlobalTheory, proc: Process
 ) -> tuple[tuple[PairState, PairState], ...]:
@@ -375,8 +375,34 @@ def _require_owned(transf: Subgroup, owner: Subgroup) -> None:
         raise ElementNotInOwner(f"{h!r} does not belong to the state's owner")
 
 
-class _StateTables:
-    """Point-indexed tables for computing state maps of processes.
+@theory_memo
+def _restriction(
+    theory: GlobalTheory, sub: Subgroup, owner: Subgroup
+) -> tuple[tuple[int, ...], ...]:
+    """Point -> key of the local state ``sub`` sees, for states of ``owner``.
+
+    Checks what ``iterated_restrict`` checks, once for every state.
+    """
+    require_subgroup(theory, sub)
+    if not sub.is_subset_of(owner):
+        raise NotNested("can only restrict a state to a subgroup of its owner")
+    return tuple(state_key(restrict(theory, sub, p)) for p in theory.points)
+
+
+@theory_memo
+def _joint_points(
+    theory: GlobalTheory, pair: SystemEnvironmentPair, ancilla: System, prep: LocalState
+) -> tuple[int, ...]:
+    """One point of each input's joint state with ``prep``, in input order."""
+    composite = pair_composite(theory, pair)
+    return tuple(
+        tensor_pure_states(theory, composite, ancilla, s.purification, prep).representative
+        for s in pair_states(theory, pair)
+    )
+
+
+def _outputs(theory: GlobalTheory, proc: Process) -> tuple[tuple[int, ...], ...]:
+    """The output state keys of ``process_table(proc)``, in input order.
 
     A process acts on the joint state of an input's purification and the
     preparation, a local state of ``owner`` = composite x ancilla, and its
@@ -385,64 +411,17 @@ class _StateTables:
     owner permutes, so the acted joint state at point ``p`` holds ``u[p]``.
     A subgroup of the owner has a larger commutant and so sees the same
     local state at every point of it: the output is the restriction table
-    read at ``u[p]``.  States are named by their keys (sorted points), and
-    the tables live for one enumeration.
+    read at ``u[p]``.  States are named by their keys (sorted points).
     """
-
-    def __init__(self, theory: GlobalTheory) -> None:
-        self.theory = theory
-        self._restrictions: dict[Subgroup, tuple[tuple[int, ...], ...]] = {}
-        self._joints: dict[tuple, tuple[int, ...]] = {}
-
-    def restriction(
-        self, sub: Subgroup, owner: Subgroup
-    ) -> tuple[tuple[int, ...], ...]:
-        """Point -> key of the local state ``sub`` sees, for states of ``owner``.
-
-        Checks what ``iterated_restrict`` checks, once for every state.
-        """
-        require_subgroup(self.theory, sub)
-        if not sub.is_subset_of(owner):
-            raise NotNested("can only restrict a state to a subgroup of its owner")
-        table = self._restrictions.get(sub)
-        if table is None:
-            theory = self.theory
-            table = tuple(state_key(restrict(theory, sub, p)) for p in theory.points)
-            self._restrictions[sub] = table
-        return table
-
-    def joint_points(
-        self, pair: SystemEnvironmentPair, ancilla: System, prep: LocalState
-    ) -> tuple[int, ...]:
-        """One point of each input's joint state with ``prep``, in input order."""
-        key = (pair, ancilla, prep)
-        points = self._joints.get(key)
-        if points is None:
-            theory = self.theory
-            composite = pair_composite(theory, pair)
-            points = tuple(
-                tensor_pure_states(
-                    theory, composite, ancilla, s.purification, prep
-                ).representative
-                for s in pair_states(theory, pair)
-            )
-            self._joints[key] = points
-        return points
-
-    def outputs(self, proc: Process) -> tuple[tuple[int, ...], ...]:
-        """The output state keys of ``process_table(proc)``, in input order."""
-        theory = self.theory
-        owner = tensor_systems(
-            theory, pair_composite(theory, proc.domain), proc.ancilla
-        ).transf
-        u = proc.transform
-        if u not in owner:
-            raise ElementNotInOwner(f"{u!r} does not belong to the state's owner")
-        restricted = self.restriction(proc.codomain_system.transf, owner)
-        return tuple(
-            restricted[u[p]]
-            for p in self.joint_points(proc.domain, proc.ancilla, proc.prep)
-        )
+    owner = tensor_systems(theory, pair_composite(theory, proc.domain), proc.ancilla).transf
+    u = proc.transform
+    if u not in owner:
+        raise ElementNotInOwner(f"{u!r} does not belong to the state's owner")
+    restricted = _restriction(theory, proc.codomain_system.transf, owner)
+    return tuple(
+        restricted[u[p]]
+        for p in _joint_points(theory, proc.domain, proc.ancilla, proc.prep)
+    )
 
 
 def enumerate_generalised_effects(
@@ -459,7 +438,6 @@ def enumerate_generalised_effects(
         ancillas = enumerate_systems(theory)
     unit = trivial_system(theory)
     composite = pair_composite(theory, pair)
-    tables = _StateTables(theory)
     # The input states are those of ``pair`` for every candidate, so the
     # output keys alone identify a state map.
     found: dict[tuple, Process] = {}
@@ -475,7 +453,7 @@ def enumerate_generalised_effects(
                     proc = make_process(theory, pair, anc, prep, u, unit, total)
                 except (IncompatibleSystems, TypeMismatch):
                     continue
-                outputs = tables.outputs(proc)
+                outputs = _outputs(theory, proc)
                 if outputs not in found:
                     found[outputs] = proc
     return tuple(found.values())
@@ -546,6 +524,7 @@ def system_universe(
     return tuple(sorted(universe, key=system_key))
 
 
+@theory_memo
 def _decompositions(
     theory: GlobalTheory, universe: tuple[System, ...], total: System
 ) -> dict[System, list[System]]:
@@ -567,7 +546,7 @@ def build_process_category(
 ) -> ProcessCategory:
     """Enumerate objects and morphism classes over a closed system universe.
 
-    Runs on state tables (see ``_StateTables``).  A class is keyed by its
+    Runs on state tables (see ``_outputs``).  A class is keyed by its
     domain, its codomain and the positions of its outputs in the
     codomain's state list, so ``g . f`` is ``g``'s positions read at
     ``f``'s, and only the pairs that compose or tensor are visited.
@@ -593,11 +572,9 @@ def build_process_category(
     ]
     state_position = [{key: i for i, key in enumerate(keys)} for keys in state_keys]
 
-    tables = _StateTables(theory)
     classes: list[MorphismClass] = []
     positions: list[tuple[int, ...]] = []
     class_index: dict[tuple, int] = {}
-    decomp_cache: dict[System, dict[System, list[System]]] = {}
     for oi, obj in enumerate(objects):
         in_keys = state_keys[oi]
         composite = pair_composite(theory, obj)
@@ -608,11 +585,9 @@ def build_process_category(
                 owner = tensor_systems(theory, composite, anc).transf
             except IncompatibleSystems:
                 continue
-            if total not in decomp_cache:
-                decomp_cache[total] = _decompositions(theory, universe, total)
             _require_owned(total.transf, owner)
             outs = []
-            for out_sys, discards in decomp_cache[total].items():
+            for out_sys, discards in _decompositions(theory, universe, total).items():
                 cods = []
                 for disc in discards:
                     try:
@@ -621,13 +596,13 @@ def build_process_category(
                     except IncompatibleSystems:
                         continue
                     cods.append((disc, object_index[cod_pair]))
-                outs.append((out_sys, tables.restriction(out_sys.transf, owner), cods))
+                outs.append((out_sys, _restriction(theory, out_sys.transf, owner), cods))
             # The classes a tuple of acted points gives were all made when it
             # was first met, so a repeat under another ``prep`` or ``u`` is
             # skipped.
             met: set[tuple[int, ...]] = set()
             for prep in anc.pure_orbit:
-                joint_points = _tuple_getter(tables.joint_points(obj, anc, prep))
+                joint_points = _tuple_getter(_joint_points(theory, obj, anc, prep))
                 for u in total.transf.members:
                     acted = joint_points(u)
                     if acted in met:
@@ -701,7 +676,7 @@ def build_process_category(
             d = classes[cj]
             cod = tensor_obj[(c.cod, d.cod)]
             prod = tensor_processes(theory, c.representative, d.representative)
-            where = tuple(map(state_position[cod].__getitem__, tables.outputs(prod)))
+            where = tuple(map(state_position[cod].__getitem__, _outputs(theory, prod)))
             tensor_mor[(ci, cj)] = class_index[(tensor_obj[(c.dom, d.dom)], cod, where)]
 
     unit_pair = make_pair(theory, trivial_system(theory), trivial_system(theory))

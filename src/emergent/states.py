@@ -11,11 +11,11 @@ and its commutant orbit meet only in the state itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import ElementNotInOwner, NotNested, NotOrthogonal, NotPure
 from .lattice import commutant, is_orthogonal, require_self_bicommutant
-from .perms import GlobalTheory, Perm, Subgroup, require_point, require_subgroup
+from .perms import GlobalTheory, Perm, Subgroup, require_point, require_subgroup, theory_memo
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def state_key(state: LocalState) -> tuple[int, ...]:
     return state.sorted_points
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def restrict(theory: GlobalTheory, sub: Subgroup, point: int) -> LocalState:
     """The local state ``sub`` sees at the global state ``point``."""
     require_subgroup(theory, sub)
@@ -124,12 +124,8 @@ class _OrbitCensus:
         self.orbits_a = _orbits(theory, a)
         self.orbits_b = _orbits(theory, b)
         self.orbits_both = _orbits(theory, both)
-        self.entries: dict[int, tuple[int, Subgroup, Subgroup, bool]] = {}
 
     def entry(self, point: int) -> tuple[int, Subgroup, Subgroup, bool]:
-        found = self.entries.get(point)
-        if found is not None:
-            return found
         a, b, index = self.a, self.b, self.index
         image = index.images[point]
         orbit_a = self.orbits_a[point]
@@ -144,20 +140,20 @@ class _OrbitCensus:
         )
         stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
         stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
-        found = self.entries[point] = (
+        return (
             len(orbit_a & orbit_b) * fixed_a * fixed_b,
             Subgroup.from_mask(a.parent, stab_a),
             Subgroup.from_mask(b.parent, stab_b),
             split,
         )
-        return found
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def _orbit_census(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> _OrbitCensus:
     return _OrbitCensus(theory, a, b)
 
 
+@theory_memo
 def _joint_split(
     theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int
 ) -> tuple[int, Subgroup, Subgroup, bool]:
@@ -180,7 +176,7 @@ class PurityVerdict:
     stabilizer_product_holds: bool
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityVerdict:
     """Test whether a global state splits over ``sub`` and its commutant.
 
@@ -211,7 +207,7 @@ def factorizes(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bo
     return joint == stab_a.order * stab_b.order
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def pure_local_states(theory: GlobalTheory, sub: Subgroup) -> tuple[LocalState, ...]:
     """All distinct local states of ``sub`` arising from product states."""
     require_subgroup(theory, sub)

@@ -10,7 +10,7 @@ acts as a strict unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import IncompatibleSystems, NotProductState, StateNotInSystem
 from .lattice import (
@@ -19,7 +19,7 @@ from .lattice import (
     join,
     require_self_bicommutant,
 )
-from .perms import GlobalTheory, Subgroup
+from .perms import GlobalTheory, Subgroup, theory_memo
 from .states import (
     LocalState,
     factorizes,
@@ -62,7 +62,7 @@ def system_key(system: System) -> tuple:
     return (system.transf.order, system.transf.members)
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def make_system(theory: GlobalTheory, sub: Subgroup, point: int | None = None) -> System:
     """Build the system on ``sub``; requires at least one product state.
 
@@ -82,13 +82,13 @@ def make_system(theory: GlobalTheory, sub: Subgroup, point: int | None = None) -
     return System(sub, orbit)
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def trivial_system(theory: GlobalTheory) -> System:
     """The unit system: no transformations, one completely mixed state."""
     return make_system(theory, theory.group.trivial_subgroup())
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def enumerate_systems(theory: GlobalTheory) -> tuple[System, ...]:
     """All systems of the theory, one per lattice node with a product state."""
     lattice = enumerate_self_bicommutant(theory)
@@ -99,7 +99,7 @@ def enumerate_systems(theory: GlobalTheory) -> tuple[System, ...]:
     return tuple(sorted(found, key=system_key))
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
     """Witness global state if the two systems compose, else None.
 
@@ -127,7 +127,7 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def tensor_systems(theory: GlobalTheory, a: System, b: System) -> System:
     """The composite system of a compatible pair; unit factors vanish."""
     if a.is_trivial:
@@ -164,7 +164,7 @@ def tensor_state_candidates(
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+@theory_memo
 def tensor_pure_states(
     theory: GlobalTheory, a: System, b: System, rho: LocalState, sigma: LocalState
 ) -> LocalState:

@@ -106,6 +106,11 @@ def test_theory_from_dict_subgroups():
         {**S3_DOC, "subgroups": [0]},
         {**S3_DOC, "subgroups": {"sub": "01"}},
         {**S3_DOC, "subgroups": {"sub": [0, 5]}},
+        # JSON booleans are not integers, although Python's bool is an int.
+        {"degree": True, "generators": {"global": [[0]]}},
+        {**S3_DOC, "limits": {"max_order": True}},
+        {"degree": 3, "generators": {"global": [[True, False, 2]]}},
+        {**S3_DOC, "subgroups": {"a": [True]}},
     ],
 )
 def test_theory_from_dict_rejects_malformed(data):
@@ -136,6 +141,8 @@ def test_max_order_argument_replaces_only_the_limit():
         theory_from_dict({**S3_DOC, "limits": [1]}, max_order=6)
     with pytest.raises(ParseError):
         theory_from_dict(S3_DOC, max_order=0)
+    with pytest.raises(ParseError):
+        theory_from_dict(S3_DOC, max_order=True)
 
 
 def test_load_theory_good_fixtures():

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emergent.checks import SuiteResult
 from emergent.cli import main, render_check_report
@@ -209,6 +214,15 @@ def test_bad_limits_with_max_order_exits_2(capsys, tmp_path, limits):
     assert err == "error: 'limits' must be a JSON object\n"
 
 
+def test_boolean_degree_exits_2(capsys, tmp_path):
+    path = tmp_path / "theory.json"
+    path.write_text('{"degree": true, "generators": {"global": [[0]]}}')
+    code, out, err = run_cli(capsys, ["lattice", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: 'degree' must be a positive integer\n"
+
+
 def test_resource_cap_exits_3(capsys):
     code, _, err = run_cli(
         capsys, ["lattice", "--input", str(FIXTURES / "s3_capped.json")]
@@ -366,3 +380,82 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _uses_functools_cache(node: ast.AST) -> bool:
+    banned = {"lru_cache", "cache"}
+    if isinstance(node, ast.ImportFrom) and node.module == "functools":
+        return any(alias.name in banned for alias in node.names)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in banned
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
+def test_library_has_no_process_wide_caches():
+    # What is computed from a theory is memoised on the theory itself
+    # (``perms.theory_memo``), so no cache outlives the theories it keys.
+    source = FIXTURES.parent / "src" / "emergent"
+    found = [
+        f"{path.relative_to(source)}:{node.lineno}"
+        for path in sorted(source.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _uses_functools_cache(node)
+    ]
+    assert found == []
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def _theory_documents(draw):
+    """Small JSON documents, mostly shaped like theories, often mistyped."""
+
+    def mostly(good):
+        # Usually the intended shape, else a value of a wrong type.
+        return draw(_JUNK if draw(st.integers(0, 3)) == 3 else good)
+
+    degree = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-1, degree), st.booleans(), st.none())
+    row = st.one_of(
+        st.permutations(range(degree)), st.lists(entry, max_size=degree + 1)
+    )
+    doc = {
+        "degree": mostly(st.just(degree)),
+        "generators": mostly(
+            st.fixed_dictionaries({"global": st.lists(row, max_size=3)})
+        ),
+    }
+    if draw(st.booleans()):
+        doc["limits"] = mostly(st.just({"max_order": mostly(st.integers(0, 30))}))
+    if draw(st.booleans()):
+        index = st.one_of(st.integers(-1, 3), st.booleans(), st.none())
+        doc["subgroups"] = mostly(
+            st.dictionaries(st.text(max_size=2), st.lists(index, max_size=3), max_size=2)
+        )
+    return mostly(st.just(doc))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    doc=_theory_documents(),
+    command=st.sampled_from([["lattice"], ["check", "--suite", "lattice"]]),
+)
+def test_cli_exit_codes_on_arbitrary_documents(doc, command):
+    # Any input ends in a documented exit code, never in a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "theory.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main([*command, "--input", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().startswith("error: ") == (code >= 2)

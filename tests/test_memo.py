@@ -1,0 +1,92 @@
+"""Memoisation held by the theory: its contract, its lifetime, its scope."""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from pathlib import Path
+
+import pytest
+
+from emergent import (
+    ResourceLimit,
+    enumerate_self_bicommutant,
+    enumerate_systems,
+    load_theory,
+    theory_s3,
+    theory_s3_squared,
+)
+from emergent.checks import SUITES, lattice_suite, run_suites
+from emergent.perms import theory_memo
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_memo_returns_the_first_result_for_equal_arguments():
+    calls = []
+
+    @theory_memo
+    def degree_plus(theory, k, scale=1):
+        calls.append(k)
+        return [(theory.degree + k) * scale]
+
+    theory = theory_s3()
+    first = degree_plus(theory, 1)
+    assert degree_plus(theory, 1) is first
+    assert degree_plus(theory, 2) == [5]
+    # Keyword calls work and, as with lru_cache, are keyed apart.
+    assert degree_plus(theory, 1, scale=2) == [8]
+    assert degree_plus(theory, k=1) == [4]
+    assert degree_plus(theory, k=1) is degree_plus(theory, k=1)
+    assert calls == [1, 2, 1, 1]
+
+
+def test_memo_stores_nothing_for_a_call_that_raises():
+    calls = []
+
+    @theory_memo
+    def fails(theory):
+        calls.append(None)
+        raise ValueError("no result")
+
+    theory = theory_s3()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fails(theory)
+    assert len(calls) == 2
+    fresh = theory_s3_squared()
+    for _ in range(2):
+        with pytest.raises(ResourceLimit):
+            enumerate_self_bicommutant(fresh, max_nodes=10)
+    assert len(enumerate_self_bicommutant(fresh, max_nodes=100)) > 10
+
+
+def test_theory_equality_ignores_the_memo():
+    used, fresh = theory_s3(), theory_s3()
+    enumerate_systems(used)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_a_theorys_memo_dies_with_it():
+    theory, named = load_theory(FIXTURES / "s3x3.json")
+    assert all(result.ok for result in run_suites(theory, tuple(SUITES)))
+    refs = (weakref.ref(theory), weakref.ref(theory.group))
+    del theory, named
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_equal_but_distinct_theories_share_nothing():
+    loaded, _ = load_theory(FIXTURES / "s3x3.json")
+    built = theory_s3_squared()
+    assert loaded == built
+    assert loaded.group is not built.group
+    for theory in (loaded, built):
+        group = theory.group
+        lattice = enumerate_self_bicommutant(theory)
+        assert lattice.theory is theory
+        assert all(node.parent is group for node in lattice.nodes)
+        assert all(s.transf.parent is group for s in enumerate_systems(theory))
+    assert lattice_suite(loaded) == lattice_suite(built)
