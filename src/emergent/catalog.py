@@ -19,7 +19,7 @@ import itertools
 import json
 from pathlib import Path
 
-from .errors import DegreeMismatch, ElementNotInGroup, ParseError
+from .errors import DegreeMismatch, ElementNotInGroup, ParseError, ResourceLimit
 from .perms import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
@@ -140,6 +140,11 @@ def theory_from_dict(
         for name, raw in arrays.items()
     }
     generators = named_gens["global"]
+    if degree > max_order:
+        raise ResourceLimit(
+            f"a transitive group on {degree} points has at least {degree} "
+            f"elements, above the cap of {max_order}"
+        )
     group = generate_group(degree, generators, max_order=max_order)
     theory = validate_global_theory(group)
     named: dict[str, Subgroup] = {}

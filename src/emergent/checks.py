@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 from .errors import IncompatibleSystems
 from .lattice import (
-    check_orthomodular,
     commutant,
     enumerate_self_bicommutant,
     intersection,
-    is_orthocomplemented,
     is_orthogonal,
     is_self_bicommutant,
     join,
@@ -78,71 +76,88 @@ class SuiteResult:
 
 
 def lattice_suite(theory: GlobalTheory) -> SuiteResult:
-    """Lattice structure: closure, duality, bounds, and product subgroups."""
+    """Lattice structure: closure, duality, bounds, and product subgroups.
+
+    One ``meet`` and one ``join`` per unordered node pair fill the meet and
+    join tables, and each node's commutant is looked up once.  Node indices
+    are equal exactly when the nodes are, so every law is then read from
+    these tables and ``lattice.leq``.  A node that is not its own double
+    commutant, or a meet, join or commutant that is not a node, leaves the
+    tables unable to settle the laws: the suite reports it and skips them.
+    """
     violations: list[str] = []
     notices: list[str] = []
     lattice = enumerate_self_bicommutant(theory)
     nodes = lattice.nodes
     node_index = lattice.node_index
+    leq = lattice.leq
     n = len(nodes)
+    size = f"lattice: {n} nodes"
 
     if not lattice.bottom.is_trivial:
         violations.append("lattice: the least node is not the trivial subgroup")
     if lattice.top.member_set != theory.group.element_set:
         violations.append("lattice: the greatest node is not the full group")
 
+    nodes_ok = True
+    comm: list[int | None] = []
     for i, a in enumerate(nodes):
         if not is_self_bicommutant(theory, a):
+            nodes_ok = False
             violations.append(f"lattice: node {i} is not its own double commutant")
-        ca = commutant(theory, a)
-        if ca not in node_index:
+        comm.append(node_index.get(commutant(theory, a)))
+        if comm[i] is None:
             violations.append(f"lattice: commutant of node {i} is not a node")
-        if is_orthocomplemented(theory, a) and join(theory, a, ca) != lattice.top:
-            violations.append(
-                f"lattice: node {i} and its commutant do not join to the top"
-            )
+    if not nodes_ok:
+        return SuiteResult("lattice", tuple(violations), (size,))
 
     meets = [[0] * n for _ in range(n)]
     joins = [[0] * n for _ in range(n)]
     for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if j < i:
-                continue
-            m = meet(theory, a, b)
-            jn = join(theory, a, b)
-            meets[i][j] = meets[j][i] = node_index.get(m)
-            joins[i][j] = joins[j][i] = node_index.get(jn)
+        for j, b in enumerate(nodes[i:], start=i):
+            meets[i][j] = meets[j][i] = node_index.get(meet(theory, a, b))
+            joins[i][j] = joins[j][i] = node_index.get(join(theory, a, b))
             if meets[i][j] is None:
                 violations.append(f"lattice: meet of nodes {i}, {j} is not a node")
             if joins[i][j] is None:
                 violations.append(f"lattice: join of nodes {i}, {j} is not a node")
-            if meet(theory, a, jn) != a or meet(theory, b, jn) != b:
+    if None in comm or any(None in row for row in meets + joins):
+        return SuiteResult("lattice", tuple(violations), (size,))
+
+    centre = [nodes[meets[i][c]] for i, c in enumerate(comm)]
+    orthocomplemented = [z.is_trivial for z in centre]
+    for i, c in enumerate(comm):
+        if orthocomplemented[i] and joins[i][c] != n - 1:
+            violations.append(
+                f"lattice: node {i} and its commutant do not join to the top"
+            )
+
+    for i, ci in enumerate(comm):
+        for j in range(i, n):
+            cj, m, jn = comm[j], meets[i][j], joins[i][j]
+            if meets[i][jn] != i or meets[j][jn] != j:
                 violations.append(
                     f"lattice: meet does not absorb the join on nodes {i}, {j}"
                 )
-            if join(theory, a, m) != a or join(theory, b, m) != b:
+            if joins[i][m] != i or joins[j][m] != j:
                 violations.append(
                     f"lattice: join does not absorb the meet on nodes {i}, {j}"
                 )
-            if a.is_subset_of(b) and not commutant(theory, b).is_subset_of(commutant(theory, a)):
+            if leq[i][j] and not leq[cj][ci]:
                 violations.append(
                     f"lattice: taking commutants does not reverse the "
                     f"inclusion of nodes {i}, {j}"
                 )
-            if b.is_subset_of(a) and not commutant(theory, a).is_subset_of(commutant(theory, b)):
+            if leq[j][i] and not leq[ci][cj]:
                 violations.append(
                     f"lattice: taking commutants does not reverse the "
                     f"inclusion of nodes {j}, {i}"
                 )
-            if commutant(theory, jn) != meet(
-                theory, commutant(theory, a), commutant(theory, b)
-            ):
+            if comm[jn] != meets[ci][cj]:
                 violations.append(
                     f"lattice: commutant of join breaks duality on nodes {i}, {j}"
                 )
-            if commutant(theory, m) != join(
-                theory, commutant(theory, a), commutant(theory, b)
-            ):
+            if comm[m] != joins[ci][cj]:
                 violations.append(
                     f"lattice: commutant of meet breaks duality on nodes {i}, {j}"
                 )
@@ -153,27 +168,24 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
     gens = [reduce_generators(a.members, theory.degree) for a in nodes]
     centre_meet_gaps = 0
     for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if j < i or not is_orthogonal(theory, a, b):
+        for j, b in enumerate(nodes[i:], start=i):
+            if not is_orthogonal(theory, a, b):
                 continue
             product = product_set(theory, a, b)
             if product not in node_index:
                 notices.append(
                     f"lattice: product of commuting nodes {i}, {j} is not a node"
                 )
-            centre_a = intersection(theory, a, commutant(theory, a))
-            centre_b = intersection(theory, b, commutant(theory, b))
             centre_product = intersection(theory, product, commutant(theory, product))
-            if centre_product != product_set(theory, centre_a, centre_b):
+            if centre_product != product_set(theory, centre[i], centre[j]):
                 violations.append(
                     f"lattice: the centre of the product of nodes {i}, {j} "
                     "is not the product of their centres"
                 )
-            if centre_product != meet(theory, a, b):
+            if centre_product != nodes[meets[i][j]]:
                 centre_meet_gaps += 1
             if (
-                is_orthocomplemented(theory, a)
-                or is_orthocomplemented(theory, b)
+                orthocomplemented[i] or orthocomplemented[j]
             ) and product.order != a.order * b.order:
                 violations.append(
                     f"lattice: factorisation over nodes {i}, {j} is not unique"
@@ -194,31 +206,27 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
             f"{centre_meet_gaps} commuting pairs"
         )
 
-    failures = 0
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i == j or not a.is_subset_of(b):
-                continue
-            if not check_orthomodular(theory, a, b):
-                failures += 1
+    # The orthomodular identity a v (a' ^ b) == b, for nested a < b.
+    failures = sum(
+        joins[i][meets[comm[i]][j]] != j
+        for i in range(n)
+        for j in range(n)
+        if i != j and leq[i][j]
+    )
     if failures:
         notices.append(f"lattice: orthomodular identity fails for {failures} nested pairs")
 
-    # Node indices are equal exactly when the nodes are, so the meet and join
-    # tables settle every triple; they have holes only where the pair loop
-    # reported a meet or join that is not a node.
     distributive_failures = 0
-    if not any(None in row for row in meets + joins):
-        for meet_i in meets:
-            rhs = {m: list(map(joins[m].__getitem__, meet_i)) for m in set(meet_i)}
-            for joins_j, m in zip(joins, meet_i):
-                lhs = map(meet_i.__getitem__, joins_j)
-                distributive_failures += sum(map(operator.ne, lhs, rhs[m]))
+    for meet_i in meets:
+        rhs = {m: list(map(joins[m].__getitem__, meet_i)) for m in set(meet_i)}
+        for joins_j, m in zip(joins, meet_i):
+            lhs = map(meet_i.__getitem__, joins_j)
+            distributive_failures += sum(map(operator.ne, lhs, rhs[m]))
     if distributive_failures:
         notices.append(
             f"lattice: distributivity fails for {distributive_failures} node triples"
         )
-    notices.append(f"lattice: {n} nodes")
+    notices.append(size)
     return SuiteResult("lattice", tuple(violations), tuple(notices))
 
 

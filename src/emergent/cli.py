@@ -19,15 +19,7 @@ import sys
 
 from .catalog import load_theory
 from .checks import SUITES, SuiteResult, run_suites
-from .errors import (
-    DegreeMismatch,
-    InvalidTheory,
-    ParseError,
-    PointOutOfRange,
-    ResourceLimit,
-    TheoryError,
-    ZeroDimension,
-)
+from .errors import ResourceLimit, TheoryError
 from .lattice import SbcLattice, enumerate_self_bicommutant
 from .perms import GlobalTheory
 from .sectors import (
@@ -44,7 +36,6 @@ from .sectors import (
 from .states import is_product_state
 from .systems import are_compatible, enumerate_systems
 
-INPUT_ERRORS = (ParseError, InvalidTheory, DegreeMismatch, PointOutOfRange, ZeroDimension)
 
 
 def _dump(payload) -> str:
@@ -261,9 +252,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -440,19 +440,19 @@ def enumerate_generalised_effects(
     composite = pair_composite(theory, pair)
     # The input states are those of ``pair`` for every candidate, so the
     # output keys alone identify a state map.
+    # Of what ``make_process`` checks, only the output pair can fail, and it
+    # depends on the ancilla alone; ``unit`` x ``total`` is ``total``.
     found: dict[tuple, Process] = {}
     for anc in sorted(ancillas, key=system_key):
         try:
             total = tensor_systems(theory, pair.system, anc)
             tensor_systems(theory, composite, anc)
+            make_pair(theory, unit, tensor_systems(theory, pair.environment, total))
         except IncompatibleSystems:
             continue
         for prep in anc.pure_orbit:
             for u in total.transf.members:
-                try:
-                    proc = make_process(theory, pair, anc, prep, u, unit, total)
-                except (IncompatibleSystems, TypeMismatch):
-                    continue
+                proc = Process(pair, anc, prep, u, unit, total)
                 outputs = _outputs(theory, proc)
                 if outputs not in found:
                     found[outputs] = proc
@@ -549,7 +549,9 @@ def build_process_category(
     Runs on state tables (see ``_outputs``).  A class is keyed by its
     domain, its codomain and the positions of its outputs in the
     codomain's state list, so ``g . f`` is ``g``'s positions read at
-    ``f``'s, and only the pairs that compose or tensor are visited.
+    ``f``'s, and only the pairs that compose or tensor are visited.  The
+    loops establish every condition ``make_process`` checks, so each
+    representative is built as a ``Process`` directly.
     """
     if object_cap == 0:
         return ProcessCategory(theory, (), (), (), (), {}, {}, {}, -1)
@@ -615,7 +617,7 @@ def build_process_category(
                             if (cod, values) in made:
                                 continue
                             made.add((cod, values))
-                            rep = make_process(theory, obj, anc, prep, u, out_sys, disc)
+                            rep = Process(obj, anc, prep, u, out_sys, disc)
                             where = tuple(map(state_position[cod].__getitem__, values))
                             class_index[(oi, cod, where)] = len(classes)
                             classes.append(

@@ -5,7 +5,8 @@ p under the commutant of H: two global states related by a transformation
 H commutes with are indistinguishable to H.  A global state is a product
 state for H when its joint stabilizer over H and the commutant splits as
 a direct product of the marginal stabilizers, that is, when its H-orbit
-and its commutant orbit meet only in the state itself.
+and its commutant orbit meet only in the state itself.  The test reads
+the orbit partition of each subgroup, computed once per subgroup.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def iterated_restrict(theory: GlobalTheory, sub: Subgroup, state: LocalState) ->
     return restrict(theory, sub, state.representative)
 
 
-def _orbits(theory: GlobalTheory, sub: Subgroup) -> list[frozenset[int]]:
+@theory_memo
+def _orbits(theory: GlobalTheory, sub: Subgroup) -> tuple[frozenset[int], ...]:
     """The orbit of every point under ``sub``; points of one orbit share it."""
     images = theory.group.index.images
     orbits: list[frozenset[int] | None] = [None] * theory.degree
@@ -98,13 +100,19 @@ def _orbits(theory: GlobalTheory, sub: Subgroup) -> list[frozenset[int]]:
             orbit = frozenset(image[h] for h in sub.indices)
             for q in orbit:
                 orbits[q] = orbit
-    return orbits
+    return tuple(orbits)
 
 
-class _OrbitCensus:
-    """Product-state census of one commuting pair (A, B), one entry per point.
+@theory_memo
+def _joint_split(
+    theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int
+) -> tuple[int, Subgroup, Subgroup, bool]:
+    """Joint-stabilizer census of ``point`` over a commuting pair (A, B).
 
-    With Ap the A-orbit and A_p the stabilizer of a point p:
+    Returns the size of {(h, k) : h k fixes point}, the two marginal local
+    state stabilizers, and whether the pointwise stabilizer of the product
+    subgroup splits as the product of the pointwise marginal stabilizers.
+    With Ap the A-orbit and A_p the stabilizer of the point p:
 
     - {(h, k) : h k p = p} has |Ap ∩ Bp|·|A_p|·|B_p| members, and the
       witness stabilizer {h ∈ A : h p ∈ Bp} has |Ap ∩ Bp|·|A_p|.  So p is a
@@ -112,58 +120,30 @@ class _OrbitCensus:
     - A_p B_p lies in (AB)_p, so the two are equal exactly when
       |AB|/|ABp| = |A_p|·|B_p|/|(A∩B)_p|.  Here |AB| = |A|·|B|/|A∩B| and
       ABp, the orbit of p under AB, is the union of the B-orbits over Ap.
+
+    The orbit partitions are memoised per subgroup, so a node's partition
+    is shared by every pair that contains it.
     """
-
-    def __init__(self, theory: GlobalTheory, a: Subgroup, b: Subgroup) -> None:
-        self.index = theory.group.index
-        self.a = a
-        self.b = b
-        both = Subgroup.from_mask(a.parent, a.mask & b.mask)
-        self.both_order = both.order
-        self.product_order = a.order * b.order // both.order
-        self.orbits_a = _orbits(theory, a)
-        self.orbits_b = _orbits(theory, b)
-        self.orbits_both = _orbits(theory, both)
-
-    def entry(self, point: int) -> tuple[int, Subgroup, Subgroup, bool]:
-        a, b, index = self.a, self.b, self.index
-        image = index.images[point]
-        orbit_a = self.orbits_a[point]
-        orbit_b = self.orbits_b[point]
-        fixed_a = a.order // len(orbit_a)
-        fixed_b = b.order // len(orbit_b)
-        fixed_both = self.both_order // len(self.orbits_both[point])
-        orbit_product = set().union(*(self.orbits_b[q] for q in orbit_a))
-        split = (
-            self.product_order * fixed_both
-            == len(orbit_product) * fixed_a * fixed_b
-        )
-        stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
-        stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
-        return (
-            len(orbit_a & orbit_b) * fixed_a * fixed_b,
-            Subgroup.from_mask(a.parent, stab_a),
-            Subgroup.from_mask(b.parent, stab_b),
-            split,
-        )
-
-
-@theory_memo
-def _orbit_census(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> _OrbitCensus:
-    return _OrbitCensus(theory, a, b)
-
-
-@theory_memo
-def _joint_split(
-    theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int
-) -> tuple[int, Subgroup, Subgroup, bool]:
-    """Joint-stabilizer census of ``point`` over a commuting pair.
-
-    Returns the size of {(h, k) : h k fixes point}, the two marginal local
-    state stabilizers, and whether the pointwise stabilizer of the product
-    subgroup splits as the product of the pointwise marginal stabilizers.
-    """
-    return _orbit_census(theory, a, b).entry(point)
+    index = theory.group.index
+    both = Subgroup.from_mask(a.parent, a.mask & b.mask)
+    orbits_b = _orbits(theory, b)
+    orbit_a = _orbits(theory, a)[point]
+    orbit_b = orbits_b[point]
+    fixed_a = a.order // len(orbit_a)
+    fixed_b = b.order // len(orbit_b)
+    fixed_both = both.order // len(_orbits(theory, both)[point])
+    orbit_product = set().union(*(orbits_b[q] for q in orbit_a))
+    product_order = a.order * b.order // both.order
+    split = product_order * fixed_both == len(orbit_product) * fixed_a * fixed_b
+    image = index.images[point]
+    stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
+    stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
+    return (
+        len(orbit_a & orbit_b) * fixed_a * fixed_b,
+        Subgroup.from_mask(a.parent, stab_a),
+        Subgroup.from_mask(b.parent, stab_b),
+        split,
+    )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import ast
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -238,6 +239,32 @@ def test_max_order_flag(capsys):
     code, out, _ = run_cli(capsys, ["lattice", "--input", s3, "--max-order", "6"])
     assert code == 0
     assert json.loads(out)["node_count"] == 6
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_degree_above_the_order_cap_exits_3_before_allocating(tmp_path):
+    # A transitive group on d points has at least d elements, so a degree
+    # above the cap is refused before any permutation is built.  The 1 GiB
+    # address-space limit turns an allocation regression into a failure
+    # of this process alone.
+    path = tmp_path / "theory.json"
+    path.write_text('{"degree": 1000000000, "generators": {"global": []}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "emergent.cli", "lattice", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: a transitive group on 1000000000 points has at least "
+        "1000000000 elements, above the cap of 250000\n"
+    )
 
 
 def _subprocess_run(argv, seed, flags=()):

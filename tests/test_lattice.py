@@ -338,3 +338,46 @@ def test_lattice_suite_reports_a_missing_node_without_a_traceback(
     found = checks.lattice_suite(t1)
     assert "lattice: meet of nodes 0, 1 is not a node" in found.violations
     assert not any("distributivity" in x for x in found.notices)
+
+
+def test_lattice_suite_reports_a_node_that_is_not_its_own_double_commutant(
+    monkeypatch, t5
+):
+    # A4 has a trivial commutant in S4, so its double commutant is all of S4.
+    # Planted ahead of the top node, it is reported and no meet or join of
+    # it is attempted, so nothing raises.
+    nodes = enumerate_self_bicommutant(t5).nodes
+    a4 = _sub(t5, (1, 2, 0, 3), (0, 2, 3, 1))
+    assert a4.order == 12
+    planted = SbcLattice(t5, nodes[:-1] + (a4,) + nodes[-1:])
+    monkeypatch.setattr(checks, "enumerate_self_bicommutant", lambda theory: planted)
+    found = checks.lattice_suite(t5)
+    assert found.violations == (
+        f"lattice: node {len(nodes) - 1} is not its own double commutant",
+    )
+    assert found.notices == (f"lattice: {len(planted)} nodes",)
+
+
+def test_lattice_suite_skips_the_laws_when_a_commutant_is_not_a_node(
+    monkeypatch, t1
+):
+    # Drop the full group: the commutant of the trivial node and the joins
+    # of complementary nodes are then not nodes, so the tables have holes
+    # and no law is evaluated, not even the join to the top.
+    nodes = enumerate_self_bicommutant(t1).nodes
+    partial = SbcLattice(t1, nodes[:-1])
+    monkeypatch.setattr(checks, "enumerate_self_bicommutant", lambda theory: partial)
+    found = checks.lattice_suite(t1)
+    holes = [
+        f"lattice: join of nodes {i}, {j} is not a node"
+        for i, a in enumerate(partial.nodes)
+        for j, b in enumerate(partial.nodes[i:], start=i)
+        if join(t1, a, b) not in partial.node_index
+    ]
+    assert holes
+    assert found.violations == (
+        "lattice: the greatest node is not the full group",
+        "lattice: commutant of node 0 is not a node",
+        *holes,
+    )
+    assert found.notices == ("lattice: 5 nodes",)
