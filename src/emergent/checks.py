@@ -500,14 +500,8 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
         if ident.dom != oi or ident.cod != oi:
             violations.append(f"processes: identity of object {oi} has wrong endpoints")
 
-    by_dom: dict[int, list[int]] = {}
-    for gi, g in enumerate(cat.classes):
-        by_dom.setdefault(g.dom, []).append(gi)
-    composable = [
-        (gi, fi)
-        for fi, f in enumerate(cat.classes)
-        for gi in by_dom.get(f.cod, ())
-    ]
+    # The build keys the composition table in ascending ``fi``, then ``gi``.
+    composable = list(cat.compose)
     rng = random.Random(SAMPLE_SEED)
     if len(composable) > COMPOSE_SAMPLE:
         composable = rng.sample(composable, COMPOSE_SAMPLE)

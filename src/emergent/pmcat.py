@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
+from .lattice import enumerate_self_bicommutant
+from .processes import DEFAULT_OBJECT_CAP, build_process_category
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -483,10 +486,10 @@ def check_partially_monoidal(inst: FiniteCategoryInstance) -> tuple[Violation, .
     return tuple(out)
 
 
-def extract_instance(theory, systems=None, object_cap=64) -> FiniteCategoryInstance:
+def extract_instance(
+    theory, systems=None, object_cap=DEFAULT_OBJECT_CAP
+) -> FiniteCategoryInstance:
     """Build the process category of a theory as a checkable instance."""
-    from .processes import build_process_category
-
     return instance_from_category(
         build_process_category(theory, systems=systems, object_cap=object_cap)
     )
@@ -494,8 +497,6 @@ def extract_instance(theory, systems=None, object_cap=64) -> FiniteCategoryInsta
 
 def instance_from_category(cat) -> FiniteCategoryInstance:
     """A built process category as a checkable instance."""
-    from .lattice import enumerate_self_bicommutant
-
     lattice = enumerate_self_bicommutant(cat.theory)
 
     def system_label(system) -> str:

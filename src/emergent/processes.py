@@ -1,12 +1,14 @@
-"""Pure and full processes between emergent systems.
+"""Processes between emergent systems.
 
-A pure process from one system to a composite is an ancilla preparation
-followed by a reversible transformation of the composite.  A full
-process additionally re-factorizes the composite into an output system
-and a discarded system; its action on states is restriction after the
-reversible dynamics.  States of a typed pair (system, environment) are
-restrictions of pure states of the composite, carried together with one
-purification so that dynamics can always be computed upstairs.
+A process acts on a typed pair (system, environment): it prepares an
+ancilla, applies a reversible transformation of the system and ancilla
+composite, and re-factorizes that composite into an output system and a
+discarded system, which joins the environment.  Its action on states is
+restriction after the reversible dynamics.  A pure process is a process
+between pairs whose environment is trivial, so it discards nothing.
+States of a typed pair are restrictions of pure states of the composite,
+carried together with one purification so that dynamics can always be
+computed upstairs.
 """
 
 from __future__ import annotations
@@ -49,97 +51,6 @@ from .systems import (
 )
 
 DEFAULT_OBJECT_CAP = 64
-
-
-# ---------------------------------------------------------------------------
-# Pure processes
-
-
-@dataclass(frozen=True)
-class PureProcess:
-    """An ancilla preparation followed by a reversible joint transformation."""
-
-    domain: System
-    ancilla: System
-    prep: LocalState
-    transform: Perm
-
-
-def make_pure_process(
-    theory: GlobalTheory,
-    domain: System,
-    ancilla: System,
-    prep: LocalState,
-    transform: Perm,
-) -> PureProcess:
-    if prep not in ancilla.pure_set:
-        raise StateNotInSystem("the preparation is not a pure state of the ancilla")
-    total = tensor_systems(theory, domain, ancilla)
-    if transform not in total.transf.member_set:
-        raise ElementNotInGroup(
-            "the transformation does not belong to the composite of domain and ancilla"
-        )
-    return PureProcess(domain, ancilla, prep, transform)
-
-
-def pure_codomain(theory: GlobalTheory, proc: PureProcess) -> System:
-    return tensor_systems(theory, proc.domain, proc.ancilla)
-
-
-def apply_pure(theory: GlobalTheory, proc: PureProcess, state: LocalState) -> LocalState:
-    if state not in proc.domain.pure_set:
-        raise StateNotInSystem("the input is not a pure state of the domain")
-    joint = tensor_pure_states(theory, proc.domain, proc.ancilla, state, proc.prep)
-    return act_local(theory, proc.transform, joint)
-
-
-def pure_state_map(
-    theory: GlobalTheory, proc: PureProcess
-) -> tuple[tuple[LocalState, LocalState], ...]:
-    return tuple(
-        (state, apply_pure(theory, proc, state)) for state in proc.domain.pure_orbit
-    )
-
-
-def compose_pure(theory: GlobalTheory, after: PureProcess, before: PureProcess) -> PureProcess:
-    """Sequential composition; ancillas accumulate, transformations multiply."""
-    if pure_codomain(theory, before) != after.domain:
-        raise TypeMismatch("codomain of the first process is not the domain of the second")
-    ancilla = tensor_systems(theory, before.ancilla, after.ancilla)
-    prep = tensor_pure_states(
-        theory, before.ancilla, after.ancilla, before.prep, after.prep
-    )
-    return make_pure_process(
-        theory, before.domain, ancilla, prep, after.transform * before.transform
-    )
-
-
-def tensor_pure_processes(
-    theory: GlobalTheory, left: PureProcess, right: PureProcess
-) -> PureProcess:
-    """Parallel composition of processes on compatible domains."""
-    domain = tensor_systems(theory, left.domain, right.domain)
-    ancilla = tensor_systems(theory, left.ancilla, right.ancilla)
-    prep = tensor_pure_states(
-        theory, left.ancilla, right.ancilla, left.prep, right.prep
-    )
-    return make_pure_process(
-        theory, domain, ancilla, prep, left.transform * right.transform
-    )
-
-
-def identity_pure(theory: GlobalTheory, system: System) -> PureProcess:
-    unit = trivial_system(theory)
-    return make_pure_process(
-        theory, system, unit, unit.pure_orbit[0], theory.group.identity
-    )
-
-
-def pure_preparation(theory: GlobalTheory, system: System, state: LocalState) -> PureProcess:
-    """The process preparing ``state`` from the trivial system."""
-    return make_pure_process(
-        theory, trivial_system(theory), system, state, theory.group.identity
-    )
 
 
 # ---------------------------------------------------------------------------

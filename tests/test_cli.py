@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import json
 import os
@@ -432,6 +433,38 @@ def test_library_has_no_process_wide_caches():
         if _uses_functools_cache(node)
     ]
     assert found == []
+
+
+def _resolves(module: str, name: str | None = None) -> bool:
+    """``import module`` or ``from module import name`` would succeed."""
+    try:
+        found = importlib.import_module(module)
+        if name is not None and not hasattr(found, name):
+            importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_benchmark_imports_from_emergent_resolve():
+    # The benchmark imports engine names inside functions that no test
+    # calls, so a renamed or deleted public name must be caught here.
+    imports = []
+    for path in sorted((FIXTURES.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [(alias.name, None) for alias in node.names]
+            else:
+                continue
+            imports.extend(
+                (f"{path.name}:{node.lineno}", module, name)
+                for module, name in names
+                if module.split(".")[0] == "emergent"
+            )
+    assert imports
+    assert [entry for entry in imports if not _resolves(*entry[1:])] == []
 
 
 _JUNK = st.one_of(

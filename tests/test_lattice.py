@@ -327,6 +327,50 @@ def test_planted_join_fault_gives_the_triple_loop_result(monkeypatch, t2):
     assert count not in checks.lattice_suite(t2).notices
 
 
+def _plant(monkeypatch, name, pair, target):
+    """``checks.<name>`` and ``oracles.<name>`` send one node pair, in either
+    order, to ``target``."""
+    right = getattr(checks, name)
+
+    def planted(theory, a, b):
+        if {a, b} == pair:
+            return target
+        return right(theory, a, b)
+
+    monkeypatch.setattr(checks, name, planted)
+    monkeypatch.setattr(oracles, name, planted)
+
+
+def test_planted_meet_fault_breaks_absorption_on_the_second_node_only(
+    monkeypatch, t1
+):
+    # Nodes 1 and 2 join to the top; meet(2, top) goes wrong and meet(1, top)
+    # does not, so only the second half of the check sees the pair (1, 2).
+    nodes = enumerate_self_bicommutant(t1).nodes
+    top = nodes[-1]
+    assert join(t1, nodes[1], nodes[2]) == top
+    _plant(monkeypatch, "meet", {nodes[2], top}, top)
+    found = checks.lattice_suite(t1)
+    assert found == oracles.lattice_suite(t1)
+    assert "lattice: meet does not absorb the join on nodes 1, 2" in found.violations
+
+
+def test_planted_join_fault_breaks_absorption_on_the_second_node_only(
+    monkeypatch, t5
+):
+    # Nodes 8 and 16 meet in node 1; join(16, node 1) goes wrong and
+    # join(8, node 1) does not.  In s3 every meet of two distinct proper
+    # nodes is trivial, and a planted join with the trivial node also
+    # moves the orthomodular count, which the oracle reads unplanted.
+    nodes = enumerate_self_bicommutant(t5).nodes
+    low = nodes[1]
+    assert meet(t5, nodes[8], nodes[16]) == low
+    _plant(monkeypatch, "join", {nodes[16], low}, nodes[-1])
+    found = checks.lattice_suite(t5)
+    assert found == oracles.lattice_suite(t5)
+    assert "lattice: join does not absorb the meet on nodes 8, 16" in found.violations
+
+
 def test_lattice_suite_reports_a_missing_node_without_a_traceback(
     monkeypatch, t1
 ):

@@ -8,38 +8,33 @@ import oracles
 from emergent import (
     Perm,
     ResourceLimit,
-    StateNotInSystem,
+    StateNotInPair,
     TypeMismatch,
     apply_process,
-    apply_pure,
     build_process_category,
     compose_process,
-    compose_pure,
     discard_process,
     enumerate_generalised_effects,
     enumerate_systems,
     generate_group,
     identity_process,
-    identity_pure,
     make_pair,
     make_pair_state,
     make_process,
-    make_pure_process,
     make_system,
     pair_states,
     process_codomain,
     process_state_map,
-    pure_preparation,
-    pure_state_map,
     restrict,
     subgroup_closure,
-    tensor_pure_processes,
+    tensor_processes,
     tensor_systems,
     trivial_system,
     validate_global_theory,
     verify_generation,
 )
 import emergent.checks
+import emergent.pmcat
 import emergent.processes
 from emergent.checks import run_suites
 from emergent.processes import process_table
@@ -61,83 +56,105 @@ def _rows_cols(t2):
     )
 
 
+def _pure(theory, system, ancilla, prep, transform):
+    """A pure process on ``system``: between pairs with the trivial
+    environment, it keeps the whole composite and discards nothing."""
+    unit = trivial_system(theory)
+    return make_process(
+        theory,
+        make_pair(theory, system, unit),
+        ancilla,
+        prep,
+        transform,
+        tensor_systems(theory, system, ancilla),
+        unit,
+    )
+
+
 def test_identity_pure_is_the_identity(t2):
     rows, _ = _rows_cols(t2)
-    ident = identity_pure(t2, rows)
+    ident = identity_process(t2, make_pair(t2, rows, trivial_system(t2)))
     for rho in rows.pure_orbit:
-        assert apply_pure(t2, ident, rho) == rho
+        state = make_pair_state(t2, ident.domain, rho)
+        assert apply_process(t2, ident, state).value == rho
 
 
 def test_pure_preparation_maps_the_unit_state(t2):
     rows, _ = _rows_cols(t2)
     unit = trivial_system(t2)
     for sigma in rows.pure_orbit:
-        prep = pure_preparation(t2, rows, sigma)
-        assert apply_pure(t2, prep, unit.pure_orbit[0]) == sigma
+        prep = _pure(t2, unit, rows, sigma, t2.group.identity)
+        state = make_pair_state(t2, prep.domain, unit.pure_orbit[0])
+        assert apply_process(t2, prep, state).value == sigma
 
 
 def test_pure_process_with_an_active_ancilla(t2):
     rows, cols = _rows_cols(t2)
     u = ROW_SWAP_01 * COL_SWAP_12
-    proc = make_pure_process(t2, rows, cols, cols.pure_orbit[0], u)
+    proc = _pure(t2, rows, cols, cols.pure_orbit[0], u)
     row0 = restrict(t2, rows.transf, 0)
-    image = apply_pure(t2, proc, row0)
+    image = apply_process(t2, proc, make_pair_state(t2, proc.domain, row0)).value
     assert image.points == frozenset({u[0]})
     assert u[0] == 3
 
 
 def test_pure_process_rejects_foreign_input(t2):
     rows, cols = _rows_cols(t2)
-    ident = identity_pure(t2, rows)
-    with pytest.raises(StateNotInSystem):
-        apply_pure(t2, ident, cols.pure_orbit[0])
+    unit = trivial_system(t2)
+    ident = identity_process(t2, make_pair(t2, rows, unit))
+    foreign = make_pair_state(t2, make_pair(t2, cols, unit), cols.pure_orbit[0])
+    with pytest.raises(StateNotInPair):
+        apply_process(t2, ident, foreign)
 
 
 def test_compose_pure_type_checking_and_tables(t2):
     rows, _ = _rows_cols(t2)
+    unit = trivial_system(t2)
     u = ROW_SWAP_01
-    first = make_pure_process(t2, rows, trivial_system(t2),
-                              trivial_system(t2).pure_orbit[0], u)
-    second = make_pure_process(t2, rows, trivial_system(t2),
-                               trivial_system(t2).pure_orbit[0], u)
-    chained = compose_pure(t2, second, first)
-    for rho in rows.pure_orbit:
-        assert apply_pure(t2, chained, rho) == apply_pure(
-            t2, second, apply_pure(t2, first, rho)
+    first = _pure(t2, rows, unit, unit.pure_orbit[0], u)
+    second = _pure(t2, rows, unit, unit.pure_orbit[0], u)
+    chained = compose_process(t2, second, first)
+    for state in pair_states(t2, first.domain):
+        assert apply_process(t2, chained, state) == apply_process(
+            t2, second, apply_process(t2, first, state)
         )
+    prep = _pure(t2, unit, rows, rows.pure_orbit[0], t2.group.identity)
     with pytest.raises(TypeMismatch):
-        compose_pure(t2, pure_preparation(t2, rows, rows.pure_orbit[0]), first)
+        compose_process(t2, prep, first)
 
 
 def test_compose_pure_with_identity_is_extensional_identity(t2):
     rows, _ = _rows_cols(t2)
     unit = trivial_system(t2)
-    proc = make_pure_process(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
-    ident = identity_pure(t2, rows)
-    assert pure_state_map(t2, compose_pure(t2, proc, ident)) == pure_state_map(t2, proc)
+    proc = _pure(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
+    ident = identity_process(t2, proc.domain)
+    composite = compose_process(t2, proc, ident)
+    assert process_state_map(t2, composite) == process_state_map(t2, proc)
 
 
 def test_interchange_of_tensor_and_composition(t2):
     rows, cols = _rows_cols(t2)
     unit = trivial_system(t2)
     one = unit.pure_orbit[0]
-    p = make_pure_process(t2, rows, unit, one, ROW_SWAP_01)
-    p2 = make_pure_process(t2, rows, unit, one, Perm((6, 7, 8, 3, 4, 5, 0, 1, 2)))
-    q = make_pure_process(t2, cols, unit, one, COL_SWAP_12)
-    q2 = make_pure_process(t2, cols, unit, one, Perm((1, 0, 2, 4, 3, 5, 7, 6, 8)))
-    left = tensor_pure_processes(t2, compose_pure(t2, p2, p), compose_pure(t2, q2, q))
-    right = compose_pure(
-        t2, tensor_pure_processes(t2, p2, q2), tensor_pure_processes(t2, p, q)
+    p = _pure(t2, rows, unit, one, ROW_SWAP_01)
+    p2 = _pure(t2, rows, unit, one, Perm((6, 7, 8, 3, 4, 5, 0, 1, 2)))
+    q = _pure(t2, cols, unit, one, COL_SWAP_12)
+    q2 = _pure(t2, cols, unit, one, Perm((1, 0, 2, 4, 3, 5, 7, 6, 8)))
+    left = tensor_processes(
+        t2, compose_process(t2, p2, p), compose_process(t2, q2, q)
     )
-    assert pure_state_map(t2, left) == pure_state_map(t2, right)
+    right = compose_process(
+        t2, tensor_processes(t2, p2, q2), tensor_processes(t2, p, q)
+    )
+    assert process_state_map(t2, left) == process_state_map(t2, right)
 
 
 def test_tensor_with_the_identity_on_the_unit(t2):
     rows, _ = _rows_cols(t2)
     unit = trivial_system(t2)
-    proc = make_pure_process(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
-    widened = tensor_pure_processes(t2, proc, identity_pure(t2, unit))
-    assert pure_state_map(t2, widened) == pure_state_map(t2, proc)
+    proc = _pure(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
+    widened = tensor_processes(t2, proc, identity_process(t2, make_pair(t2, unit, unit)))
+    assert process_state_map(t2, widened) == process_state_map(t2, proc)
 
 
 def test_pair_state_values(t2):
@@ -344,6 +361,20 @@ def test_effects_equal_the_first_written_enumeration(t2):
     )
 
 
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
+def test_compose_keys_are_the_composable_pairs_in_order(request, theory):
+    # processes_suite samples its pairs from list(cat.compose), so the keys
+    # must be every composable (gi, fi), in ascending fi and then gi.
+    theory = request.getfixturevalue(theory)
+    cat = build_process_category(theory)
+    assert list(cat.compose) == [
+        (gi, fi)
+        for fi, f in enumerate(cat.classes)
+        for gi, g in enumerate(cat.classes)
+        if g.dom == f.cod
+    ]
+
+
 def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
     built = []
 
@@ -351,8 +382,8 @@ def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
         built.append(args)
         return build_process_category(*args, **kwargs)
 
-    monkeypatch.setattr(emergent.processes, "build_process_category", counting_build)
-    monkeypatch.setattr(emergent.checks, "build_process_category", counting_build)
+    for module in (emergent.processes, emergent.checks, emergent.pmcat):
+        monkeypatch.setattr(module, "build_process_category", counting_build)
     results = run_suites(t2, ("processes", "pmcat"))
     assert len(built) == 1
     monkeypatch.undo()

@@ -262,6 +262,42 @@ def test_planted_closure_fault_gives_the_member_loop_violations(t2, monkeypatch)
     assert found.violations == (closure, closure)
 
 
+def test_planted_moving_fault_is_counted_once_per_failing_h(t2, monkeypatch):
+    rows, cols = _rows_cols(t2)
+    rho = rows.pure_orbit[0]
+    # Two of the six row transformations move rho but are ignored on it;
+    # the other four act as they should.
+    ignored = {Perm(ROWS[0]), Perm(ROWS[1])}
+    assert all(act_local(t2, h, rho) != rho for h in ignored)
+
+    def bad_act_local(theory, h, state):
+        if state == rho and h in ignored:
+            return state
+        return act_local(theory, h, state)
+
+    monkeypatch.setattr(checks, "act_local", bad_act_local)
+    monkeypatch.setattr(oracles, "act_local", bad_act_local)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    systems = enumerate_systems(t2)
+    r, c = systems.index(rows), systems.index(cols)
+
+    def moving(i, j):
+        message = (
+            f"systems: moving the factors of {i}, {j} disagrees with moving "
+            "the composite"
+        )
+        return found.violations.count(message)
+
+    # The loop stops at the first failing k of each h, not at the first
+    # failing pair: one violation per h of rows that is ignored, and one
+    # per h of cols when rows is the second factor, as every h then meets
+    # an ignored k.
+    assert rows.transf.order == cols.transf.order == 6
+    assert moving(r, c) == len(ignored)
+    assert moving(c, r) == cols.transf.order
+
+
 def test_planted_tensor_fault_gives_the_triple_loop_result(t2, monkeypatch):
     # Tensoring system 19 with the unit, in either order, gives system 2.
     # Its triples differ in an order that any other loop nesting would
