@@ -37,7 +37,9 @@ class FiniteCategoryInstance:
     """A finite category with a partial tensor, given by explicit tables.
 
     ``compose`` maps (g, f) to g after f and must cover every composable
-    pair; ``tensor_obj`` and ``tensor_mor`` are partial.
+    pair; ``tensor_obj`` and ``tensor_mor`` are partial.  The checker only
+    reads the tables, so an instance made from a built category shares
+    that category's dicts: copy a table before planting a change in it.
     """
 
     objects: tuple[str, ...]
@@ -515,8 +517,8 @@ def instance_from_category(cat) -> FiniteCategoryInstance:
         dom=tuple(c.dom for c in cat.classes),
         cod=tuple(c.cod for c in cat.classes),
         identity=cat.identity,
-        compose=dict(cat.compose),
-        tensor_obj=dict(cat.tensor_obj),
-        tensor_mor=dict(cat.tensor_mor),
+        compose=cat.compose,
+        tensor_obj=cat.tensor_obj,
+        tensor_mor=cat.tensor_mor,
         unit=cat.unit,
     )

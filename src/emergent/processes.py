@@ -182,7 +182,6 @@ def apply_process(theory: GlobalTheory, proc: Process, state: PairState) -> Pair
     return PairState(process_codomain(theory, proc), value, acted)
 
 
-@theory_memo
 def process_state_map(
     theory: GlobalTheory, proc: Process
 ) -> tuple[tuple[PairState, PairState], ...]:
@@ -192,8 +191,14 @@ def process_state_map(
     )
 
 
+@theory_memo
 def process_table(theory: GlobalTheory, proc: Process) -> tuple:
-    """The state map of a process keyed by underlying point sets."""
+    """The state map of a process keyed by underlying point sets.
+
+    Memoised, unlike ``process_state_map``: the keys are the point tuples
+    of states the ``restrict`` memo already holds, while a memoised state
+    map would also keep every acted joint state alive.
+    """
     return tuple(
         (state_key(src.value), state_key(dst.value))
         for src, dst in process_state_map(theory, proc)

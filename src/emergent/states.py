@@ -5,8 +5,9 @@ p under the commutant of H: two global states related by a transformation
 H commutes with are indistinguishable to H.  A global state is a product
 state for H when its joint stabilizer over H and the commutant splits as
 a direct product of the marginal stabilizers, that is, when its H-orbit
-and its commutant orbit meet only in the state itself.  The test reads
-the orbit partition of each subgroup, computed once per subgroup.
+and its commutant orbit meet only in the state itself.  Restriction and
+the test both read the orbit partition of each subgroup, computed once
+per subgroup and kept in the theory's memo.
 """
 
 from __future__ import annotations
@@ -51,13 +52,25 @@ def state_key(state: LocalState) -> tuple[int, ...]:
 
 
 @theory_memo
+def _orbits(theory: GlobalTheory, sub: Subgroup) -> tuple[frozenset[int], ...]:
+    """The orbit of every point under ``sub``; points of one orbit share it."""
+    images = theory.group.index.images
+    orbits: list[frozenset[int] | None] = [None] * theory.degree
+    for p in theory.points:
+        if orbits[p] is None:
+            image = images[p]
+            orbit = frozenset(image[h] for h in sub.indices)
+            for q in orbit:
+                orbits[q] = orbit
+    return tuple(orbits)
+
+
+@theory_memo
 def restrict(theory: GlobalTheory, sub: Subgroup, point: int) -> LocalState:
     """The local state ``sub`` sees at the global state ``point``."""
     require_subgroup(theory, sub)
     require_point(theory, point)
-    images = theory.group.index.images[point]
-    comm = commutant(theory, sub)
-    return LocalState(sub, frozenset(images[k] for k in comm.indices))
+    return LocalState(sub, _orbits(theory, commutant(theory, sub))[point])
 
 
 def act_local(theory: GlobalTheory, h: Perm, state: LocalState) -> LocalState:
@@ -89,61 +102,27 @@ def iterated_restrict(theory: GlobalTheory, sub: Subgroup, state: LocalState) ->
     return restrict(theory, sub, state.representative)
 
 
-@theory_memo
-def _orbits(theory: GlobalTheory, sub: Subgroup) -> tuple[frozenset[int], ...]:
-    """The orbit of every point under ``sub``; points of one orbit share it."""
-    images = theory.group.index.images
-    orbits: list[frozenset[int] | None] = [None] * theory.degree
-    for p in theory.points:
-        if orbits[p] is None:
-            image = images[p]
-            orbit = frozenset(image[h] for h in sub.indices)
-            for q in orbit:
-                orbits[q] = orbit
-    return tuple(orbits)
+def _orbits_meet_once(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:
+    """Whether the A-orbit and the B-orbit of ``point`` meet only in it."""
+    return len(_orbits(theory, a)[point] & _orbits(theory, b)[point]) == 1
 
 
-@theory_memo
-def _joint_split(
-    theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int
-) -> tuple[int, Subgroup, Subgroup, bool]:
-    """Joint-stabilizer census of ``point`` over a commuting pair (A, B).
+def _stabilizer_splits(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:
+    """Whether the stabilizer of ``point`` in AB is the product A_p B_p.
 
-    Returns the size of {(h, k) : h k fixes point}, the two marginal local
-    state stabilizers, and whether the pointwise stabilizer of the product
-    subgroup splits as the product of the pointwise marginal stabilizers.
-    With Ap the A-orbit and A_p the stabilizer of the point p:
-
-    - {(h, k) : h k p = p} has |Ap ∩ Bp|·|A_p|·|B_p| members, and the
-      witness stabilizer {h ∈ A : h p ∈ Bp} has |Ap ∩ Bp|·|A_p|.  So p is a
-      product state exactly when its A-orbit and B-orbit meet only in p.
-    - A_p B_p lies in (AB)_p, so the two are equal exactly when
-      |AB|/|ABp| = |A_p|·|B_p|/|(A∩B)_p|.  Here |AB| = |A|·|B|/|A∩B| and
-      ABp, the orbit of p under AB, is the union of the B-orbits over Ap.
-
-    The orbit partitions are memoised per subgroup, so a node's partition
-    is shared by every pair that contains it.
+    A_p B_p lies in (AB)_p, so the two are equal exactly when
+    |AB|/|ABp| = |A_p|·|B_p|/|(A∩B)_p|.  Here |AB| = |A|·|B|/|A∩B| and
+    ABp, the orbit of p under AB, is the union of the B-orbits over Ap.
     """
-    index = theory.group.index
     both = Subgroup.from_mask(a.parent, a.mask & b.mask)
     orbits_b = _orbits(theory, b)
     orbit_a = _orbits(theory, a)[point]
-    orbit_b = orbits_b[point]
     fixed_a = a.order // len(orbit_a)
-    fixed_b = b.order // len(orbit_b)
+    fixed_b = b.order // len(orbits_b[point])
     fixed_both = both.order // len(_orbits(theory, both)[point])
     orbit_product = set().union(*(orbits_b[q] for q in orbit_a))
     product_order = a.order * b.order // both.order
-    split = product_order * fixed_both == len(orbit_product) * fixed_a * fixed_b
-    image = index.images[point]
-    stab_a = index.pack(h for h in a.indices if image[h] in orbit_b)
-    stab_b = index.pack(k for k in b.indices if image[k] in orbit_a)
-    return (
-        len(orbit_a & orbit_b) * fixed_a * fixed_b,
-        Subgroup.from_mask(a.parent, stab_a),
-        Subgroup.from_mask(b.parent, stab_b),
-        split,
-    )
+    return product_order * fixed_both == len(orbit_product) * fixed_a * fixed_b
 
 
 @dataclass(frozen=True)
@@ -152,7 +131,6 @@ class PurityVerdict:
 
     state: LocalState
     pure: bool
-    witness_stabilizers: tuple[Subgroup, Subgroup]
     stabilizer_product_holds: bool
 
 
@@ -160,21 +138,23 @@ class PurityVerdict:
 def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityVerdict:
     """Test whether a global state splits over ``sub`` and its commutant.
 
-    The joint stabilizer {(h, k) : h k fixes the point} always projects
-    onto the two marginal local-state stabilizers; the state is a product
-    state exactly when it is their full direct product.
+    Write A for ``sub``, B for its commutant, Ap for the A-orbit of the
+    point p and A_p for its stabilizer.  The joint stabilizer
+    {(h, k) : h k p = p} has |Ap ∩ Bp|·|A_p|·|B_p| members and projects
+    onto the two witness stabilizers {h ∈ A : h p ∈ Bp} and
+    {k ∈ B : k p ∈ Ap}, which have |Ap ∩ Bp|·|A_p| and |Ap ∩ Bp|·|B_p|.
+    The state is a product state when the joint stabilizer is their full
+    direct product, which holds exactly when |Ap ∩ Bp| = 1: the two orbits
+    meet only in p.
     """
     require_subgroup(theory, sub)
     require_point(theory, point)
     require_self_bicommutant(theory, sub)
     comm = commutant(theory, sub)
-    joint, stab_a, stab_b, split_holds = _joint_split(theory, sub, comm, point)
-    pure = joint == stab_a.order * stab_b.order
     return PurityVerdict(
         state=restrict(theory, sub, point),
-        pure=pure,
-        witness_stabilizers=(stab_a, stab_b),
-        stabilizer_product_holds=split_holds,
+        pure=_orbits_meet_once(theory, sub, comm, point),
+        stabilizer_product_holds=_stabilizer_splits(theory, sub, comm, point),
     )
 
 
@@ -183,8 +163,7 @@ def factorizes(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bo
     if not is_orthogonal(theory, a, b):
         raise NotOrthogonal("the factorization test requires commuting subgroups")
     require_point(theory, point)
-    joint, stab_a, stab_b, _ = _joint_split(theory, a, b, point)
-    return joint == stab_a.order * stab_b.order
+    return _orbits_meet_once(theory, a, b, point)
 
 
 @theory_memo

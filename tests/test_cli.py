@@ -435,6 +435,27 @@ def test_library_has_no_process_wide_caches():
     assert found == []
 
 
+def test_library_imports_only_the_standard_library():
+    # The engine promises to run on the standard library alone.
+    source = FIXTURES.parent / "src" / "emergent"
+    found = []
+    for path in sorted(source.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found.extend(
+                f"{path.relative_to(source)}:{node.lineno}:{module}"
+                for module in modules
+                if module.split(".")[0] != "emergent"
+                and module.split(".")[0] not in sys.stdlib_module_names
+            )
+    assert found == []
+
+
 def _resolves(module: str, name: str | None = None) -> bool:
     """``import module`` or ``from module import name`` would succeed."""
     try:

@@ -10,14 +10,16 @@ import pytest
 
 from emergent import (
     ResourceLimit,
+    build_process_category,
     enumerate_self_bicommutant,
     enumerate_systems,
     load_theory,
     theory_s3,
     theory_s3_squared,
 )
-from emergent.checks import SUITES, lattice_suite, run_suites
+from emergent.checks import SUITES, lattice_suite, processes_suite, run_suites
 from emergent.perms import theory_memo
+from emergent.processes import process_state_map, process_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -90,3 +92,10 @@ def test_equal_but_distinct_theories_share_nothing():
         assert all(node.parent is group for node in lattice.nodes)
         assert all(s.transf.parent is group for s in enumerate_systems(theory))
     assert lattice_suite(loaded) == lattice_suite(built)
+
+
+def test_process_tables_are_memoised_and_state_maps_are_not():
+    theory = theory_s3_squared()
+    processes_suite(build_process_category(theory))
+    assert theory._memo[process_table]
+    assert process_state_map not in theory._memo

@@ -11,9 +11,11 @@ import oracles
 from emergent import (
     FiniteCategoryInstance,
     ResourceLimit,
+    build_process_category,
     check_partially_monoidal,
     extract_instance,
     generate_group,
+    instance_from_category,
     validate_global_theory,
 )
 from emergent.pmcat import Violation
@@ -42,6 +44,16 @@ def test_the_empty_instance_is_vacuously_valid(t1):
 def test_extraction_respects_the_object_cap(t1):
     with pytest.raises(ResourceLimit):
         extract_instance(t1, object_cap=2)
+
+
+def test_an_instance_shares_the_category_tables_and_the_checker_only_reads_them(t2):
+    cat = build_process_category(t2)
+    inst = instance_from_category(cat)
+    tables = ("compose", "tensor_obj", "tensor_mor")
+    assert all(getattr(inst, table) is getattr(cat, table) for table in tables)
+    before = {table: list(getattr(inst, table).items()) for table in tables}
+    assert check_partially_monoidal(inst) == ()
+    assert {table: list(getattr(inst, table).items()) for table in tables} == before
 
 
 def test_deleting_one_tensor_entry_breaks_fullness(t1):

@@ -53,12 +53,16 @@ def test_row_restriction(t2):
     assert restrict(t2, rows, 5).points == frozenset({3, 4, 5})
 
 
-def test_restriction_is_a_commutant_orbit(t2):
-    lattice = enumerate_self_bicommutant(t2)
-    for node in lattice.nodes[:8]:
-        comm = [tuple(g) for g in commutant(t2, node).members]
-        for p in t2.points:
-            assert restrict(t2, node, p).points == oracles.orbit_of(comm, p)
+def test_restriction_is_a_commutant_orbit(t1, t5, t3, t2):
+    # ``restrict`` reads the engine's own commutant and its orbit
+    # partition, so the commutant here comes from the brute-force oracle.
+    for theory in (t1, t5, t3, t2):
+        elements = [tuple(g) for g in theory.group.elements]
+        for node in enumerate_self_bicommutant(theory).nodes:
+            members = [tuple(h) for h in node.members]
+            comm = oracles.centralizer_in(elements, members)
+            for p in theory.points:
+                assert restrict(theory, node, p).points == oracles.orbit_of(comm, p)
 
 
 def test_act_local_examples(t2):
@@ -245,10 +249,14 @@ def test_orbit_census_matches_the_pair_enumeration(t1, t5, t3, t2):
         ]
         for a, b in pairs:
             for p in theory.points:
-                expected = oracles._joint_split(theory, a, b, p)
-                assert states._joint_split(theory, a, b, p) == expected
-                joint, stab_a, stab_b, split = expected
-                outcomes.add((joint == stab_a.order * stab_b.order, split))
+                joint, stab_a, stab_b, split = oracles._joint_split(theory, a, b, p)
+                expected = (joint == stab_a.order * stab_b.order, split)
+                found = (
+                    states._orbits_meet_once(theory, a, b, p),
+                    states._stabilizer_splits(theory, a, b, p),
+                )
+                assert found == expected
+                outcomes.add(expected)
     # A product state's stabilizer always splits; the other three outcomes
     # all occur (s3_diagonal has the non-split ones), so neither formula
     # is vacuous.
