@@ -28,12 +28,12 @@ from .processes import (
     ProcessCategory,
     build_process_category,
     compose_process,
-    enumerate_generalised_effects,
     process_table,
     tensor_processes,
     verify_generation,
 )
 from .states import (
+    _stabilizer_splits,
     act_local,
     is_product_state,
     iterated_restrict,
@@ -302,7 +302,7 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
                         f"commutant orbit of point {point}"
                     )
                     break
-            if verdict.pure != verdict.stabilizer_product_holds:
+            if verdict.pure != _stabilizer_splits(theory, sub, comm, point):
                 divergences += 1
             if verdict.pure:
                 local_stab, fixed_stab = pure_stabilizer(theory, state)
@@ -545,13 +545,7 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
             f"{report.full_generated} of {report.full_total} classes"
         )
 
-    for oi, obj in enumerate(cat.objects):
-        effects = enumerate_generalised_effects(theory, obj, ancillas=cat.universe)
-        if len(effects) != 1:
-            violations.append(
-                f"processes: object {oi} has {len(effects)} distinct effects "
-                "instead of exactly one"
-            )
+    violations.extend(_effect_violations(cat))
 
     notices.append(
         f"processes: {len(cat.objects)} objects, {len(cat.classes)} morphism classes"
@@ -562,6 +556,27 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
         f"{report.discard_generators} discards"
     )
     return SuiteResult("processes", tuple(violations), tuple(notices))
+
+
+def _effect_violations(cat: ProcessCategory) -> list[str]:
+    """A violation for each object that has not exactly one effect.
+
+    For every admissible ancilla, preparation and dynamic, the only
+    trivial-output decomposition the build has is ``unit x total``, and it
+    records one class per distinct (codomain, outputs).  So an object's
+    classes into pairs with a trivial system hold the state maps that
+    ``enumerate_generalised_effects`` groups by, both over ``cat.universe``.
+    """
+    effects: list[set[tuple]] = [set() for _ in cat.objects]
+    for c in cat.classes:
+        if cat.objects[c.cod].system.is_trivial:
+            effects[c.dom].add(c.table)
+    return [
+        f"processes: object {oi} has {len(tables)} distinct effects "
+        "instead of exactly one"
+        for oi, tables in enumerate(effects)
+        if len(tables) != 1
+    ]
 
 
 def pmcat_suite(cat: ProcessCategory) -> SuiteResult:

@@ -8,7 +8,10 @@ restriction after the reversible dynamics.  A pure process is a process
 between pairs whose environment is trivial, so it discards nothing.
 States of a typed pair are restrictions of pure states of the composite,
 carried together with one purification so that dynamics can always be
-computed upstairs.
+computed upstairs: ``apply_process`` acts on one state that way.  A
+process's whole state map, ``process_table``, is read from restriction
+tables over the points instead, the same tables the category build and
+the effect enumeration read.
 """
 
 from __future__ import annotations
@@ -182,27 +185,17 @@ def apply_process(theory: GlobalTheory, proc: Process, state: PairState) -> Pair
     return PairState(process_codomain(theory, proc), value, acted)
 
 
-def process_state_map(
-    theory: GlobalTheory, proc: Process
-) -> tuple[tuple[PairState, PairState], ...]:
-    return tuple(
-        (state, apply_process(theory, proc, state))
-        for state in pair_states(theory, proc.domain)
-    )
-
-
-@theory_memo
 def process_table(theory: GlobalTheory, proc: Process) -> tuple:
     """The state map of a process keyed by underlying point sets.
 
-    Memoised, unlike ``process_state_map``: the keys are the point tuples
-    of states the ``restrict`` memo already holds, while a memoised state
-    map would also keep every acted joint state alive.
+    Read from the state tables, not through ``apply_process``.  A joint
+    state is an orbit of its owner's commutant, which ``u`` in the owner
+    permutes, so the joint state at ``p`` acted on by ``u`` holds ``u[p]``.
+    The output system lies inside the owner, so every point of the acted
+    joint state gives it the same local state: the restriction at ``u[p]``.
     """
-    return tuple(
-        (state_key(src.value), state_key(dst.value))
-        for src, dst in process_state_map(theory, proc)
-    )
+    keys = (state_key(s.value) for s in pair_states(theory, proc.domain))
+    return tuple(zip(keys, _outputs(theory, proc)))
 
 
 def compose_process(theory: GlobalTheory, after: Process, before: Process) -> Process:
@@ -318,17 +311,7 @@ def _joint_points(
 
 
 def _outputs(theory: GlobalTheory, proc: Process) -> tuple[tuple[int, ...], ...]:
-    """The output state keys of ``process_table(proc)``, in input order.
-
-    A process acts on the joint state of an input's purification and the
-    preparation, a local state of ``owner`` = composite x ancilla, and its
-    output is what the codomain system sees of the acted joint state.  A
-    joint state is an orbit of the owner's commutant, which ``u`` in the
-    owner permutes, so the acted joint state at point ``p`` holds ``u[p]``.
-    A subgroup of the owner has a larger commutant and so sees the same
-    local state at every point of it: the output is the restriction table
-    read at ``u[p]``.  States are named by their keys (sorted points).
-    """
+    """The output state keys of ``process_table(proc)``, in input order."""
     owner = tensor_systems(theory, pair_composite(theory, proc.domain), proc.ancilla).transf
     u = proc.transform
     if u not in owner:
@@ -462,7 +445,7 @@ def build_process_category(
 ) -> ProcessCategory:
     """Enumerate objects and morphism classes over a closed system universe.
 
-    Runs on state tables (see ``_outputs``).  A class is keyed by its
+    Runs on state tables (see ``process_table``).  A class is keyed by its
     domain, its codomain and the positions of its outputs in the
     codomain's state list, so ``g . f`` is ``g``'s positions read at
     ``f``'s, and only the pairs that compose or tensor are visited.  The

@@ -113,6 +113,7 @@ def _stabilizer_splits(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: in
     A_p B_p lies in (AB)_p, so the two are equal exactly when
     |AB|/|ABp| = |A_p|·|B_p|/|(A∩B)_p|.  Here |AB| = |A|·|B|/|A∩B| and
     ABp, the orbit of p under AB, is the union of the B-orbits over Ap.
+    Purity does not read it: only the states suite's divergence notice does.
     """
     both = Subgroup.from_mask(a.parent, a.mask & b.mask)
     orbits_b = _orbits(theory, b)
@@ -131,7 +132,6 @@ class PurityVerdict:
 
     state: LocalState
     pure: bool
-    stabilizer_product_holds: bool
 
 
 @theory_memo
@@ -154,7 +154,6 @@ def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityV
     return PurityVerdict(
         state=restrict(theory, sub, point),
         pure=_orbits_meet_once(theory, sub, comm, point),
-        stabilizer_product_holds=_stabilizer_splits(theory, sub, comm, point),
     )
 
 

@@ -32,12 +32,12 @@ from emergent.processes import (
     Process,
     ProcessCategory,
     SystemEnvironmentPair,
+    apply_process,
     default_system_seeds,
     make_pair,
     make_process,
     pair_composite,
     pair_states,
-    process_table,
     system_universe,
     tensor_processes,
 )
@@ -631,6 +631,14 @@ def build_process_category(
     )
 
 
+def process_table(theory: GlobalTheory, proc: Process) -> tuple:
+    """A process's state map by ``apply_process`` on every input state."""
+    return tuple(
+        (state_key(state.value), state_key(apply_process(theory, proc, state).value))
+        for state in pair_states(theory, proc.domain)
+    )
+
+
 def enumerate_generalised_effects(
     theory: GlobalTheory,
     pair: SystemEnvironmentPair,
@@ -911,7 +919,7 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
                         f"commutant orbit of point {point}"
                     )
                     break
-            if verdict.pure != verdict.stabilizer_product_holds:
+            if verdict.pure != _joint_split(theory, sub, comm, point)[3]:
                 divergences += 1
             if verdict.pure:
                 local_stab, fixed_stab = pure_stabilizer(theory, state)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -486,6 +486,20 @@ def test_benchmark_imports_from_emergent_resolve():
             )
     assert imports
     assert [entry for entry in imports if not _resolves(*entry[1:])] == []
+
+
+def test_cli_matrix_covers_every_fixture_and_command():
+    path = FIXTURES.parent / "scripts" / "cli_matrix.py"
+    spec = importlib.util.spec_from_file_location("cli_matrix", path)
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    cases = matrix.CASES
+    assert len(cases) == len(set(cases)) == 110
+    inputs = {argv[argv.index("--input") + 1] for argv in cases}
+    fixtures = {f"fixtures/{p.name}" for p in FIXTURES.glob("*.json")}
+    assert inputs == fixtures | {matrix.MISSING}
+    assert matrix.MISSING not in fixtures
+    assert {argv[: argv.index("--input")] for argv in cases} == set(matrix.COMMANDS)
 
 
 _JUNK = st.one_of(

@@ -19,7 +19,7 @@ from emergent import (
 )
 from emergent.checks import SUITES, lattice_suite, processes_suite, run_suites
 from emergent.perms import theory_memo
-from emergent.processes import process_state_map, process_table
+from emergent.processes import process_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -94,8 +94,10 @@ def test_equal_but_distinct_theories_share_nothing():
     assert lattice_suite(loaded) == lattice_suite(built)
 
 
-def test_process_tables_are_memoised_and_state_maps_are_not():
+def test_neither_process_tables_nor_state_maps_are_memoised():
+    # A process table is read from the memoised state tables, and a state
+    # map would keep every acted joint state alive.
     theory = theory_s3_squared()
     processes_suite(build_process_category(theory))
-    assert theory._memo[process_table]
-    assert process_state_map not in theory._memo
+    assert process_table not in theory._memo
+    assert not any("state_map" in fn.__name__ for fn in theory._memo)

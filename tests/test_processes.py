@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import oracles
 from emergent import (
+    MorphismClass,
     Perm,
     ResourceLimit,
     StateNotInPair,
@@ -24,7 +27,6 @@ from emergent import (
     make_system,
     pair_states,
     process_codomain,
-    process_state_map,
     restrict,
     subgroup_closure,
     tensor_processes,
@@ -68,6 +70,14 @@ def _pure(theory, system, ancilla, prep, transform):
         transform,
         tensor_systems(theory, system, ancilla),
         unit,
+    )
+
+
+def _state_map(theory, proc):
+    """Each input state paired with ``apply_process`` of it."""
+    return tuple(
+        (state, apply_process(theory, proc, state))
+        for state in pair_states(theory, proc.domain)
     )
 
 
@@ -129,7 +139,7 @@ def test_compose_pure_with_identity_is_extensional_identity(t2):
     proc = _pure(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
     ident = identity_process(t2, proc.domain)
     composite = compose_process(t2, proc, ident)
-    assert process_state_map(t2, composite) == process_state_map(t2, proc)
+    assert _state_map(t2, composite) == _state_map(t2, proc)
 
 
 def test_interchange_of_tensor_and_composition(t2):
@@ -146,7 +156,7 @@ def test_interchange_of_tensor_and_composition(t2):
     right = compose_process(
         t2, tensor_processes(t2, p2, q2), tensor_processes(t2, p, q)
     )
-    assert process_state_map(t2, left) == process_state_map(t2, right)
+    assert _state_map(t2, left) == _state_map(t2, right)
 
 
 def test_tensor_with_the_identity_on_the_unit(t2):
@@ -154,7 +164,7 @@ def test_tensor_with_the_identity_on_the_unit(t2):
     unit = trivial_system(t2)
     proc = _pure(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
     widened = tensor_processes(t2, proc, identity_process(t2, make_pair(t2, unit, unit)))
-    assert process_state_map(t2, widened) == process_state_map(t2, proc)
+    assert _state_map(t2, widened) == _state_map(t2, proc)
 
 
 def test_pair_state_values(t2):
@@ -215,7 +225,7 @@ def test_prepare_act_discard_table(t2):
     )
     mapping = {
         src.value.sorted_points: dst.value.sorted_points
-        for src, dst in process_state_map(t2, proc)
+        for src, dst in _state_map(t2, proc)
     }
     assert mapping == {
         (0, 1, 2): (3, 4, 5),
@@ -388,3 +398,55 @@ def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
     assert len(built) == 1
     monkeypatch.undo()
     assert results == run_suites(t2, ("processes",)) + run_suites(t2, ("pmcat",))
+
+
+@pytest.mark.parametrize(
+    "theory, composites", [("t1", True), ("t5", True), ("t3", True), ("t2", False)]
+)
+def test_process_table_equals_applying_the_process_to_each_state(
+    request, theory, composites
+):
+    # process_table reads restriction tables at the acted joint point; the
+    # oracle applies the process to every input state through its
+    # purification.  Composites are checked where every pair is cheap.
+    theory = request.getfixturevalue(theory)
+    cat = build_process_category(theory)
+    reps = [c.representative for c in cat.classes]
+    procs = reps + [tensor_processes(theory, reps[i], reps[j]) for i, j in cat.tensor_mor]
+    if composites:
+        procs += [compose_process(theory, reps[gi], reps[fi]) for gi, fi in cat.compose]
+    for proc in procs:
+        assert process_table(theory, proc) == oracles.process_table(theory, proc)
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
+def test_effects_read_from_the_category_are_the_enumerated_effects(request, theory):
+    theory = request.getfixturevalue(theory)
+    cat = build_process_category(theory)
+    assert emergent.checks._effect_violations(cat) == []
+    for oi, obj in enumerate(cat.objects):
+        effects = oracles.enumerate_generalised_effects(theory, obj, ancillas=cat.universe)
+        assert {
+            c.table
+            for c in cat.classes
+            if c.dom == oi and cat.objects[c.cod].system.is_trivial
+        } == {oracles.process_table(theory, e) for e in effects}
+
+
+def test_effect_check_counts_the_planted_effects(t2):
+    cat = build_process_category(t2)
+    effects = [
+        c for c in cat.classes if c.dom == 0 and cat.objects[c.cod].system.is_trivial
+    ]
+    ((src, out),) = effects[0].table
+    extra = MorphismClass(0, effects[0].cod, ((src, out[:1]),), effects[0].representative)
+    planted = dataclasses.replace(cat, classes=cat.classes + (extra,))
+    assert emergent.checks._effect_violations(planted) == [
+        "processes: object 0 has 2 distinct effects instead of exactly one"
+    ]
+    dropped = dataclasses.replace(
+        cat, classes=tuple(c for c in cat.classes if c not in effects)
+    )
+    assert emergent.checks._effect_violations(dropped) == [
+        "processes: object 0 has 0 distinct effects instead of exactly one"
+    ]

@@ -182,11 +182,12 @@ def test_purity_is_symmetric_and_orbit_constant(t2):
 
 def test_split_stabilizer_is_weaker_than_purity(t1):
     fix0 = _sub(t1, [(0, 2, 1)])
+    comm = commutant(t1, fix0)
     verdict = is_product_state(t1, fix0, 0)
-    assert verdict.pure and verdict.stabilizer_product_holds
+    assert verdict.pure and states._stabilizer_splits(t1, fix0, comm, 0)
     mixed = is_product_state(t1, fix0, 1)
     assert not mixed.pure
-    assert mixed.stabilizer_product_holds
+    assert states._stabilizer_splits(t1, fix0, comm, 1)
 
 
 def test_factorizes_requires_a_commuting_pair(t1):
