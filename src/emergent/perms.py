@@ -107,11 +107,15 @@ class Perm(tuple):
 _as_perm = partial(tuple.__new__, Perm)
 
 
-def _right_multiplier(g: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
-    """The map ``h -> h * g`` as one C-level call returning a plain tuple."""
-    # itemgetter with a single index returns a scalar rather than a tuple;
-    # on at most one point every permutation is the identity, so h * g == h.
-    return itemgetter(*g) if len(g) > 1 else tuple
+def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*positions)`` returning a tuple for any number of positions.
+
+    On a permutation ``g`` it is the map ``h -> h * g``.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # itemgetter with a single index returns a scalar rather than a tuple.
+    return lambda seq: tuple(seq[i] for i in positions)
 
 
 def _close(
@@ -123,7 +127,7 @@ def _close(
     tuples.  With ``cap`` set, growing past ``cap`` elements raises
     ResourceLimit.
     """
-    steps = [_right_multiplier(g) for g in gens]
+    steps = [_tuple_getter(g) for g in gens]
     while frontier:
         new = []
         for h in frontier:
@@ -168,7 +172,7 @@ class GroupIndex:
     def __init__(self, elements: tuple[Perm, ...]) -> None:
         self.elements = elements
         self.position = {g: i for i, g in enumerate(elements)}
-        self.right = [_right_multiplier(g) for g in elements]
+        self.right = [_tuple_getter(g) for g in elements]
         self.full = (1 << len(elements)) - 1
         self._centralizers: list[int | None] = [None] * len(elements)
         self._set_centralizers: dict[int, int] = {}

@@ -134,12 +134,13 @@ def tensor_systems(theory: GlobalTheory, a: System, b: System) -> System:
         return b
     if b.is_trivial:
         return a
-    witness = are_compatible(theory, a, b)
-    if witness is None:
+    if are_compatible(theory, a, b) is None:
         raise IncompatibleSystems(
             "the systems are not mutual complements with a joint product state"
         )
-    return make_system(theory, join(theory, a.transf, b.transf), witness)
+    # The witness is a product state of the join, so it needs no second
+    # proof; keyed by the subgroup alone, the memo returns the listed system.
+    return make_system(theory, join(theory, a.transf, b.transf))
 
 
 def tensor_state_candidates(

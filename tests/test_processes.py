@@ -15,12 +15,15 @@ from emergent import (
     TypeMismatch,
     apply_process,
     build_process_category,
+    commutant,
     compose_process,
     discard_process,
     enumerate_generalised_effects,
+    enumerate_self_bicommutant,
     enumerate_systems,
     generate_group,
     identity_process,
+    is_product_state,
     make_pair,
     make_pair_state,
     make_process,
@@ -39,7 +42,8 @@ import emergent.checks
 import emergent.pmcat
 import emergent.processes
 from emergent.checks import run_suites
-from emergent.processes import process_table
+from emergent.processes import default_system_seeds, process_table
+from emergent.systems import system_key
 
 ROWS = ((3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
 COLS = ((1, 0, 2, 4, 3, 5, 7, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6))
@@ -450,3 +454,51 @@ def test_effect_check_counts_the_planted_effects(t2):
     assert emergent.checks._effect_violations(dropped) == [
         "processes: object 0 has 0 distinct effects instead of exactly one"
     ]
+
+
+def test_identity_faults_are_reported_by_the_pmcat_suite(t1):
+    # The identity laws are the pmcat suite's; the processes suite reads no
+    # identity composite, so a missing one does not make it raise.
+    cat = build_process_category(t1)
+    ci, other = next(
+        (ci, oi)
+        for ci, c in enumerate(cat.classes)
+        for oi, o in enumerate(cat.classes)
+        if ci not in cat.identity and oi != ci and (o.dom, o.cod) == (c.dom, c.cod)
+    )
+    ident = cat.identity[cat.classes[ci].dom]
+    names = emergent.pmcat.instance_from_category(cat).morphisms
+
+    compose = dict(cat.compose)
+    del compose[(ci, ident)]
+    missing = dataclasses.replace(cat, compose=compose)
+    assert emergent.checks.processes_suite(missing).violations == ()
+    assert (
+        f"category-composition: composite of {names[ident]} then {names[ci]} "
+        f"is missing (witness {(ci, ident)})"
+    ) in emergent.checks.pmcat_suite(missing).violations
+
+    compose = dict(cat.compose)
+    compose[(ci, ident)] = other
+    reassigned = dataclasses.replace(cat, compose=compose)
+    assert (
+        f"category-identity: pre-composing {names[ci]} with an identity changes it "
+        f"(witness {(ci,)})"
+    ) in emergent.checks.pmcat_suite(reassigned).violations
+    assert emergent.checks.processes_suite(reassigned).violations == (
+        f"processes: composing representatives of {ident}, {ci} "
+        "disagrees with the composite class",
+    )
+
+
+@pytest.mark.parametrize("theory", ["t1", "t2", "t3", "t4", "t5"])
+def test_default_seeds_are_the_orthocomplemented_systems(request, theory):
+    # Orthocomplemented nodes meet their commutant only in the identity.
+    theory = request.getfixturevalue(theory)
+    seeds = [
+        make_system(theory, node)
+        for node in enumerate_self_bicommutant(theory).nodes
+        if len(node.member_set & commutant(theory, node).member_set) == 1
+        and any(is_product_state(theory, node, p).pure for p in theory.points)
+    ]
+    assert default_system_seeds(theory) == tuple(sorted(seeds, key=system_key))

@@ -27,6 +27,10 @@ from emergent import (
     tensor_pure_states,
     tensor_state_candidates,
     tensor_systems,
+    theory_s3,
+    theory_s3_diagonal_cosets,
+    theory_s3_squared,
+    theory_s4,
     trivial_system,
 )
 
@@ -340,3 +344,19 @@ def test_unlisted_composite_is_reported(t2, monkeypatch):
     monkeypatch.setattr(checks, "tensor_systems", bad_tensor_systems)
     found = checks.systems_suite(t2)
     assert "systems: the composite of 16, 17 is not listed" in found.violations
+
+
+@pytest.mark.parametrize(
+    "make_theory",
+    [theory_s3, theory_s4, theory_s3_diagonal_cosets, theory_s3_squared],
+)
+def test_composites_are_the_enumerated_systems(make_theory):
+    # A fresh theory: a system made elsewhere with an explicit witness is
+    # equal to the listed one but not the same object, and a memo hit on it
+    # would hide what this test reads.
+    theory = make_theory()
+    systems = enumerate_systems(theory)
+    for a, b in itertools.product(systems, repeat=2):
+        if are_compatible(theory, a, b) is not None:
+            composite = tensor_systems(theory, a, b)
+            assert any(composite is s for s in systems)
