@@ -171,14 +171,17 @@ def theory_from_dict(
 def load_theory(
     path, max_order: int | None = None
 ) -> tuple[GlobalTheory, dict[str, Subgroup]]:
-    """Read and validate a theory from a JSON file."""
+    """Read and validate a theory from a UTF-8 JSON file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ``ValueError`` covers syntax errors and over-long integers.
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return theory_from_dict(data, max_order)
 

@@ -274,13 +274,6 @@ def discard_process(theory: GlobalTheory, pair: SystemEnvironmentPair) -> Proces
 # State tables: state maps on point indices
 
 
-def _require_owned(transf: Subgroup, owner: Subgroup) -> None:
-    """The guard of ``act_local``, for every element of ``transf`` at once."""
-    if not transf.is_subset_of(owner):
-        h = next(h for h in transf.members if h not in owner)
-        raise ElementNotInOwner(f"{h!r} does not belong to the state's owner")
-
-
 @theory_memo
 def _restriction(
     theory: GlobalTheory, sub: Subgroup, owner: Subgroup
@@ -412,12 +405,11 @@ def system_universe(
         new = set()
         for a in frontier:
             for b in universe:
-                for pair in ((a, b), (b, a)):
-                    if are_compatible(theory, *pair) is None:
-                        continue
-                    composite = tensor_systems(theory, *pair)
-                    if composite not in universe and composite not in new:
-                        new.add(composite)
+                if are_compatible(theory, a, b) is None:
+                    continue
+                composite = tensor_systems(theory, a, b)
+                if composite not in universe and composite not in new:
+                    new.add(composite)
         universe |= new
         frontier = new
     return tuple(sorted(universe, key=system_key))
@@ -479,14 +471,12 @@ def build_process_category(
     for oi, obj in enumerate(objects):
         in_keys = state_keys[oi]
         composite = pair_composite(theory, obj)
-        made: set[tuple] = set()
         for anc in universe:
             try:
                 total = tensor_systems(theory, obj.system, anc)
                 owner = tensor_systems(theory, composite, anc).transf
             except IncompatibleSystems:
                 continue
-            _require_owned(total.transf, owner)
             outs = []
             for out_sys, discards in _decompositions(theory, universe, total).items():
                 cods = []
@@ -513,11 +503,10 @@ def build_process_category(
                     for out_sys, restricted, cods in outs:
                         values = at_acted(restricted)
                         for disc, cod in cods:
-                            if (cod, values) in made:
-                                continue
-                            made.add((cod, values))
-                            rep = Process(obj, anc, prep, u, out_sys, disc)
                             where = tuple(map(state_position[cod].__getitem__, values))
+                            if (oi, cod, where) in class_index:
+                                continue
+                            rep = Process(obj, anc, prep, u, out_sys, disc)
                             class_index[(oi, cod, where)] = len(classes)
                             classes.append(
                                 MorphismClass(oi, cod, tuple(zip(in_keys, values)), rep)
@@ -636,13 +625,17 @@ def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
 
 
 def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationReport:
-    """Check that reversible dynamics, preparations, and discards span the theory."""
-    class_index = {
-        (c.dom, c.cod, c.table): i for i, c in enumerate(cat.classes)
-    }
-    env_trivial = {
-        i for i, obj in enumerate(cat.objects) if obj.environment.is_trivial
-    }
+    """Check that reversible dynamics, preparations, and discards span the theory.
+
+    The pure span is the full span's pure part, so one closure serves both.
+    A class's codomain environment is its domain environment with its
+    discard, so a composite between trivial environments has factors
+    between trivial environments, and a tensor has a trivial environment
+    only when both factors do.  The one discard between trivial
+    environments, the unit object's, is the unit identity.
+    """
+    class_index = {(c.dom, c.cod, c.table): i for i, c in enumerate(cat.classes)}
+    env_trivial = {i for i, obj in enumerate(cat.objects) if obj.environment.is_trivial}
     pure_ids = {
         i
         for i, c in enumerate(cat.classes)
@@ -656,19 +649,15 @@ def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationR
         states = pair_states(theory, obj)
         for u in obj.system.transf.members:
             table = tuple(
-                (
-                    state_key(s.value),
-                    state_key(act_local(theory, u, s.value)),
-                )
+                (state_key(s.value), state_key(act_local(theory, u, s.value)))
                 for s in states
             )
             transf_gens.add(class_index[(oi, oi, table)])
         if not obj.system.is_trivial:
-            unit_obj = cat.unit
-            theta = pair_states(theory, cat.objects[unit_obj])[0]
+            theta = pair_states(theory, cat.objects[cat.unit])[0]
             for target in states:
                 table = ((state_key(theta.value), state_key(target.value)),)
-                prep_gens.add(class_index[(unit_obj, oi, table)])
+                prep_gens.add(class_index[(cat.unit, oi, table)])
 
     discard_gens: set[int] = set()
     for oi, obj in enumerate(cat.objects):
@@ -676,8 +665,8 @@ def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationR
         cod = cat.object_index[process_codomain(theory, proc)]
         discard_gens.add(class_index[(oi, cod, process_table(theory, proc))])
 
-    pure_span = _closure(cat, transf_gens | prep_gens) & pure_ids
     full_span = _closure(cat, transf_gens | prep_gens | discard_gens)
+    pure_span = full_span & pure_ids
     return GenerationReport(
         pure_total=len(pure_ids),
         pure_generated=len(pure_span),

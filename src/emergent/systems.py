@@ -67,13 +67,16 @@ def make_system(theory: GlobalTheory, sub: Subgroup, point: int | None = None) -
     """Build the system on ``sub``; requires at least one product state.
 
     When ``point`` is given it must itself be a product state for ``sub``
-    and serves as an explicit witness.
+    and serves as an explicit witness; the system is then the one built
+    without it, so each subgroup has one ``System`` object.
     """
     require_self_bicommutant(theory, sub)
-    if point is not None and not is_product_state(theory, sub, point).pure:
-        raise NotProductState(
-            f"point {point} does not split over the subgroup and its commutant"
-        )
+    if point is not None:
+        if not is_product_state(theory, sub, point).pure:
+            raise NotProductState(
+                f"point {point} does not split over the subgroup and its commutant"
+            )
+        return make_system(theory, sub)
     orbit = pure_local_states(theory, sub)
     if not orbit:
         raise NotProductState(

@@ -225,6 +225,21 @@ def test_boolean_degree_exits_2(capsys, tmp_path):
     assert err == "error: 'degree' must be a positive integer\n"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000, b"1" * 5000],
+    ids=["not-utf-8", "nested-too-deeply", "over-long-integer"],
+)
+def test_undecodable_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "theory.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, ["lattice", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(path) in err
+
+
 def test_resource_cap_exits_3(capsys):
     code, _, err = run_cli(
         capsys, ["lattice", "--input", str(FIXTURES / "s3_capped.json")]
@@ -550,6 +565,22 @@ def test_cli_exit_codes_on_arbitrary_documents(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "theory.json"
         path.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = main([*command, "--input", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().startswith("error: ") == (code >= 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    data=st.binary(max_size=64),
+    command=st.sampled_from([["lattice"], ["check", "--suite", "lattice"]]),
+)
+def test_cli_exit_codes_on_arbitrary_bytes(data, command):
+    # Files that are not UTF-8, or not JSON, end in a documented exit code too.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "theory.json"
+        path.write_bytes(data)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
             code = main([*command, "--input", str(path)])
     assert code in (0, 1, 2, 3)

@@ -8,12 +8,16 @@ import pytest
 
 import oracles
 from emergent import (
+    GenerationReport,
+    IncompatibleSystems,
     MorphismClass,
     Perm,
     ResourceLimit,
     StateNotInPair,
     TypeMismatch,
+    act_local,
     apply_process,
+    are_compatible,
     build_process_category,
     commutant,
     compose_process,
@@ -28,6 +32,7 @@ from emergent import (
     make_pair_state,
     make_process,
     make_system,
+    pair_composite,
     pair_states,
     process_codomain,
     restrict,
@@ -42,7 +47,8 @@ import emergent.checks
 import emergent.pmcat
 import emergent.processes
 from emergent.checks import run_suites
-from emergent.processes import default_system_seeds, process_table
+from emergent.processes import default_system_seeds, process_table, system_universe
+from emergent.states import state_key
 from emergent.systems import system_key
 
 ROWS = ((3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
@@ -502,3 +508,123 @@ def test_default_seeds_are_the_orthocomplemented_systems(request, theory):
         and any(is_product_state(theory, node, p).pure for p in theory.points)
     ]
     assert default_system_seeds(theory) == tuple(sorted(seeds, key=system_key))
+
+
+GENERATION_CATEGORIES = ["t1", "t5", "t3", "t2", "t1-full", "one-point"]
+
+
+def _generation_category(request, name):
+    if name == "one-point":
+        theory = validate_global_theory(generate_group(1, []))
+        return build_process_category(theory, systems=enumerate_systems(theory))
+    if name == "t1-full":
+        theory = request.getfixturevalue("t1")
+        return build_process_category(theory, systems=enumerate_systems(theory))
+    return build_process_category(request.getfixturevalue(name))
+
+
+def _fixed_point(cat, start):
+    span = set(start)
+    edges = [*cat.compose.items(), *cat.tensor_mor.items()]
+    while True:
+        new = {out for (a, b), out in edges if a in span and b in span} - span
+        if not new:
+            return span
+        span |= new
+
+
+def _two_closure_generation(theory, cat):
+    """``verify_generation`` as first written: one closure for each count."""
+    class_index = {(c.dom, c.cod, c.table): i for i, c in enumerate(cat.classes)}
+    env_trivial = {i for i, obj in enumerate(cat.objects) if obj.environment.is_trivial}
+    pure_ids = {
+        i
+        for i, c in enumerate(cat.classes)
+        if c.dom in env_trivial and c.cod in env_trivial
+    }
+    transf_gens, prep_gens, discard_gens = set(cat.identity), set(), set()
+    for oi in env_trivial:
+        obj = cat.objects[oi]
+        states = pair_states(theory, obj)
+        for u in obj.system.transf.members:
+            table = tuple(
+                (state_key(s.value), state_key(act_local(theory, u, s.value)))
+                for s in states
+            )
+            transf_gens.add(class_index[(oi, oi, table)])
+        if not obj.system.is_trivial:
+            theta = pair_states(theory, cat.objects[cat.unit])[0]
+            for target in states:
+                table = ((state_key(theta.value), state_key(target.value)),)
+                prep_gens.add(class_index[(cat.unit, oi, table)])
+    for oi, obj in enumerate(cat.objects):
+        proc = discard_process(theory, obj)
+        cod = cat.object_index[process_codomain(theory, proc)]
+        discard_gens.add(class_index[(oi, cod, process_table(theory, proc))])
+    pure_span = _fixed_point(cat, transf_gens | prep_gens) & pure_ids
+    full_span = _fixed_point(cat, transf_gens | prep_gens | discard_gens)
+    return GenerationReport(
+        pure_total=len(pure_ids),
+        pure_generated=len(pure_span),
+        full_total=len(cat.classes),
+        full_generated=len(full_span),
+        transformation_generators=len(transf_gens),
+        preparation_generators=len(prep_gens),
+        discard_generators=len(discard_gens),
+    )
+
+
+@pytest.mark.parametrize("name", GENERATION_CATEGORIES)
+def test_pure_generation_is_the_pure_part_of_the_full_closure(request, name):
+    # Discards only widen the environment, so they cannot help build a class
+    # between trivial environments.
+    cat = _generation_category(request, name)
+    assert verify_generation(cat.theory, cat) == _two_closure_generation(cat.theory, cat)
+
+
+@pytest.mark.parametrize("name", GENERATION_CATEGORIES)
+def test_system_and_ancilla_lie_inside_the_pair_and_ancilla(request, name):
+    # The build reads restrictions to the owner (pair x ancilla) at points
+    # acted on by the total (system x ancilla), so the total must lie inside.
+    cat = _generation_category(request, name)
+    theory = cat.theory
+    checked = 0
+    for obj in cat.objects:
+        composite = pair_composite(theory, obj)
+        for anc in cat.universe:
+            try:
+                total = tensor_systems(theory, obj.system, anc)
+                owner = tensor_systems(theory, composite, anc)
+            except IncompatibleSystems:
+                continue
+            assert total.transf.is_subset_of(owner.transf)
+            checked += 1
+    assert checked >= len(cat.objects)
+
+
+def _two_order_universe(theory, seeds):
+    """``system_universe`` as first written: every pair probed in both orders."""
+    universe = set(seeds) | {trivial_system(theory)}
+    while True:
+        new = {
+            tensor_systems(theory, *pair)
+            for a in universe
+            for b in universe
+            for pair in ((a, b), (b, a))
+            if are_compatible(theory, *pair) is not None
+        } - universe
+        if not new:
+            return tuple(sorted(universe, key=system_key))
+        universe |= new
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
+@pytest.mark.parametrize("seeds", [default_system_seeds, enumerate_systems])
+def test_one_compatibility_probe_per_pair_closes_the_universe(request, theory, seeds):
+    theory = request.getfixturevalue(theory)
+    seeds = seeds(theory)
+    universe = system_universe(theory, seeds)
+    assert universe == _two_order_universe(theory, seeds)
+    for a in universe:
+        for b in universe:
+            assert are_compatible(theory, a, b) == are_compatible(theory, b, a)

@@ -21,6 +21,7 @@ from emergent import (
     check_associativity_triple,
     enumerate_self_bicommutant,
     enumerate_systems,
+    is_product_state,
     make_system,
     restrict,
     subgroup_closure,
@@ -360,3 +361,17 @@ def test_composites_are_the_enumerated_systems(make_theory):
         if are_compatible(theory, a, b) is not None:
             composite = tensor_systems(theory, a, b)
             assert any(composite is s for s in systems)
+
+
+def test_a_witness_gives_the_listed_system():
+    # A fresh theory, so that no system was made with a witness before.
+    theory = theory_s3_squared()
+    unit = trivial_system(theory)
+    for listed in enumerate_systems(theory):
+        for p in theory.points:
+            if not is_product_state(theory, listed.transf, p).pure:
+                continue
+            witnessed = make_system(theory, listed.transf, p)
+            assert witnessed is make_system(theory, listed.transf)
+            tensor_systems(theory, witnessed, unit)
+            assert tensor_systems(theory, listed, unit) is listed
