@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import IncompatibleSystems
 from .lattice import (
@@ -489,11 +490,19 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
     violations: list[str] = []
     notices: list[str] = []
 
-    # The build keys the composition table in ascending ``fi``, then ``gi``.
-    composable = list(cat.compose)
+    # ``random.sample`` draws from the population's length alone, so the
+    # positions it draws from ``range`` are those of the pairs it would draw
+    # from the key list; they are resolved in one pass over the keys, in
+    # their order (ascending ``fi``, then ``gi``), without building the list.
     rng = random.Random(SAMPLE_SEED)
+    composable = cat.compose
     if len(composable) > COMPOSE_SAMPLE:
-        composable = rng.sample(composable, COMPOSE_SAMPLE)
+        drawn = rng.sample(range(len(composable)), COMPOSE_SAMPLE)
+        keys, at, last = iter(composable), {}, -1
+        for position in sorted(drawn):
+            at[position] = next(islice(keys, position - last - 1, None))
+            last = position
+        composable = map(at.__getitem__, drawn)
     for gi, fi in composable:
         f, g = cat.classes[fi], cat.classes[gi]
         composite = compose_process(theory, g.representative, f.representative)

@@ -15,6 +15,7 @@ is itself a violation of its table's kind.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -39,7 +40,9 @@ class FiniteCategoryInstance:
     ``compose`` maps (g, f) to g after f and must cover every composable
     pair; ``tensor_obj`` and ``tensor_mor`` are partial.  The checker only
     reads the tables, so an instance made from a built category shares
-    that category's dicts: copy a table before planting a change in it.
+    that category's tables, and its composition is the category's
+    read-only mapping: ``dict(...)`` a table before planting a change in
+    it.  ``extract_instance`` holds its composition as a dict instead.
     """
 
     objects: tuple[str, ...]
@@ -47,7 +50,7 @@ class FiniteCategoryInstance:
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     identity: tuple[int, ...]
-    compose: dict[tuple[int, int], int]
+    compose: Mapping[tuple[int, int], int]
     tensor_obj: dict[tuple[int, int], int]
     tensor_mor: dict[tuple[int, int], int]
     unit: int
@@ -491,10 +494,18 @@ def check_partially_monoidal(inst: FiniteCategoryInstance) -> tuple[Violation, .
 def extract_instance(
     theory, systems=None, object_cap=DEFAULT_OBJECT_CAP
 ) -> FiniteCategoryInstance:
-    """Build the process category of a theory as a checkable instance."""
-    return instance_from_category(
+    """Build the process category of a theory as a standalone instance.
+
+    The category is dropped on return, and callers plant changes in
+    copies of the instance's tables, so its composition is a plain dict:
+    a copy of a dict shares its key tuples, while a copy of the category's
+    rows makes one per composable pair.
+    """
+    inst = instance_from_category(
         build_process_category(theory, systems=systems, object_cap=object_cap)
     )
+    inst.compose = dict(inst.compose.items())
+    return inst
 
 
 def instance_from_category(cat) -> FiniteCategoryInstance:

@@ -16,9 +16,10 @@ the effect enumeration read.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import (
     ElementNotInGroup,
@@ -362,6 +363,60 @@ class MorphismClass:
     representative: Process = field(compare=False)
 
 
+class _CompositionItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, chain.from_iterable(self._mapping._rows))
+
+
+class CompositionRows(Mapping):
+    """``g . f`` for every composable pair, held as one row per class.
+
+    ``rows[f]`` holds ``g . f`` for each class ``g`` leaving ``cod f``, in
+    ascending ``g``, and ``rank[g]`` is ``g``'s position among the classes
+    leaving ``dom g``.  Keys run in ascending ``f``, then ``g``.  The
+    mapping is read-only: copy it with ``dict`` before changing an entry.
+    """
+
+    __slots__ = ("_dom", "_cod", "_leaving", "_rank", "_rows", "_len")
+
+    def __init__(self, dom, cod, leaving, rank, rows):
+        # ``leaving[x]``: the classes leaving object ``x``, ascending.
+        self._dom, self._cod, self._leaving = dom, cod, leaving
+        self._rank, self._rows = rank, rows
+        self._len = sum(map(len, rows))
+
+    def __getitem__(self, key):
+        g, f = key
+        n = len(self._rows)
+        if 0 <= g < n and 0 <= f < n and self._dom[g] == self._cod[f]:
+            return self._rows[f][self._rank[g]]
+        raise KeyError(key)
+
+    def get(self, key, default=None):
+        g, f = key
+        n = len(self._rows)
+        if 0 <= g < n and 0 <= f < n and self._dom[g] == self._cod[f]:
+            return self._rows[f][self._rank[g]]
+        return default
+
+    def __contains__(self, key):
+        g, f = key
+        n = len(self._rows)
+        return 0 <= g < n and 0 <= f < n and self._dom[g] == self._cod[f]
+
+    def __iter__(self):
+        keys_after = map(self._leaving.__getitem__, self._cod)
+        return chain.from_iterable(map(zip, keys_after, map(repeat, range(len(self._cod)))))
+
+    def __len__(self):
+        return self._len
+
+    def items(self):
+        return _CompositionItems(self)
+
+
 @dataclass
 class ProcessCategory:
     """A finite, tensor-closed fragment of the full process theory."""
@@ -371,7 +426,7 @@ class ProcessCategory:
     objects: tuple[SystemEnvironmentPair, ...]
     classes: tuple[MorphismClass, ...]
     identity: tuple[int, ...]
-    compose: dict[tuple[int, int], int]
+    compose: Mapping[tuple[int, int], int]
     tensor_obj: dict[tuple[int, int], int]
     tensor_mor: dict[tuple[int, int], int]
     unit: int
@@ -445,7 +500,8 @@ def build_process_category(
     representative is built as a ``Process`` directly.
     """
     if object_cap == 0:
-        return ProcessCategory(theory, (), (), (), (), {}, {}, {}, -1)
+        empty = CompositionRows((), (), {}, [], [])
+        return ProcessCategory(theory, (), (), (), (), empty, {}, {}, -1)
     seeds = default_system_seeds(theory) if systems is None else tuple(systems)
     universe = system_universe(theory, seeds)
     objects = []
@@ -519,18 +575,28 @@ def build_process_category(
     )
 
     # For each object, the classes leaving it, their codomains and their
-    # output positions, in ascending order.
+    # output positions, in ascending order; each class's rank among the
+    # classes leaving its domain.
     leaving: dict[int, tuple[list[int], list[int], list[tuple[int, ...]]]] = {}
+    rank: list[int] = []
     for ci, c in enumerate(classes):
         gis, cods, wheres = leaving.setdefault(c.dom, ([], [], []))
+        rank.append(len(gis))
         gis.append(ci)
         cods.append(c.cod)
         wheres.append(positions[ci])
-    compose: dict[tuple[int, int], int] = {}
+    rows: list[tuple[int, ...]] = []
     for fi, f in enumerate(classes):
         gis, cods, wheres = leaving[f.cod]
         keys = zip(repeat(f.dom), cods, map(_tuple_getter(positions[fi]), wheres))
-        compose.update(zip(zip(gis, repeat(fi)), map(class_index.__getitem__, keys)))
+        rows.append(tuple(map(class_index.__getitem__, keys)))
+    compose = CompositionRows(
+        tuple(c.dom for c in classes),
+        tuple(c.cod for c in classes),
+        {x: tuple(gis) for x, (gis, _, _) in leaving.items()},
+        rank,
+        rows,
+    )
 
     tensor_obj: dict[tuple[int, int], int] = {}
     for i, a in enumerate(objects):

@@ -56,6 +56,13 @@ def test_an_instance_shares_the_category_tables_and_the_checker_only_reads_them(
     assert {table: list(getattr(inst, table).items()) for table in tables} == before
 
 
+def test_an_extracted_instance_holds_its_composition_as_a_dict(t2):
+    # Copies of a dict share its key tuples; copies of the rows would not.
+    inst = extract_instance(t2)
+    assert type(inst.compose) is dict
+    assert list(inst.compose.items()) == list(build_process_category(t2).compose.items())
+
+
 def test_deleting_one_tensor_entry_breaks_fullness(t1):
     inst = extract_instance(t1)
     key = sorted(inst.tensor_mor)[0]

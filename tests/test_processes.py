@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import array
 import dataclasses
+import gc
+import random
 
 import pytest
 
@@ -383,8 +386,9 @@ def test_effects_equal_the_first_written_enumeration(t2):
 
 @pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
 def test_compose_keys_are_the_composable_pairs_in_order(request, theory):
-    # processes_suite samples its pairs from list(cat.compose), so the keys
-    # must be every composable (gi, fi), in ascending fi and then gi.
+    # processes_suite samples its pairs by position in cat.compose's key
+    # order, so the keys must be every composable (gi, fi), in ascending fi
+    # and then gi.
     theory = request.getfixturevalue(theory)
     cat = build_process_category(theory)
     assert list(cat.compose) == [
@@ -393,6 +397,92 @@ def test_compose_keys_are_the_composable_pairs_in_order(request, theory):
         for gi, g in enumerate(cat.classes)
         if g.dom == f.cod
     ]
+
+
+def _compose_dict(cat):
+    """The composition from the class tables, as a dict: ascending f, then g."""
+    class_index = {(c.dom, c.cod, c.table): i for i, c in enumerate(cat.classes)}
+    maps = [dict(c.table) for c in cat.classes]
+    return {
+        (gi, fi): class_index[(f.dom, g.cod, tuple((k, maps[gi][v]) for k, v in f.table))]
+        for fi, f in enumerate(cat.classes)
+        for gi, g in enumerate(cat.classes)
+        if g.dom == f.cod
+    }
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "cap-0"])
+def test_compose_is_a_read_only_mapping_equal_to_the_dict(request, theory):
+    if theory == "cap-0":
+        cat = build_process_category(request.getfixturevalue("t1"), object_cap=0)
+    else:
+        cat = build_process_category(request.getfixturevalue(theory))
+    expected = _compose_dict(cat)
+    view = cat.compose
+    assert type(view) is emergent.processes.CompositionRows
+    assert list(view) == list(expected)
+    assert list(view.items()) == list(expected.items())
+    assert len(view) == len(expected)
+    assert dict(view) == expected
+    n = len(cat.classes)
+    for g in range(-1, n + 1):
+        for f in range(-1, n + 1):
+            key = (g, f)
+            if key in expected:
+                assert view[key] == view.get(key) == expected[key]
+                assert key in view
+            else:
+                with pytest.raises(KeyError):
+                    view[key]
+                assert view.get(key) is None
+                assert key not in view
+    with pytest.raises(TypeError):
+        view[(0, 0)] = 0
+
+
+# 2 000 of s3x3's 5 041 pairs is random.sample's pool branch, 100 its set
+# branch, the one s3x3x3's 357 911 pairs take.
+@pytest.mark.parametrize("sample", [emergent.checks.COMPOSE_SAMPLE, 100])
+def test_processes_suite_draws_the_pairs_the_key_list_draws(t2, monkeypatch, sample):
+    cat = build_process_category(t2)
+    class_of = {id(c.representative): i for i, c in enumerate(cat.classes)}
+    composed, tensored = [], []
+
+    def recording(calls, fn):
+        def record(theory, a, b):
+            calls.append((class_of[id(a)], class_of[id(b)]))
+            return fn(theory, a, b)
+
+        return record
+
+    monkeypatch.setattr(emergent.checks, "COMPOSE_SAMPLE", sample)
+    monkeypatch.setattr(
+        emergent.checks, "compose_process", recording(composed, compose_process)
+    )
+    monkeypatch.setattr(
+        emergent.checks, "tensor_processes", recording(tensored, tensor_processes)
+    )
+    assert emergent.checks.processes_suite(cat).violations == ()
+
+    rng = random.Random(emergent.checks.SAMPLE_SEED)
+    assert len(cat.compose) > sample
+    assert composed == rng.sample(list(cat.compose), sample)
+    tensorable = list(cat.tensor_mor)
+    if len(tensorable) > sample:
+        tensorable = [key for key, _ in rng.sample(list(cat.tensor_mor.items()), sample)]
+    assert tensored == tensorable
+
+
+def test_composition_holds_no_object_per_pair(t2):
+    cat = build_process_category(t2)
+    containers = (tuple, list, dict, array.array)
+    seen, stack = set(), [cat.compose]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if isinstance(ref, containers) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    assert len(seen) < len(cat.compose) // 4
 
 
 def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
