@@ -27,8 +27,10 @@ from .lattice import (
 from .perms import GlobalTheory, reduce_generators
 from .processes import (
     ProcessCategory,
+    apply_process,
     build_process_category,
     compose_process,
+    pair_states,
     process_table,
     tensor_processes,
     verify_generation,
@@ -41,6 +43,7 @@ from .states import (
     pure_local_states,
     pure_stabilizer,
     restrict,
+    state_key,
 )
 from .systems import (
     are_compatible,
@@ -524,8 +527,12 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
                 f"processes: the transformations of representatives of {ci}, {cj} "
                 "do not commute"
             )
+        # Not by ``process_table``, the route the build registered ``out`` by.
         prod = tensor_processes(theory, c.representative, d.representative)
-        if process_table(theory, prod) != cat.classes[out].table:
+        if cat.classes[out].table != tuple(
+            (state_key(s.value), state_key(apply_process(theory, prod, s).value))
+            for s in pair_states(theory, prod.domain)
+        ):
             violations.append(
                 f"processes: tensoring representatives of {ci}, {cj} "
                 "disagrees with the registered class"

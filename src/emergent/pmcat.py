@@ -7,21 +7,23 @@ tensor: fullness of the tensor on morphisms, invariance of definedness
 under isomorphism, associativity including definedness, a strict unit,
 and strict symmetry.
 
-Every check is exhaustive.  The hot loops read per-morphism row tables,
-built for each call, and visit only the table entries that exist.  A
-``compose`` or ``tensor_mor`` entry whose key or value names no morphism
-is itself a violation of its table's kind.
+Every check is exhaustive.  The hot loops read one row of composites
+per morphism, a built category's own or built per call from a dict, and
+visit only the table entries that exist.  A ``compose`` or
+``tensor_mor`` entry whose key or value names no morphism is itself a
+violation of its table's kind.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .lattice import enumerate_self_bicommutant
-from .processes import DEFAULT_OBJECT_CAP, build_process_category
+from .perms import _tuple_getter
+from .processes import DEFAULT_OBJECT_CAP, CompositionRows, build_process_category
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class FiniteCategoryInstance:
     pair; ``tensor_obj`` and ``tensor_mor`` are partial.  The checker only
     reads the tables, so an instance made from a built category shares
     that category's tables, and its composition is the category's
-    read-only mapping: ``dict(...)`` a table before planting a change in
+    read-only rows: ``dict(...)`` a table before planting a change in
     it.  ``extract_instance`` holds its composition as a dict instead.
     """
 
@@ -97,16 +99,17 @@ class FiniteCategoryInstance:
 class _Rows(NamedTuple):
     """Row tables over one instance's composition and morphism tensor.
 
-    Built once per ``check_partially_monoidal`` call from the current
-    tables and dropped afterwards.  Entries whose key or value names no
-    morphism are kept out of the rows and listed in ``bad_compose`` /
+    A built category's rows are read in place, a dict table's built for
+    the call; ``lookup`` reads the table itself.  Entries whose key or
+    value names no morphism are kept out and listed in ``bad_compose`` /
     ``bad_tensor``; the definedness checks still see their keys, the
     checks on values skip them.
     """
 
-    after: list[dict[int, int]]  # after[f][g] == g after f
-    succ: list[list[int]]  # succ[f]: the g composable after f, ascending
-    row: list[tuple]  # row[f][i] == succ[f][i] after f, or None
+    succ: list  # succ[f]: the g composable after f, ascending
+    rank: list[int] | dict[int, int]  # rank[g]: g's position among the morphisms leaving dom g
+    row: list[tuple]  # row[f][rank[g]] == g after f, or None
+    lookup: Callable[[int, int], int | None]  # lookup(g, f) == g after f, or None
     tens: list[dict[int, int]]  # tens[f][g] == f x g, ascending g
     tens_from: list[dict[int, list[tuple[int, int]]]]  # y -> (g, f x g), dom g == y
     tensor_entries: list[tuple[int, int, int]]  # (f, g, f x g) in table order
@@ -116,17 +119,26 @@ class _Rows(NamedTuple):
 
 def _rows(inst: FiniteCategoryInstance) -> _Rows:
     n_mor = len(inst.morphisms)
-    after: list[dict[int, int]] = [{} for _ in range(n_mor)]
+    dom, cod, compose = inst.dom, inst.cod, inst.compose
     bad_compose = []
-    for key, h in inst.compose.items():
-        g, f = key
-        if 0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor:
-            after[f][g] = h
-        else:
-            bad_compose.append((key, h))
-    empty: list[int] = []
-    succ = [inst.by_dom.get(c, empty) for c in inst.cod]
-    row = [tuple(map(after_f.get, succ_f)) for after_f, succ_f in zip(after, succ)]
+    if isinstance(compose, CompositionRows) and (compose.dom, compose.cod) == (dom, cod):
+        leaving, rank, row = compose.leaving, compose.rank, compose.rows
+    else:
+        leaving = inst.by_dom
+        rank = {g: i for members in leaving.values() for i, g in enumerate(members)}
+        row = [[None] * len(leaving.get(c, ())) for c in cod]
+        for key, h in compose.items():
+            g, f = key
+            if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor):
+                bad_compose.append((key, h))
+            elif dom[g] == cod[f]:
+                row[f][rank[g]] = h
+        row = list(map(tuple, row))
+    succ = [leaving.get(c, ()) for c in cod]
+
+    def lookup(g: int, f: int) -> int | None:
+        h = compose.get((g, f))
+        return h if h is not None and 0 <= h < n_mor else None
 
     tensor_entries = []
     bad_tensor = []
@@ -140,8 +152,8 @@ def _rows(inst: FiniteCategoryInstance) -> _Rows:
     tens_from: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n_mor)]
     for f, g, fg in sorted(tensor_entries):
         tens[f][g] = fg
-        tens_from[f].setdefault(inst.dom[g], []).append((g, fg))
-    return _Rows(after, succ, row, tens, tens_from, tensor_entries, bad_compose, bad_tensor)
+        tens_from[f].setdefault(dom[g], []).append((g, fg))
+    return _Rows(succ, rank, row, lookup, tens, tens_from, tensor_entries, bad_compose, bad_tensor)
 
 
 def _malformed(kind: str, table: str, bad: list[tuple[tuple, object]]) -> list[Violation]:
@@ -155,7 +167,7 @@ def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
     out = _malformed("category-composition", "composition", rows.bad_compose)
     n_mor = len(inst.morphisms)
     dom, cod = inst.dom, inst.cod
-    after, succ, row = rows.after, rows.succ, rows.row
+    succ, rank, row, lookup = rows.succ, rows.rank, rows.row, rows.lookup
     for x, i in enumerate(inst.identity):
         if dom[i] != x or cod[i] != x:
             out.append(
@@ -166,9 +178,7 @@ def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
                 )
             )
     for f in range(n_mor):
-        after_f = after[f].get
-        for g in succ[f]:
-            h = after_f(g)
+        for g, h in zip(succ[f], row[f]):
             if h is None:
                 # A present key here named no morphism and is reported above.
                 if (g, f) not in inst.compose:
@@ -189,8 +199,8 @@ def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
                     )
                 )
     for f in range(n_mor):
-        left = after[f].get(inst.identity[cod[f]])
-        right = after[inst.identity[dom[f]]].get(f)
+        left = lookup(inst.identity[cod[f]], f)
+        right = lookup(f, inst.identity[dom[f]])
         if left is not None and left != f:
             out.append(
                 Violation(
@@ -210,22 +220,29 @@ def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
     # Associativity by rows: row[g][i] is h g for the i-th h after g, so
     # h (g f) and (h g) f agree for every h exactly when row[g f] equals
     # row[g] composed after f -- provided g f ends where g does, so that
-    # both rows run over the same h.  Only a row that differs is searched
-    # h by h.
+    # both rows run over the same h.  When every h g is present and starts
+    # where g does, row[g] composed after f is row[f] read at the ranks of
+    # row[g]: pick[g].  Any other row g, and a row that differs, is
+    # searched h by h.
+    pick = [
+        _tuple_getter([rank[hg] for hg in row_g])
+        if None not in row_g and all(dom[hg] == dom[g] for hg in row_g)
+        else None
+        for g, row_g in enumerate(row)
+    ]
     for f in range(n_mor):
-        after_f = after[f].get
-        for g, gf in zip(succ[f], row[f]):
+        row_f = row[f]
+        for g, gf in zip(succ[f], row_f):
             if gf is None:
                 continue
-            row_g = row[g]
-            if cod[gf] == cod[g] and row[gf] == tuple(map(after_f, row_g)):
+            pick_g = pick[g]
+            if pick_g is not None and cod[gf] == cod[g] and row[gf] == pick_g(row_f):
                 continue
-            after_gf = after[gf].get
-            for h, hg in zip(succ[g], row_g):
+            for h, hg in zip(succ[g], row[g]):
                 if hg is None:
                     continue
-                lhs = after_gf(h)
-                rhs = after_f(hg)
+                lhs = lookup(h, gf)
+                rhs = lookup(hg, f)
                 if lhs is not None and rhs is not None and lhs != rhs:
                     out.append(
                         Violation(
@@ -277,7 +294,7 @@ def _check_fullness(inst: FiniteCategoryInstance) -> list[Violation]:
 def _check_functoriality(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
     out = _malformed("functoriality", "morphism tensor", rows.bad_tensor)
     dom, cod = inst.dom, inst.cod
-    after, succ, row = rows.after, rows.succ, rows.row
+    succ, rank, row, lookup = rows.succ, rows.rank, rows.row, rows.lookup
     tens, tens_from = rows.tens, rows.tens_from
     for f, g, m in rows.tensor_entries:
         doms = inst.tensor_obj.get((dom[f], dom[g]))
@@ -305,9 +322,8 @@ def _check_functoriality(inst: FiniteCategoryInstance, rows: _Rows) -> list[Viol
     # (g f) x (q p) against (g x q)(f x p): q runs only over the defined
     # tensors g x q with dom q == cod p, ascending.
     for f, p, fp in rows.tensor_entries:
-        after_p = after[p].get
-        after_fp = after[fp].get
-        cod_p = cod[p]
+        row_p, row_fp = row[p], row[fp]
+        cod_p, cod_fp = cod[p], cod[fp]
         for g, gf in zip(succ[f], row[f]):
             if gf is None:
                 continue
@@ -316,13 +332,13 @@ def _check_functoriality(inst: FiniteCategoryInstance, rows: _Rows) -> list[Viol
                 continue
             tens_gf = tens[gf].get
             for q, gq in pairs:
-                qp = after_p(q)
+                qp = row_p[rank[q]]
                 if qp is None:
                     continue
                 whole = tens_gf(qp)
                 if whole is None:
                     continue
-                stepwise = after_fp(gq)
+                stepwise = row_fp[rank[gq]] if dom[gq] == cod_fp else lookup(gq, fp)
                 if stepwise is not None and stepwise != whole:
                     out.append(
                         Violation(

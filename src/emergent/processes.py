@@ -20,6 +20,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
+from operator import attrgetter
 
 from .errors import (
     ElementNotInGroup,
@@ -367,7 +368,7 @@ class _CompositionItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        return zip(self._mapping, chain.from_iterable(self._mapping._rows))
+        return zip(self._mapping, chain.from_iterable(self._mapping.rows))
 
 
 class CompositionRows(Mapping):
@@ -375,7 +376,8 @@ class CompositionRows(Mapping):
 
     ``rows[f]`` holds ``g . f`` for each class ``g`` leaving ``cod f``, in
     ascending ``g``, and ``rank[g]`` is ``g``'s position among the classes
-    leaving ``dom g``.  Keys run in ascending ``f``, then ``g``.  The
+    leaving ``dom g``; ``dom``, ``cod``, ``leaving``, ``rank`` and ``rows``
+    are those tables.  Keys run in ascending ``f``, then ``g``.  The
     mapping is read-only: copy it with ``dict`` before changing an entry.
     """
 
@@ -387,24 +389,18 @@ class CompositionRows(Mapping):
         self._rank, self._rows = rank, rows
         self._len = sum(map(len, rows))
 
+    dom = property(attrgetter("_dom"))
+    cod = property(attrgetter("_cod"))
+    leaving = property(attrgetter("_leaving"))
+    rank = property(attrgetter("_rank"))
+    rows = property(attrgetter("_rows"))
+
     def __getitem__(self, key):
         g, f = key
         n = len(self._rows)
         if 0 <= g < n and 0 <= f < n and self._dom[g] == self._cod[f]:
             return self._rows[f][self._rank[g]]
         raise KeyError(key)
-
-    def get(self, key, default=None):
-        g, f = key
-        n = len(self._rows)
-        if 0 <= g < n and 0 <= f < n and self._dom[g] == self._cod[f]:
-            return self._rows[f][self._rank[g]]
-        return default
-
-    def __contains__(self, key):
-        g, f = key
-        n = len(self._rows)
-        return 0 <= g < n and 0 <= f < n and self._dom[g] == self._cod[f]
 
     def __iter__(self):
         keys_after = map(self._leaving.__getitem__, self._cod)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from emergent import (
     instance_from_category,
     validate_global_theory,
 )
+import emergent.pmcat
 from emergent.pmcat import Violation
 
 
@@ -54,6 +56,36 @@ def test_an_instance_shares_the_category_tables_and_the_checker_only_reads_them(
     before = {table: list(getattr(inst, table).items()) for table in tables}
     assert check_partially_monoidal(inst) == ()
     assert {table: list(getattr(inst, table).items()) for table in tables} == before
+
+
+def test_the_checker_reads_a_built_category_s_rows_in_place(t2):
+    # One composition table: no per-morphism dict of composites is built.
+    # On s3x3 the check peaks at 0.18-0.22 MB under tracemalloc reading
+    # the category's own rows; rebuilding them as dicts took 0.47-0.60 MB.
+    cat = build_process_category(t2)
+    inst = instance_from_category(cat)
+    rows = emergent.pmcat._rows(inst)
+    assert rows.row is cat.compose.rows
+    assert rows.rank is cat.compose.rank
+    tracemalloc.start()
+    try:
+        assert check_partially_monoidal(instance_from_category(cat)) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320_000
+
+
+def test_rows_laid_out_for_other_endpoints_are_not_read_in_place(t1):
+    # The category's rows run over the classes leaving its own codomains;
+    # an instance given other endpoints is checked against them instead.
+    inst = instance_from_category(build_process_category(t1))
+    f = next(f for f in range(len(inst.morphisms)) if inst.cod[f] != inst.dom[f])
+    cod = inst.cod[:f] + (inst.dom[f],) + inst.cod[f + 1 :]
+    moved = dataclasses.replace(inst, cod=cod)
+    report = check_partially_monoidal(moved)
+    assert report
+    assert report == oracles.pmcat_violations(moved)
 
 
 def test_an_extracted_instance_holds_its_composition_as_a_dict(t2):
@@ -215,11 +247,14 @@ def test_a_table_value_that_names_no_morphism_is_one_violation(t1, table, kind, 
 # Each change rewrites one entry of one table.  The "within-hom"
 # reassignment keeps the composite's endpoints and the "off-diagonal"
 # deletion spares the (a, a) object tensors, as the benchmark's planted
-# corruptions do.
+# corruptions do.  A "stray" composition entry has a key (g, f) with
+# dom g != cod f: the checker's rows hold no place for it, so it is read
+# from the table where a composite with wrong endpoints leads there.
 CHANGES = (
     ("compose", "delete"),
     ("compose", "reassign"),
     ("compose", "reassign-within-hom"),
+    ("compose", "stray"),
     ("tensor_mor", "delete"),
     ("tensor_mor", "reassign"),
     ("tensor_obj", "delete"),
@@ -233,7 +268,24 @@ def _change(inst: FiniteCategoryInstance, rng: random.Random, table: str, change
 
     def hom_of(key):
         g, f = key
-        return inst.hom_sets[(inst.dom[f], inst.cod[g])]
+        return inst.hom_sets.get((inst.dom[f], inst.cod[g]), ())
+
+    if change == "stray":
+        # Give g f a value m with other endpoints, then add the key the
+        # search term by term reads next to it: (h, m) for h after g, or
+        # (m, k) for k before f.
+        n = len(inst.morphisms)
+        g, f = rng.choice(sorted(entries))
+        m = rng.choice(
+            [m for m in range(n) if (inst.dom[m], inst.cod[m]) != (inst.dom[f], inst.cod[g])]
+        )
+        entries[g, f] = m
+        if inst.dom[m] != inst.dom[f] and (inst.cod[m] == inst.cod[g] or rng.random() < 0.5):
+            key = (m, rng.choice([k for k in range(n) if inst.cod[k] == inst.dom[f]]))
+        else:
+            key = (rng.choice(inst.by_dom[inst.cod[g]]), m)
+        entries[key] = rng.randrange(n)
+        return dataclasses.replace(inst, **{table: entries})
 
     keys = sorted(entries)
     if change == "reassign-within-hom":
@@ -307,4 +359,27 @@ def test_a_composite_with_the_wrong_codomain_is_searched_term_by_term():
     assert report == oracles.pmcat_violations(inst)
     assert Violation(
         "category-composition", (2, 5, 4), "composition is not associative on this triple"
+    ) in report
+
+
+def test_a_tensor_with_wrong_endpoints_is_composed_through_a_stray_entry(t1):
+    # The unit identity's tensor with itself is recorded as a preparation
+    # m, so (1e x 1e)(1e x 1e) is read as m after m: the stray composition
+    # key (m, m), which the rows hold no place for.
+    inst = extract_instance(t1)
+    e = inst.identity[inst.unit]
+    m = next(
+        m
+        for m in range(len(inst.morphisms))
+        if inst.dom[m] == inst.unit and inst.cod[m] != inst.unit
+    )
+    tensor_mor = dict(inst.tensor_mor)
+    tensor_mor[e, e] = m
+    compose = dict(inst.compose)
+    compose[m, m] = e
+    inst = dataclasses.replace(inst, compose=compose, tensor_mor=tensor_mor)
+    report = check_partially_monoidal(inst)
+    assert report == oracles.pmcat_violations(inst)
+    assert Violation(
+        "functoriality", (e, e, e, e), "tensor does not commute with composition"
     ) in report

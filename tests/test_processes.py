@@ -473,6 +473,37 @@ def test_processes_suite_draws_the_pairs_the_key_list_draws(t2, monkeypatch, sam
     assert tensored == tensorable
 
 
+def test_the_tensor_check_catches_a_fault_shared_with_the_build(t1, monkeypatch):
+    # With _outputs blind to the dynamics, the build registers each tensor
+    # by that state map and process_table repeats it; only applying the
+    # tensor to each input state tells them apart.
+    outputs = emergent.processes._outputs
+
+    def static(theory, proc):
+        return outputs(theory, dataclasses.replace(proc, transform=theory.group.identity))
+
+    monkeypatch.setattr(emergent.processes, "_outputs", static)
+    cat = build_process_category(t1)
+    found = [
+        v
+        for v in emergent.checks.processes_suite(cat).violations
+        if v.startswith("processes: tensoring representatives")
+    ]
+    reps = [c.representative for c in cat.classes]
+    wrong = [
+        (ci, cj)
+        for (ci, cj), out in cat.tensor_mor.items()
+        if oracles.process_table(t1, tensor_processes(t1, reps[ci], reps[cj]))
+        != cat.classes[out].table
+    ]
+    assert wrong
+    assert found == [
+        f"processes: tensoring representatives of {ci}, {cj} "
+        "disagrees with the registered class"
+        for ci, cj in wrong
+    ]
+
+
 def test_composition_holds_no_object_per_pair(t2):
     cat = build_process_category(t2)
     containers = (tuple, list, dict, array.array)
