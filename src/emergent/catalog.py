@@ -15,7 +15,6 @@ Subgroups are closed inside the generated group and returned by name.
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .perms import (
     Subgroup,
     direct_product_action,
     generate_group,
+    reduce_generators,
     subgroup_closure,
     validate_global_theory,
 )
@@ -67,18 +67,16 @@ def theory_s3_diagonal_cosets() -> GlobalTheory:
     """The same abstract group as two cells, but acting on six points.
 
     Points are the six permutations of three letters; a pair (a, b) sends
-    x to a x b^-1.  Both factors act with trivial stabilizer, so no
-    global state splits over the factor pair.
+    x to a x b^-1, so the group is generated by S3's generators acting on
+    the left and on the right.  Both factors act with trivial stabilizer,
+    so no global state splits over the factor pair.
     """
-    s3 = symmetric_group(3)
-    points = list(s3.elements)
+    points = symmetric_group(3).elements
     index = {x: i for i, x in enumerate(points)}
-    elements = set()
-    for a, b in itertools.product(s3.elements, repeat=2):
-        b_inv = b.inverse()
-        elements.add(Perm(tuple(index[a * x * b_inv] for x in points)))
-    group = FiniteGroup(6, tuple(sorted(elements)))
-    return validate_global_theory(group)
+    gens = reduce_generators(points, 3)
+    left = [[index[a * x] for x in points] for a in gens]
+    right = [[index[x * b.inverse()] for x in points] for b in gens]
+    return validate_global_theory(generate_group(6, left + right))
 
 
 def named_theories() -> dict[str, GlobalTheory]:

@@ -6,7 +6,9 @@ product tuple is ``g`` applied to every entry of ``h``.
 
 Groups store their full element list in a canonical sorted order; all
 derived structures (subgroup lattices, orbits, state sets) inherit
-determinism from that order.
+determinism from that order.  Every group, product actions included, is
+built by ``generate_group`` from generators, and its one closure,
+``_close``, is the only cap on group order.
 
 Element numbering: element ``i`` of a group is ``group.elements[i]``, so
 the numbers follow the sorted order and the identity is element 0.
@@ -29,7 +31,7 @@ and dies with it, and an equal but distinct theory computes its own.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from operator import itemgetter
@@ -528,30 +530,18 @@ def direct_product_action(
     """Product group acting on the product of point sets, mixed-radix order.
 
     The point ``(x_0, ..., x_k)`` is encoded as ``x_0*n_1*...*n_k + ...``,
-    with the last factor varying fastest.
+    with the last factor varying fastest.  Each factor's generators act on
+    that factor's own digit, and ``generate_group`` closes them under
+    ``max_order``.
     """
-    degrees = [g.degree for g in groups]
-    total = 1
-    for n in degrees:
-        total *= n
-    order = 1
-    for g in groups:
-        order *= g.order
-        if order > max_order:
-            raise ResourceLimit(f"product order exceeds cap of {max_order}")
-    strides = [1] * len(groups)
-    for i in range(len(groups) - 2, -1, -1):
-        strides[i] = strides[i + 1] * degrees[i + 1]
-    elements = []
-    for combo in itertools.product(*(g.elements for g in groups)):
-        images = [0] * total
-        for point in range(total):
-            rest = point
-            value = 0
-            for i, stride in enumerate(strides):
-                digit = rest // stride
-                rest %= stride
-                value += combo[i][digit] * stride
-            images[point] = value
-        elements.append(tuple.__new__(Perm, images))
-    return FiniteGroup(total, tuple(sorted(elements)))
+    total = math.prod(group.degree for group in groups)
+    gens = []
+    stride = total
+    for group in groups:
+        n = group.degree
+        stride //= n
+        for g in reduce_generators(group.elements, n):
+            gens.append(
+                [p + (g[p // stride % n] - p // stride % n) * stride for p in range(total)]
+            )
+    return generate_group(total, gens, max_order)

@@ -396,10 +396,13 @@ class CompositionRows(Mapping):
     rows = property(attrgetter("_rows"))
 
     def __getitem__(self, key):
-        g, f = key
-        n = len(self._rows)
-        if 0 <= g < n and 0 <= f < n and self._dom[g] == self._cod[f]:
-            return self._rows[f][self._rank[g]]
+        # As in a dict, any key but a composable pair of in-range ints is absent.
+        if isinstance(key, tuple) and len(key) == 2:
+            g, f = key
+            n = len(self._rows)
+            if isinstance(g, int) and isinstance(f, int) and 0 <= g < n and 0 <= f < n:
+                if self._dom[g] == self._cod[f]:
+                    return self._rows[f][self._rank[g]]
         raise KeyError(key)
 
     def __iter__(self):
@@ -466,21 +469,6 @@ def system_universe(
     return tuple(sorted(universe, key=system_key))
 
 
-@theory_memo
-def _decompositions(
-    theory: GlobalTheory, universe: tuple[System, ...], total: System
-) -> dict[System, list[System]]:
-    """For each candidate output, the discards re-factorizing ``total``."""
-    options: dict[System, list[System]] = {}
-    for k in universe:
-        for m in universe:
-            if are_compatible(theory, k, m) is None:
-                continue
-            if tensor_systems(theory, k, m) == total:
-                options.setdefault(k, []).append(m)
-    return options
-
-
 def build_process_category(
     theory: GlobalTheory,
     systems: tuple[System, ...] | None = None,
@@ -488,30 +476,37 @@ def build_process_category(
 ) -> ProcessCategory:
     """Enumerate objects and morphism classes over a closed system universe.
 
-    Runs on state tables (see ``process_table``).  A class is keyed by its
-    domain, its codomain and the positions of its outputs in the
-    codomain's state list, so ``g . f`` is ``g``'s positions read at
-    ``f``'s, and only the pairs that compose or tensor are visited.  The
-    loops establish every condition ``make_process`` checks, so each
-    representative is built as a ``Process`` directly.
+    Every typing question reads one table of the universe's partial tensor,
+    ``tensor[(a, b)] = a x b`` over its compatible pairs: its keys are the
+    objects, its inverse gives each total's output splits, and ancilla
+    composites, codomain objects, the object tensor and the unit are
+    lookups in it.  The rest runs on state tables (see ``process_table``).
+    A class is keyed by its domain, its codomain and the positions of its
+    outputs in the codomain's state list, so ``g . f`` is ``g``'s
+    positions read at ``f``'s, and only the pairs that compose or tensor
+    are visited.  The loops establish every condition ``make_process``
+    checks, so each representative is built as a ``Process`` directly.
     """
-    if object_cap == 0:
-        empty = CompositionRows((), (), {}, [], [])
-        return ProcessCategory(theory, (), (), (), (), empty, {}, {}, -1)
     seeds = default_system_seeds(theory) if systems is None else tuple(systems)
     universe = system_universe(theory, seeds)
-    objects = []
-    for a in universe:
-        for b in universe:
-            if are_compatible(theory, a, b) is not None:
-                objects.append(make_pair(theory, a, b))
-    objects.sort(key=lambda p: (system_key(p.system), system_key(p.environment)))
-    objects = tuple(objects)
-    if len(objects) > object_cap:
+    # The universe is closed, so every value is in it; keys run in the
+    # objects' sorted order.
+    tensor = {
+        (a, b): tensor_systems(theory, a, b)
+        for a in universe
+        for b in universe
+        if are_compatible(theory, a, b) is not None
+    }
+    if len(tensor) > object_cap:
         raise ResourceLimit(
-            f"category would have {len(objects)} objects, above the cap of {object_cap}"
+            f"category would have {len(tensor)} objects, above the cap of {object_cap}"
         )
-    object_index = {obj: i for i, obj in enumerate(objects)}
+    objects = tuple(make_pair(theory, a, b) for a, b in tensor)
+    object_index = {key: i for i, key in enumerate(tensor)}
+    # For each total, its outputs and the discards that re-factorize it.
+    splits: dict[System, dict[System, list[System]]] = {}
+    for (k, m), total in tensor.items():
+        splits.setdefault(total, {}).setdefault(k, []).append(m)
     state_keys = [
         tuple(state_key(s.value) for s in pair_states(theory, obj)) for obj in objects
     ]
@@ -522,24 +517,20 @@ def build_process_category(
     class_index: dict[tuple, int] = {}
     for oi, obj in enumerate(objects):
         in_keys = state_keys[oi]
-        composite = pair_composite(theory, obj)
+        composite = tensor[(obj.system, obj.environment)]
         for anc in universe:
-            try:
-                total = tensor_systems(theory, obj.system, anc)
-                owner = tensor_systems(theory, composite, anc).transf
-            except IncompatibleSystems:
+            total = tensor.get((obj.system, anc))
+            joint = tensor.get((composite, anc))
+            if total is None or joint is None:
                 continue
             outs = []
-            for out_sys, discards in _decompositions(theory, universe, total).items():
+            for out_sys, discards in splits[total].items():
                 cods = []
                 for disc in discards:
-                    try:
-                        env_out = tensor_systems(theory, obj.environment, disc)
-                        cod_pair = make_pair(theory, out_sys, env_out)
-                    except IncompatibleSystems:
-                        continue
-                    cods.append((disc, object_index[cod_pair]))
-                outs.append((out_sys, _restriction(theory, out_sys.transf, owner), cods))
+                    cod = object_index.get((out_sys, tensor.get((obj.environment, disc))))
+                    if cod is not None:
+                        cods.append((disc, cod))
+                outs.append((out_sys, _restriction(theory, out_sys.transf, joint.transf), cods))
             # The classes a tuple of acted points gives were all made when it
             # was first met, so a repeat under another ``prep`` or ``u`` is
             # skipped.
@@ -597,13 +588,12 @@ def build_process_category(
     tensor_obj: dict[tuple[int, int], int] = {}
     for i, a in enumerate(objects):
         for j, b in enumerate(objects):
-            try:
-                sys_t = tensor_systems(theory, a.system, b.system)
-                env_t = tensor_systems(theory, a.environment, b.environment)
-                pair = make_pair(theory, sys_t, env_t)
-            except IncompatibleSystems:
-                continue
-            tensor_obj[(i, j)] = object_index[pair]
+            key = (
+                tensor.get((a.system, b.system)),
+                tensor.get((a.environment, b.environment)),
+            )
+            if key in object_index:
+                tensor_obj[(i, j)] = object_index[key]
 
     # The classes ``d`` with c x d defined are those whose domain tensors
     # with c's and whose codomain tensors with c's, in ascending order.
@@ -631,7 +621,7 @@ def build_process_category(
             where = tuple(map(state_position[cod].__getitem__, _outputs(theory, prod)))
             tensor_mor[(ci, cj)] = class_index[(tensor_obj[(c.dom, d.dom)], cod, where)]
 
-    unit_pair = make_pair(theory, trivial_system(theory), trivial_system(theory))
+    unit = trivial_system(theory)
     return ProcessCategory(
         theory,
         universe,
@@ -641,7 +631,7 @@ def build_process_category(
         compose,
         tensor_obj,
         tensor_mor,
-        object_index[unit_pair],
+        object_index[(unit, unit)],
     )
 
 

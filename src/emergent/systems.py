@@ -26,7 +26,6 @@ from .states import (
     is_product_state,
     pure_local_states,
     restrict,
-    state_key,
 )
 
 
@@ -63,20 +62,9 @@ def system_key(system: System) -> tuple:
 
 
 @theory_memo
-def make_system(theory: GlobalTheory, sub: Subgroup, point: int | None = None) -> System:
-    """Build the system on ``sub``; requires at least one product state.
-
-    When ``point`` is given it must itself be a product state for ``sub``
-    and serves as an explicit witness; the system is then the one built
-    without it, so each subgroup has one ``System`` object.
-    """
+def make_system(theory: GlobalTheory, sub: Subgroup) -> System:
+    """Build the system on ``sub``; requires at least one product state."""
     require_self_bicommutant(theory, sub)
-    if point is not None:
-        if not is_product_state(theory, sub, point).pure:
-            raise NotProductState(
-                f"point {point} does not split over the subgroup and its commutant"
-            )
-        return make_system(theory, sub)
     orbit = pure_local_states(theory, sub)
     if not orbit:
         raise NotProductState(
@@ -142,7 +130,7 @@ def tensor_systems(theory: GlobalTheory, a: System, b: System) -> System:
             "the systems are not mutual complements with a joint product state"
         )
     # The witness is a product state of the join, so it needs no second
-    # proof; keyed by the subgroup alone, the memo returns the listed system.
+    # proof; the memo returns the listed system.
     return make_system(theory, join(theory, a.transf, b.transf))
 
 

@@ -97,12 +97,12 @@ def _coordinate_perm(sigma, axis):
 
 def _factor_systems(t4):
     cell_maps = [(1, 0, 2), (1, 2, 0)]
-    return tuple(
-        make_system(
-            t4, _sub(t4, [_coordinate_perm(s, axis) for s in cell_maps]), 0
-        )
+    factors = tuple(
+        make_system(t4, _sub(t4, [_coordinate_perm(s, axis) for s in cell_maps]))
         for axis in range(3)
     )
+    assert all(is_product_state(t4, f.transf, 0).pure for f in factors)
+    return factors
 
 
 @criterion("C1")
@@ -234,8 +234,10 @@ def test_c05_purity_landscape_of_one_sided_factors(t2):
 @criterion("C6")
 def test_c06_factor_system_composition(t2, t4):
     start = time.perf_counter()
-    rows = make_system(t2, _sub(t2, ROWS), 0)
-    cols = make_system(t2, _sub(t2, COLS), 0)
+    rows = make_system(t2, _sub(t2, ROWS))
+    cols = make_system(t2, _sub(t2, COLS))
+    assert is_product_state(t2, rows.transf, 0).pure
+    assert is_product_state(t2, cols.transf, 0).pure
     assert are_compatible(t2, rows, cols) is not None
     for a, b in ((rows, cols), (cols, rows)):
         for rho in a.pure_orbit:

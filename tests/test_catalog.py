@@ -52,6 +52,15 @@ def test_named_theories_shapes():
         assert theories[name].group.order == order
 
 
+def test_diagonal_theory_is_every_two_sided_translation():
+    points = symmetric_group(3).elements
+    index = {x: i for i, x in enumerate(points)}
+    expected = {
+        tuple(index[a * x * b.inverse()] for x in points) for a in points for b in points
+    }
+    assert [tuple(g) for g in theory_s3_diagonal_cosets().group] == sorted(expected)
+
+
 def test_diagonal_theory_factors_act_freely():
     # The six points are themselves group elements, so any nontrivial
     # one-sided translation moves every point.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from emergent import (
     generate_group,
     stabilizer,
     subgroup_closure,
+    symmetric_group,
     theory_violations,
     validate_global_theory,
 )
@@ -160,6 +164,35 @@ def test_direct_product_action_encoding():
     )
     assert embedded_left(0) == 3
     assert embedded_left(5) == 2
+
+
+def _mixed_radix_product(groups):
+    """Every tuple of factor elements, each acting on its own digit."""
+    degrees = [g.degree for g in groups]
+    strides = [math.prod(degrees[i + 1 :]) for i in range(len(groups))]
+    elements = []
+    for combo in itertools.product(*(g.elements for g in groups)):
+        images = []
+        for point in range(math.prod(degrees)):
+            digits = [point // s % n for s, n in zip(strides, degrees)]
+            images.append(sum(g[d] * s for g, d, s in zip(combo, digits, strides)))
+        elements.append(Perm(images))
+    return tuple(sorted(elements))
+
+
+@pytest.mark.parametrize("degrees", [(3, 4), (4, 3), (2, 3, 4)])
+def test_direct_product_action_is_the_mixed_radix_enumeration(degrees):
+    groups = [symmetric_group(n) for n in degrees]
+    product = direct_product_action(groups)
+    assert product.degree == math.prod(degrees)
+    assert product.elements == _mixed_radix_product(groups)
+
+
+def test_direct_product_action_answers_to_the_order_cap():
+    s3 = symmetric_group(3)
+    assert direct_product_action([s3, s3], max_order=36).order == 36
+    with pytest.raises(ResourceLimit, match="group order exceeds cap of 35 elements"):
+        direct_product_action([s3, s3], max_order=35)
 
 
 def test_canonical_order_is_stable(t2):

@@ -66,8 +66,8 @@ def _sub(theory, image_tuples):
 
 def _rows_cols(t2):
     return (
-        make_system(t2, _sub(t2, ROWS), 0),
-        make_system(t2, _sub(t2, COLS), 0),
+        make_system(t2, _sub(t2, ROWS)),
+        make_system(t2, _sub(t2, COLS)),
     )
 
 
@@ -311,11 +311,9 @@ def test_generation_for_two_cells(t2):
 
 
 def test_object_cap(t1):
-    empty = build_process_category(t1, object_cap=0)
-    assert empty.objects == ()
-    assert empty.classes == ()
-    with pytest.raises(ResourceLimit):
-        build_process_category(t1, object_cap=2)
+    for cap in (0, 2):
+        with pytest.raises(ResourceLimit):
+            build_process_category(t1, object_cap=cap)
 
 
 def test_the_one_point_theory_is_a_single_identity():
@@ -411,12 +409,9 @@ def _compose_dict(cat):
     }
 
 
-@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "cap-0"])
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
 def test_compose_is_a_read_only_mapping_equal_to_the_dict(request, theory):
-    if theory == "cap-0":
-        cat = build_process_category(request.getfixturevalue("t1"), object_cap=0)
-    else:
-        cat = build_process_category(request.getfixturevalue(theory))
+    cat = build_process_category(request.getfixturevalue(theory))
     expected = _compose_dict(cat)
     view = cat.compose
     assert type(view) is emergent.processes.CompositionRows
@@ -425,17 +420,18 @@ def test_compose_is_a_read_only_mapping_equal_to_the_dict(request, theory):
     assert len(view) == len(expected)
     assert dict(view) == expected
     n = len(cat.classes)
-    for g in range(-1, n + 1):
-        for f in range(-1, n + 1):
-            key = (g, f)
-            if key in expected:
-                assert view[key] == view.get(key) == expected[key]
-                assert key in view
-            else:
-                with pytest.raises(KeyError):
-                    view[key]
-                assert view.get(key) is None
-                assert key not in view
+    pairs = [(g, f) for g in range(-1, n + 1) for f in range(-1, n + 1)]
+    # Keys that are not pairs of ints are absent, as in the dict.
+    malformed = [(1, 2, 3), 5, None, ("a", 0), (0.5, 0), (0,), "ab", frozenset({0, 1})]
+    for key in pairs + malformed:
+        if key in expected:
+            assert view[key] == view.get(key) == expected[key]
+            assert key in view
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+            assert view.get(key) is None
+            assert key not in view
     with pytest.raises(TypeError):
         view[(0, 0)] = 0
 

@@ -21,7 +21,6 @@ from emergent import (
     check_associativity_triple,
     enumerate_self_bicommutant,
     enumerate_systems,
-    is_product_state,
     make_system,
     restrict,
     subgroup_closure,
@@ -45,8 +44,8 @@ def _sub(theory, image_tuples):
 
 def _rows_cols(t2):
     return (
-        make_system(t2, _sub(t2, ROWS), 0),
-        make_system(t2, _sub(t2, COLS), 0),
+        make_system(t2, _sub(t2, ROWS)),
+        make_system(t2, _sub(t2, COLS)),
     )
 
 
@@ -77,9 +76,6 @@ def test_make_system_rejects_mixed_witness(t1):
     a3 = _sub(t1, [(1, 2, 0)])
     with pytest.raises(NotProductState):
         make_system(t1, a3)
-    fix0 = _sub(t1, [(0, 2, 1)])
-    with pytest.raises(NotProductState):
-        make_system(t1, fix0, 1)
 
 
 def test_free_factors_make_no_system(t3):
@@ -193,7 +189,7 @@ def _coordinate_perm(sigma, axis):
 def _factor_systems(t4):
     cell_maps = [(1, 0, 2), (1, 2, 0)]
     return tuple(
-        make_system(t4, _sub(t4, [_coordinate_perm(s, axis) for s in cell_maps]), 0)
+        make_system(t4, _sub(t4, [_coordinate_perm(s, axis) for s in cell_maps]))
         for axis in range(3)
     )
 
@@ -352,9 +348,6 @@ def test_unlisted_composite_is_reported(t2, monkeypatch):
     [theory_s3, theory_s4, theory_s3_diagonal_cosets, theory_s3_squared],
 )
 def test_composites_are_the_enumerated_systems(make_theory):
-    # A fresh theory: a system made elsewhere with an explicit witness is
-    # equal to the listed one but not the same object, and a memo hit on it
-    # would hide what this test reads.
     theory = make_theory()
     systems = enumerate_systems(theory)
     for a, b in itertools.product(systems, repeat=2):
@@ -362,16 +355,3 @@ def test_composites_are_the_enumerated_systems(make_theory):
             composite = tensor_systems(theory, a, b)
             assert any(composite is s for s in systems)
 
-
-def test_a_witness_gives_the_listed_system():
-    # A fresh theory, so that no system was made with a witness before.
-    theory = theory_s3_squared()
-    unit = trivial_system(theory)
-    for listed in enumerate_systems(theory):
-        for p in theory.points:
-            if not is_product_state(theory, listed.transf, p).pure:
-                continue
-            witnessed = make_system(theory, listed.transf, p)
-            assert witnessed is make_system(theory, listed.transf)
-            tensor_systems(theory, witnessed, unit)
-            assert tensor_systems(theory, listed, unit) is listed
