@@ -12,14 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    ElementNotInGroup,
-    NotNested,
-    NotOrthogonal,
-    NotSelfBicommutant,
-    ResourceLimit,
-)
-from .perms import GlobalTheory, Perm, Subgroup, require_subgroup, theory_memo
+from .errors import ElementNotInGroup, NotNested, NotOrthogonal, NotSelfBicommutant
+from .perms import GlobalTheory, Perm, Subgroup, close, require_subgroup, theory_memo
 
 DEFAULT_MAX_NODES = 4096
 
@@ -56,29 +50,17 @@ def enumerate_self_bicommutant(
     """All self-bicommutant subgroups of the global group.
 
     Every commutant is self-bicommutant, and every self-bicommutant
-    subgroup is an intersection of single-element centralizers, so closing
-    {centralizer(g)} under pairwise intersection enumerates the lattice
-    exactly.  The full group and the trivial subgroup appear automatically
-    as centralizer(identity) and the centre.
+    subgroup is an intersection of single-element centralizers, so
+    ``perms.close`` enumerates the lattice exactly by intersecting each node
+    with every centralizer, under ``max_nodes``.  The full group and the
+    trivial subgroup appear as centralizer(identity) and the centre.
     """
     group = theory.group
     index = group.index
-    seeds = {index.element_centralizer(i) for i in range(group.order)}
+    seeds = tuple({index.element_centralizer(i) for i in range(group.order)})
     nodes = set(seeds)
-    frontier = set(seeds)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in seeds:
-                c = a & b
-                if c not in nodes:
-                    nodes.add(c)
-                    new.add(c)
-                    if len(nodes) > max_nodes:
-                        raise ResourceLimit(
-                            f"lattice exceeds cap of {max_nodes} subgroups"
-                        )
-        frontier = new
+    message = f"lattice exceeds cap of {max_nodes} subgroups"
+    close(nodes, lambda a: (a & b for b in seeds), max_nodes, message)
     # Element numbers follow the sorted element order, so the ascending
     # member numbers order nodes exactly as their member tuples do.
     ordered = sorted(nodes, key=lambda m: (m.bit_count(), index.indices(m)))

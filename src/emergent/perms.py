@@ -7,8 +7,12 @@ product tuple is ``g`` applied to every entry of ``h``.
 Groups store their full element list in a canonical sorted order; all
 derived structures (subgroup lattices, orbits, state sets) inherit
 determinism from that order.  Every group, product actions included, is
-built by ``generate_group`` from generators, and its one closure,
-``_close``, is the only cap on group order.
+built by ``generate_group`` from generators.  One routine, :func:`close`,
+grows every set the package closes breadth-first: groups
+(``generate_group``, ``subgroup_closure``, ``reduce_generators``), the
+self-bicommutant lattice (``lattice.enumerate_self_bicommutant``) and the
+system universe (``processes.system_universe``); its cap, with a message
+each caller gives, is the only cap on group order and on lattice size.
 
 Element numbering: element ``i`` of a group is ``group.elements[i]``, so
 the numbers follow the sorted order and the identity is element 0.
@@ -120,29 +124,30 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: tuple(seq[i] for i in positions)
 
 
-def _close(
-    span: set, frontier: list, gens: Sequence[Perm], cap: int | None = None
-) -> None:
-    """Grow ``span`` breadth-first from ``frontier`` by right products with ``gens``.
+def close(span: set, successors: Callable, cap: int | None = None, message: str = "") -> None:
+    """Grow ``span`` breadth-first until it is closed under ``successors``.
 
-    ``span`` must already hold ``frontier``; added elements are plain image
-    tuples.  With ``cap`` set, growing past ``cap`` elements raises
-    ResourceLimit.
+    Each member is expanded once, in the order it joined; ``successors(x)``
+    may read ``span`` as grown so far, but not lazily.  With ``cap`` set,
+    growing ``span`` past ``cap`` members raises ResourceLimit(message).
     """
-    steps = [_tuple_getter(g) for g in gens]
+    frontier = list(span)
     while frontier:
         new = []
-        for h in frontier:
-            for step in steps:
-                p = step(h)
-                if p not in span:
-                    span.add(p)
-                    new.append(p)
+        for x in frontier:
+            for y in successors(x):
+                if y not in span:
+                    span.add(y)
+                    new.append(y)
                     if cap is not None and len(span) > cap:
-                        raise ResourceLimit(
-                            f"group order exceeds cap of {cap} elements"
-                        )
+                        raise ResourceLimit(message)
         frontier = new
+
+
+def _times(gens: Sequence[Perm]) -> Callable[[tuple], Iterator[tuple]]:
+    """The map ``h -> (h * g for g in gens)`` on plain image tuples."""
+    steps = [_tuple_getter(g) for g in gens]
+    return lambda h: (step(h) for step in steps)
 
 
 def generate_group(
@@ -157,9 +162,9 @@ def generate_group(
         if p.degree != degree:
             raise DegreeMismatch(f"generator degree {p.degree} != {degree}")
         gens.append(p)
-    identity = Perm.identity(degree)
-    elements = {identity}
-    _close(elements, [identity], gens, cap=max_order)
+    elements = {Perm.identity(degree)}
+    message = f"group order exceeds cap of {max_order} elements"
+    close(elements, _times(gens), max_order, message)
     return FiniteGroup(degree, tuple(map(_as_perm, sorted(elements))))
 
 
@@ -378,7 +383,7 @@ def subgroup_closure(parent: FiniteGroup, seed: Iterable[Perm]) -> Subgroup:
         if g not in parent.element_set:
             raise ElementNotInGroup(f"{g!r} is not in the parent group")
     elements = {parent.identity}
-    _close(elements, [parent.identity], gens)
+    close(elements, _times(gens))
     return Subgroup(parent, elements)
 
 
@@ -395,7 +400,7 @@ def reduce_generators(members: Sequence[Perm], degree: int) -> list[Perm]:
         if m in span:
             continue
         gens.append(m)
-        _close(span, list(span), gens)
+        close(span, _times(gens))
         if len(span) == len(members):
             break
     return gens

@@ -433,8 +433,11 @@ def _check_associativity(inst: FiniteCategoryInstance, rows: _Rows) -> list[Viol
 
 
 def _check_unit(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
-    out: list[Violation] = []
+    # An instance with no objects has nothing for the unit law to read.
     e = inst.unit
+    if inst.objects and not 0 <= e < len(inst.objects):
+        return [Violation("unit", (e,), f"the unit {e} is not an object")]
+    out: list[Violation] = []
     for a in range(len(inst.objects)):
         for pair in ((e, a), (a, e)):
             if inst.tensor_obj.get(pair) != a:

@@ -38,6 +38,7 @@ from .perms import (
     Perm,
     Subgroup,
     _tuple_getter,
+    close,
     require_subgroup,
     theory_memo,
 )
@@ -451,21 +452,19 @@ def default_system_seeds(theory: GlobalTheory) -> tuple[System, ...]:
 def system_universe(
     theory: GlobalTheory, seeds: tuple[System, ...]
 ) -> tuple[System, ...]:
-    """Close a set of systems under the partial tensor product."""
-    universe = set(seeds)
-    universe.add(trivial_system(theory))
-    frontier = set(universe)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in universe:
-                if are_compatible(theory, a, b) is None:
-                    continue
-                composite = tensor_systems(theory, a, b)
-                if composite not in universe and composite not in new:
-                    new.add(composite)
-        universe |= new
-        frontier = new
+    """Close ``seeds`` and the unit under the partial tensor product.
+
+    ``perms.close`` tensors each member with all members present when it is
+    expanded; the tensor is symmetric, so every compatible pair is met.  The
+    lattice bounds the universe: each composite is the system of a node.
+    """
+    universe = {*seeds, trivial_system(theory)}
+
+    def tensors(a: System) -> list[System]:
+        partners = [b for b in universe if are_compatible(theory, a, b) is not None]
+        return [tensor_systems(theory, a, b) for b in partners]
+
+    close(universe, tensors)
     return tuple(sorted(universe, key=system_key))
 
 
@@ -661,6 +660,13 @@ class GenerationReport:
 
 
 def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
+    """The classes that composition and tensor generate from ``start``.
+
+    A fixpoint over the tables, not ``perms.close``: a worklist needs each
+    class's composites and tensors, an index that a ``compose`` mapping
+    (tests plant faults in plain dicts) does not hold, and on s3x3x3 the
+    fixpoint settles in two passes.
+    """
     span = set(start)
     changed = True
     while changed:

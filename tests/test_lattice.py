@@ -112,7 +112,7 @@ def test_lattice_bounds(t1, t2, t5):
 
 
 def test_lattice_node_cap(t2):
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match="^lattice exceeds cap of 10 subgroups$"):
         enumerate_self_bicommutant(t2, max_nodes=10)
 
 

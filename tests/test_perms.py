@@ -30,6 +30,7 @@ from emergent import (
     theory_violations,
     validate_global_theory,
 )
+from emergent.perms import close
 
 
 def test_perm_rejects_non_bijections():
@@ -67,8 +68,37 @@ def test_generate_group_orders():
 
 
 def test_generate_group_respects_cap():
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match="^group order exceeds cap of 4 elements$"):
         generate_group(3, [Perm((1, 0, 2)), Perm((1, 2, 0))], max_order=4)
+
+
+def test_close_grows_a_set_under_a_map():
+    span = {1}
+    close(span, lambda x: [2 * x % 11])
+    assert span == set(range(1, 11))
+
+
+def test_close_skips_a_successor_already_in_the_set():
+    calls = []
+
+    def successors(x):
+        calls.append(x)
+        return [x, (x + 1) % 3]
+
+    span = {0}
+    close(span, successors)
+    assert span == {0, 1, 2}
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_close_raises_the_callers_message_only_past_the_cap():
+    at_cap = {0}
+    close(at_cap, lambda x: [min(x + 1, 4)], cap=5, message="too many")
+    assert at_cap == {0, 1, 2, 3, 4}
+    past_cap = {0}
+    with pytest.raises(ResourceLimit, match="^too many$"):
+        close(past_cap, lambda x: [min(x + 1, 5)], cap=5, message="too many")
+    assert len(past_cap) == 6
 
 
 def test_generated_group_is_closed(t5):

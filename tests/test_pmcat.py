@@ -382,3 +382,10 @@ def test_a_tensor_with_wrong_endpoints_is_composed_through_a_stray_entry(t1):
     assert Violation(
         "functoriality", (e, e, e, e), "tensor does not commute with composition"
     ) in report
+
+
+def test_a_unit_that_is_not_an_object_is_one_unit_violation(t1):
+    inst = extract_instance(t1)
+    for unit in (len(inst.objects), -1):
+        report = check_partially_monoidal(dataclasses.replace(inst, unit=unit))
+        assert report == (Violation("unit", (unit,), f"the unit {unit} is not an object"),)
