@@ -27,10 +27,10 @@ from .lattice import (
 from .perms import GlobalTheory, reduce_generators
 from .processes import (
     ProcessCategory,
-    apply_process,
     build_process_category,
     compose_process,
     pair_states,
+    process_action,
     process_table,
     tensor_processes,
     verify_generation,
@@ -488,6 +488,11 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
     identity that changes a class, has the wrong endpoints or has a missing
     composite.  In a built category they hold by construction, since an
     identity's output positions are ``range(n)``.
+
+    The tensor check applies each sampled pair's tensor to every input
+    state through ``process_action``, whose per-process part is found once
+    per pair; the build typed tensors once per typing pair and read them
+    through ``_output_map``, a route this check does not share.
     """
     theory = cat.theory
     violations: list[str] = []
@@ -529,8 +534,9 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
             )
         # Not by ``process_table``, the route the build registered ``out`` by.
         prod = tensor_processes(theory, c.representative, d.representative)
+        act = process_action(theory, prod)
         if cat.classes[out].table != tuple(
-            (state_key(s.value), state_key(apply_process(theory, prod, s).value))
+            (state_key(s.value), state_key(act(s).value))
             for s in pair_states(theory, prod.domain)
         ):
             violations.append(

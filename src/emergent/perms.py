@@ -124,14 +124,23 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: tuple(seq[i] for i in positions)
 
 
-def close(span: set, successors: Callable, cap: int | None = None, message: str = "") -> None:
+def close(
+    span: set,
+    successors: Callable,
+    cap: int | None = None,
+    message: str = "",
+    frontier: Iterable | None = None,
+) -> None:
     """Grow ``span`` breadth-first until it is closed under ``successors``.
 
-    Each member is expanded once, in the order it joined; ``successors(x)``
-    may read ``span`` as grown so far, but not lazily.  With ``cap`` set,
-    growing ``span`` past ``cap`` members raises ResourceLimit(message).
+    Each member of ``frontier`` (by default, every member) and each member
+    that joins is expanded once, in the order it joined; a member outside
+    ``frontier`` must have its successors in ``span`` already.
+    ``successors(x)`` may read ``span`` as grown so far, but not lazily.
+    With ``cap`` set, growing ``span`` past ``cap`` members raises
+    ResourceLimit(message).
     """
-    frontier = list(span)
+    frontier = list(span if frontier is None else frontier)
     while frontier:
         new = []
         for x in frontier:
@@ -400,7 +409,11 @@ def reduce_generators(members: Sequence[Perm], degree: int) -> list[Perm]:
         if m in span:
             continue
         gens.append(m)
-        close(span, _times(gens))
+        # ``span`` is closed under the earlier generators, so its members
+        # need only ``m``; the members that join need every generator.
+        fresh = [x for x in map(_tuple_getter(m), span) if x not in span]
+        span.update(fresh)
+        close(span, _times(gens), frontier=fresh)
         if len(span) == len(members):
             break
     return gens

@@ -128,26 +128,38 @@ def _rows(inst: FiniteCategoryInstance) -> _Rows:
         rank = {g: i for members in leaving.values() for i, g in enumerate(members)}
         row = [[None] * len(leaving.get(c, ())) for c in cod]
         for key, h in compose.items():
-            g, f = key
-            if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor):
-                bad_compose.append((key, h))
-            elif dom[g] == cod[f]:
-                row[f][rank[g]] = h
+            # A key that is not a pair, or a key or value that is not a
+            # number, raises here: it is malformed like one out of range.
+            try:
+                g, f = key
+                if 0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor:
+                    if dom[g] == cod[f]:
+                        row[f][rank[g]] = h
+                    continue
+            except (TypeError, ValueError):
+                pass
+            bad_compose.append((key, h))
         row = list(map(tuple, row))
     succ = [leaving.get(c, ()) for c in cod]
 
     def lookup(g: int, f: int) -> int | None:
         h = compose.get((g, f))
-        return h if h is not None and 0 <= h < n_mor else None
+        try:
+            return h if 0 <= h < n_mor else None
+        except TypeError:  # absent, or malformed
+            return None
 
     tensor_entries = []
     bad_tensor = []
     for key, fg in inst.tensor_mor.items():
-        f, g = key
-        if 0 <= f < n_mor and 0 <= g < n_mor and 0 <= fg < n_mor:
-            tensor_entries.append((f, g, fg))
-        else:
-            bad_tensor.append((key, fg))
+        try:
+            f, g = key
+            if 0 <= f < n_mor and 0 <= g < n_mor and 0 <= fg < n_mor:
+                tensor_entries.append((f, g, fg))
+                continue
+        except (TypeError, ValueError):
+            pass
+        bad_tensor.append((key, fg))
     tens: list[dict[int, int]] = [{} for _ in range(n_mor)]
     tens_from: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n_mor)]
     for f, g, fg in sorted(tensor_entries):
@@ -273,9 +285,14 @@ def _check_fullness(inst: FiniteCategoryInstance) -> list[Violation]:
                     for g in gs:
                         if (f, g) not in tensor_mor:
                             found.append((f, g, "is missing although both endpoint tensors exist"))
-    # Every present tensor of two morphisms with an undefined endpoint tensor.
-    for f, g in tensor_mor:
-        if not (0 <= f < n_mor and 0 <= g < n_mor):
+    # Every present tensor of two morphisms with an undefined endpoint tensor;
+    # a key that names no pair of morphisms is the functoriality check's.
+    for key in tensor_mor:
+        try:
+            f, g = key
+            if not (0 <= f < n_mor and 0 <= g < n_mor):
+                continue
+        except (TypeError, ValueError):
             continue
         if (dom[f], dom[g]) not in tensor_obj or (cod[f], cod[g]) not in tensor_obj:
             found.append((f, g, "is present although an endpoint tensor is undefined"))

@@ -16,7 +16,7 @@ the effect enumeration read.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Callable, ItemsView, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -159,10 +159,7 @@ def make_process(
     if prep not in ancilla.pure_set:
         raise StateNotInSystem("the preparation is not a pure state of the ancilla")
     total = tensor_systems(theory, domain.system, ancilla)
-    if transform not in total.transf:
-        raise ElementNotInGroup(
-            "the transformation does not belong to the composite of domain and ancilla"
-        )
+    _require_transform(total, transform)
     if tensor_systems(theory, codomain_system, discarded) != total:
         raise TypeMismatch(
             "codomain and discarded systems do not re-factorize the composite"
@@ -174,23 +171,44 @@ def make_process(
     return proc
 
 
+def _require_transform(total: System, transform: Perm) -> None:
+    if transform not in total.transf:
+        raise ElementNotInGroup(
+            "the transformation does not belong to the composite of domain and ancilla"
+        )
+
+
 def process_codomain(theory: GlobalTheory, proc: Process) -> SystemEnvironmentPair:
     """The output pair: codomain system facing environment plus discards."""
     env_out = tensor_systems(theory, proc.domain.environment, proc.discarded)
     return make_pair(theory, proc.codomain_system, env_out)
 
 
+def process_action(theory: GlobalTheory, proc: Process) -> Callable[[PairState], PairState]:
+    """``apply_process`` of ``proc`` as a map on states.
+
+    The domain's composite and the codomain pair are the process's own, so
+    they are found once; each state is then purified, joined with the
+    ancilla's preparation, acted on and restricted to the codomain.
+    """
+    domain, ancilla, prep, transform = proc.domain, proc.ancilla, proc.prep, proc.transform
+    composite = pair_composite(theory, domain)
+    codomain = process_codomain(theory, proc)
+    out = proc.codomain_system.transf
+
+    def act(state: PairState) -> PairState:
+        if state.pair != domain:
+            raise StateNotInPair("the state has a different type than the process domain")
+        joint = tensor_pure_states(theory, composite, ancilla, state.purification, prep)
+        acted = act_local(theory, transform, joint)
+        return PairState(codomain, iterated_restrict(theory, out, acted), acted)
+
+    return act
+
+
 def apply_process(theory: GlobalTheory, proc: Process, state: PairState) -> PairState:
     """Purify, adjoin the ancilla, act, and restrict to the codomain."""
-    if state.pair != proc.domain:
-        raise StateNotInPair("the state has a different type than the process domain")
-    composite = pair_composite(theory, proc.domain)
-    joint = tensor_pure_states(
-        theory, composite, proc.ancilla, state.purification, proc.prep
-    )
-    acted = act_local(theory, proc.transform, joint)
-    value = iterated_restrict(theory, proc.codomain_system.transf, acted)
-    return PairState(process_codomain(theory, proc), value, acted)
+    return process_action(theory, proc)(state)
 
 
 def process_table(theory: GlobalTheory, proc: Process) -> tuple:
@@ -203,7 +221,8 @@ def process_table(theory: GlobalTheory, proc: Process) -> tuple:
     joint state gives it the same local state: the restriction at ``u[p]``.
     """
     keys = (state_key(s.value) for s in pair_states(theory, proc.domain))
-    return tuple(zip(keys, _outputs(theory, proc)))
+    outputs = _output_map(theory, proc.domain, proc.ancilla, proc.prep, proc.codomain_system)
+    return tuple(zip(keys, outputs(proc.transform)))
 
 
 def compose_process(theory: GlobalTheory, after: Process, before: Process) -> Process:
@@ -303,17 +322,30 @@ def _joint_points(
     )
 
 
-def _outputs(theory: GlobalTheory, proc: Process) -> tuple[tuple[int, ...], ...]:
-    """The output state keys of ``process_table(proc)``, in input order."""
-    owner = tensor_systems(theory, pair_composite(theory, proc.domain), proc.ancilla).transf
-    u = proc.transform
-    if u not in owner:
-        raise ElementNotInOwner(f"{u!r} does not belong to the state's owner")
-    restricted = _restriction(theory, proc.codomain_system.transf, owner)
-    return tuple(
-        restricted[u[p]]
-        for p in _joint_points(theory, proc.domain, proc.ancilla, proc.prep)
-    )
+def _output_map(
+    theory: GlobalTheory,
+    domain: SystemEnvironmentPair,
+    ancilla: System,
+    prep: LocalState,
+    codomain_system: System,
+) -> Callable[[Perm], tuple[tuple[int, ...], ...]]:
+    """The output state keys of ``process_table``, in input order, as a map
+    of the transformation ``u`` of a process of this typing.
+
+    The joint states' owner, the restriction to the output system and one
+    point of each joint state depend on the typing alone, so processes that
+    differ only in their transformation share them.
+    """
+    owner = tensor_systems(theory, pair_composite(theory, domain), ancilla).transf
+    restricted = _restriction(theory, codomain_system.transf, owner)
+    joint_points = _tuple_getter(_joint_points(theory, domain, ancilla, prep))
+
+    def outputs(u: Perm) -> tuple[tuple[int, ...], ...]:
+        if u not in owner:
+            raise ElementNotInOwner(f"{u!r} does not belong to the state's owner")
+        return tuple(map(restricted.__getitem__, joint_points(u)))
+
+    return outputs
 
 
 def enumerate_generalised_effects(
@@ -343,11 +375,11 @@ def enumerate_generalised_effects(
         except IncompatibleSystems:
             continue
         for prep in anc.pure_orbit:
+            outputs_of = _output_map(theory, pair, anc, prep, unit)
             for u in total.transf.members:
-                proc = Process(pair, anc, prep, u, unit, total)
-                outputs = _outputs(theory, proc)
+                outputs = outputs_of(u)
                 if outputs not in found:
-                    found[outputs] = proc
+                    found[outputs] = Process(pair, anc, prep, u, unit, total)
     return tuple(found.values())
 
 
@@ -485,6 +517,10 @@ def build_process_category(
     positions read at ``f``'s, and only the pairs that compose or tensor
     are visited.  The loops establish every condition ``make_process``
     checks, so each representative is built as a ``Process`` directly.
+    Tensors are typed once per typing pair: what a product is, bar its
+    dynamics, depends only on its factors' typings, so each class pair
+    multiplies the two dynamics and reads its outputs through the typing
+    pair's ``_output_map``.
     """
     seeds = default_system_seeds(theory) if systems is None else tuple(systems)
     universe = system_universe(theory, seeds)
@@ -602,6 +638,19 @@ def build_process_category(
     by_ends: dict[tuple[int, int], list[int]] = {}
     for ci, c in enumerate(classes):
         by_ends.setdefault((c.dom, c.cod), []).append(ci)
+    # A product's objects, ancilla, preparation, output system, discard and
+    # output map depend on its factors' typings alone, so the first class
+    # pair of each typing pair builds them through ``tensor_processes``,
+    # with every check ``make_process`` makes; each pair then checks its own
+    # ``h * k`` and reads its outputs.
+    typing_ids: dict[tuple, int] = {}
+    typing_of = [
+        typing_ids.setdefault(
+            (r.domain, r.ancilla, r.prep, r.codomain_system, r.discarded), len(typing_ids)
+        )
+        for r in map(attrgetter("representative"), classes)
+    ]
+    typed: dict[tuple[int, int], tuple] = {}
     partners: dict[tuple[int, int], list[int]] = {}
     tensor_mor: dict[tuple[int, int], int] = {}
     for ci, c in enumerate(classes):
@@ -613,12 +662,25 @@ def build_process_category(
                 for k in tensors_with.get(c.cod, ())
                 for cj in by_ends.get((j, k), ())
             )
+        h = c.representative.transform
         for cj in partners[ends]:
             d = classes[cj]
-            cod = tensor_obj[(c.cod, d.cod)]
-            prod = tensor_processes(theory, c.representative, d.representative)
-            where = tuple(map(state_position[cod].__getitem__, _outputs(theory, prod)))
-            tensor_mor[(ci, cj)] = class_index[(tensor_obj[(c.dom, d.dom)], cod, where)]
+            pair_typing = (typing_of[ci], typing_of[cj])
+            if pair_typing not in typed:
+                prod = tensor_processes(theory, c.representative, d.representative)
+                cod = tensor_obj[(c.cod, d.cod)]
+                typed[pair_typing] = (
+                    tensor_systems(theory, prod.domain.system, prod.ancilla),
+                    _output_map(theory, prod.domain, prod.ancilla, prod.prep, prod.codomain_system),
+                    state_position[cod].__getitem__,
+                    tensor_obj[(c.dom, d.dom)],
+                    cod,
+                )
+            total, outputs, position, dom, cod = typed[pair_typing]
+            u = h * d.representative.transform
+            _require_transform(total, u)
+            where = tuple(map(position, outputs(u)))
+            tensor_mor[(ci, cj)] = class_index[(dom, cod, where)]
 
     unit = trivial_system(theory)
     return ProcessCategory(

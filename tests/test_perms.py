@@ -23,6 +23,8 @@ from emergent import (
     centralizer,
     centre,
     direct_product_action,
+    enumerate_self_bicommutant,
+    enumerate_systems,
     generate_group,
     stabilizer,
     subgroup_closure,
@@ -30,7 +32,8 @@ from emergent import (
     theory_violations,
     validate_global_theory,
 )
-from emergent.perms import close
+import emergent.perms
+from emergent.perms import close, reduce_generators
 
 
 def test_perm_rejects_non_bijections():
@@ -89,6 +92,20 @@ def test_close_skips_a_successor_already_in_the_set():
     close(span, successors)
     assert span == {0, 1, 2}
     assert sorted(calls) == [0, 1, 2]
+
+
+def test_close_expands_only_the_frontier_and_what_joins():
+    calls = []
+
+    def successors(x):
+        calls.append(x)
+        return [(x + 2) % 6]
+
+    # {0, 2, 4} is closed already; 1 joins it and brings 3 and 5.
+    span = {0, 2, 4, 1}
+    close(span, successors, frontier=[1])
+    assert span == set(range(6))
+    assert calls == [1, 3, 5]
 
 
 def test_close_raises_the_callers_message_only_past_the_cap():
@@ -223,6 +240,48 @@ def test_direct_product_action_answers_to_the_order_cap():
     assert direct_product_action([s3, s3], max_order=36).order == 36
     with pytest.raises(ResourceLimit, match="group order exceeds cap of 35 elements"):
         direct_product_action([s3, s3], max_order=35)
+
+
+def _reduce_generators_reclosing(members, degree):
+    """The greedy generating subset, re-closing the whole span per generator."""
+    gens, span = [], {Perm.identity(degree)}
+    for m in members:
+        if m in span:
+            continue
+        gens.append(m)
+        frontier = list(span)
+        while frontier:
+            new = [h * g for h in frontier for g in gens]
+            frontier = [h for h in new if h not in span]
+            span.update(frontier)
+        if len(span) == len(members):
+            break
+    return gens
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t2", "t4", "t3", "s5"])
+def test_reduce_generators_closes_each_member_once_per_generator(request, theory, monkeypatch):
+    theory = request.getfixturevalue(theory)
+    subgroups = [node for node in enumerate_self_bicommutant(theory).nodes]
+    subgroups += [system.transf for system in enumerate_systems(theory)]
+    products = [0]
+    tuple_getter = emergent.perms._tuple_getter
+
+    def counting(positions):
+        step = tuple_getter(positions)
+
+        def counted(h):
+            products[0] += 1
+            return step(h)
+
+        return counted
+
+    monkeypatch.setattr(emergent.perms, "_tuple_getter", counting)
+    for sub in subgroups:
+        products[0] = 0
+        gens = reduce_generators(sub.members, theory.degree)
+        assert gens == _reduce_generators_reclosing(sub.members, theory.degree)
+        assert products[0] == len(sub.members) * len(gens)
 
 
 def test_canonical_order_is_stable(t2):

@@ -243,6 +243,41 @@ def test_a_table_value_that_names_no_morphism_is_one_violation(t1, table, kind, 
         )
 
 
+@pytest.mark.parametrize(
+    "table, kind, name",
+    [
+        ("compose", "category-composition", "composition"),
+        ("tensor_mor", "functoriality", "morphism tensor"),
+    ],
+)
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (("a", 0), 0),
+        ((0, "a"), 0),
+        ((0, 0, 0), 0),
+        ((0,), 0),
+        (5, 0),
+        (None, 0),
+        ("ab", 0),
+        ("existing", None),
+        ("existing", "x"),
+    ],
+)
+def test_a_table_entry_that_is_not_ints_is_one_violation(t1, table, kind, name, key, value):
+    # Added under a key that is not a pair of ints, or given a value that is
+    # not an int under a key already in the table.
+    inst = extract_instance(t1)
+    broken = dict(getattr(inst, table))
+    if key == "existing":
+        key = sorted(broken)[1]
+    broken[key] = value
+    report = check_partially_monoidal(dataclasses.replace(inst, **{table: broken}))
+    assert report == (
+        Violation(kind, key, f"{name} entry {key} -> {value!r} names no morphism"),
+    )
+
+
 # Each change rewrites one entry of one table.  The "within-hom"
 # reassignment keeps the composite's endpoints and the "off-diagonal"
 # deletion spares the (a, a) object tensors, as the benchmark's planted

@@ -349,7 +349,7 @@ def _assert_same_category(new, old):
         assert list(getattr(new, table).items()) == list(getattr(old, table).items())
 
 
-@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "d5", "f20", "a4", "s3_regular"])
 def test_category_equals_the_first_written_build(request, theory):
     theory = request.getfixturevalue(theory)
     _assert_same_category(
@@ -469,16 +469,59 @@ def test_processes_suite_draws_the_pairs_the_key_list_draws(t2, monkeypatch, sam
     assert tensored == tensorable
 
 
+@pytest.mark.parametrize("theory", ["t5", "t3", "t2"])
+def test_the_build_makes_one_product_per_typing_pair(request, theory, monkeypatch):
+    theory = request.getfixturevalue(theory)
+    made = []
+
+    def counting(theory, left, right):
+        made.append((left, right))
+        return tensor_processes(theory, left, right)
+
+    monkeypatch.setattr(emergent.processes, "tensor_processes", counting)
+    cat = build_process_category(theory)
+
+    def typing(proc):
+        return (proc.domain, proc.ancilla, proc.prep, proc.codomain_system, proc.discarded)
+
+    reps = [c.representative for c in cat.classes]
+    typing_pairs = {(typing(reps[ci]), typing(reps[cj])) for ci, cj in cat.tensor_mor}
+    assert len(made) == len(typing_pairs) < len(cat.tensor_mor)
+    assert {(typing(left), typing(right)) for left, right in made} == typing_pairs
+
+
+def test_process_action_types_its_process_once(t2, monkeypatch):
+    cat = build_process_category(t2)
+    proc = max((c.representative for c in cat.classes), key=lambda p: len(pair_states(t2, p.domain)))
+    states = pair_states(t2, proc.domain)
+    assert len(states) > 1
+    expected = [apply_process(t2, proc, s) for s in states]
+    calls = []
+
+    def counting(theory, proc):
+        calls.append(proc)
+        return process_codomain(theory, proc)
+
+    monkeypatch.setattr(emergent.processes, "process_codomain", counting)
+    act = emergent.processes.process_action(t2, proc)
+    assert [act(s) for s in states] == expected
+    assert len(calls) == 1
+    other = next(obj for obj in cat.objects if obj != proc.domain)
+    with pytest.raises(StateNotInPair):
+        act(pair_states(t2, other)[0])
+
+
 def test_the_tensor_check_catches_a_fault_shared_with_the_build(t1, monkeypatch):
-    # With _outputs blind to the dynamics, the build registers each tensor
+    # With _output_map blind to the dynamics, the build registers each tensor
     # by that state map and process_table repeats it; only applying the
     # tensor to each input state tells them apart.
-    outputs = emergent.processes._outputs
+    output_map = emergent.processes._output_map
 
-    def static(theory, proc):
-        return outputs(theory, dataclasses.replace(proc, transform=theory.group.identity))
+    def static(theory, *typing):
+        outputs = output_map(theory, *typing)
+        return lambda u: outputs(theory.group.identity)
 
-    monkeypatch.setattr(emergent.processes, "_outputs", static)
+    monkeypatch.setattr(emergent.processes, "_output_map", static)
     cat = build_process_category(t1)
     found = [
         v
