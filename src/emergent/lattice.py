@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ElementNotInGroup, NotNested, NotOrthogonal, NotSelfBicommutant
-from .perms import GlobalTheory, Perm, Subgroup, close, require_subgroup, theory_memo
+from .perms import (
+    GlobalTheory,
+    GroupIndex,
+    Perm,
+    Subgroup,
+    close,
+    require_subgroup,
+    theory_memo,
+)
 
 DEFAULT_MAX_NODES = 4096
 
@@ -96,29 +104,49 @@ class SbcLattice:
         )
 
     @cached_property
+    def _above(self) -> tuple[int, ...]:
+        """``_above[i]`` is the mask of the nodes that strictly contain node ``i``.
+
+        ``holders[e]`` is the mask of the nodes holding element ``e``, so
+        the nodes containing node ``i`` are the AND of ``holders`` over
+        its members.
+        """
+        holders = [0] * self.theory.group.order
+        for j, node in enumerate(self.nodes):
+            bit = 1 << j
+            for e in node.indices:
+                holders[e] |= bit
+        everything = (1 << len(self.nodes)) - 1
+        above = []
+        for i, node in enumerate(self.nodes):
+            mask = everything
+            for e in node.indices:
+                mask &= holders[e]
+            above.append(mask & ~(1 << i))
+        return tuple(above)
+
+    @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
+        width = f"0{len(self.nodes)}b"
         return tuple(
-            tuple((a.mask & ~b.mask) == 0 for b in self.nodes)
-            for a in self.nodes
+            tuple(map("1".__eq__, format(up | 1 << i, width)[::-1]))
+            for i, up in enumerate(self._above)
         )
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """Covering pairs (i, j) with node i immediately below node j."""
-        n = len(self.nodes)
-        leq = self.leq
+        """Covering pairs (i, j) with node i immediately below node j.
+
+        Node ``i``'s covers are the nodes above it that are above none of
+        the others above it; edges are listed by ``i``, then ``j``.
+        """
+        above = self._above
         edges = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(
-                    leq[i][k] and leq[k][j]
-                    for k in range(n)
-                    if k != i and k != j
-                ):
-                    continue
-                edges.append((i, j))
+        for i, up in enumerate(above):
+            covered = 0
+            for k in GroupIndex.indices(up):
+                covered |= above[k]
+            edges.extend((i, j) for j in GroupIndex.indices(up & ~covered))
         return tuple(edges)
 
     @property

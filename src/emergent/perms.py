@@ -20,13 +20,20 @@ the numbers follow the sorted order and the identity is element 0.
 to their numbers and holds one compiled right multiplication per element.
 It keeps nothing of size |G|^2, so every group order takes the same path.
 
+Base: ``group.index.base`` is a short list of points that only the
+identity fixes all of (a base of the group, in the sense of Sims), chosen
+greedily when first read.  Two elements agreeing on the base are equal, so
+a commutation test compares two products on the base points alone: 2 of
+27 points on the 27-point product of three S3s, 1 point for a regular
+action, none for the group of degree one.
+
 Bitmasks: a set of elements is a Python int whose bit ``i`` is set
 exactly when element ``i`` is in the set.  A :class:`Subgroup` is
 identified by such a mask over its parent's numbering.  Intersection is
 ``a & b``, inclusion is ``a & ~b == 0``, and the centralizer of a set is
-the AND of the centralizer masks of its elements, each computed once per
-group.  ``Subgroup.members`` is the sorted member tuple, derived from the
-mask when first read.
+the AND of the centralizer masks of its elements, each computed on the
+base once per group.  ``Subgroup.members`` is the sorted member tuple,
+derived from the mask when first read.
 
 Memoisation: :func:`theory_memo` stores ``fn(theory, *args)`` in a dict
 held by the theory object itself, so what is computed from a theory lives
@@ -182,7 +189,9 @@ class GroupIndex:
 
     ``position[g]`` is the number of element ``g`` and ``right[i](h)`` is
     the product ``h * elements[i]`` as a plain tuple.  Inverses, point
-    images and single-element centralizer masks are computed on first use.
+    images, the base, products read on the base and single-element
+    centralizer masks are computed on first use; only the centralizers
+    asked for are computed, so a centre check costs one per generator.
     """
 
     def __init__(self, elements: tuple[Perm, ...]) -> None:
@@ -229,15 +238,46 @@ class GroupIndex:
             numbers.append(i)
         return self.pack(numbers)
 
+    @cached_property
+    def base(self) -> tuple[int, ...]:
+        """A few points that only the identity fixes all of, chosen greedily.
+
+        Each step takes the point that the most elements fixing every
+        earlier point move.  Two elements agree on the base exactly when
+        they are equal.
+        """
+        fixers = [
+            self.pack(i for i, q in enumerate(images) if q == p)
+            for p, images in enumerate(self.images)
+        ]
+        base = []
+        unfixed = self.full & ~1  # every element but the identity
+        while unfixed:
+            p = max(range(len(fixers)), key=lambda p: (unfixed & ~fixers[p]).bit_count())
+            base.append(p)
+            unfixed &= fixers[p]
+        return tuple(base)
+
+    @cached_property
+    def right_on_base(self) -> list[Callable[[Sequence], tuple]]:
+        """``right_on_base[i](h)`` is ``h * elements[i]`` read on the base."""
+        base = self.base
+        return [_tuple_getter([g[b] for b in base]) for g in self.elements]
+
     def element_centralizer(self, i: int) -> int:
-        """The mask of the elements commuting with element ``i``, memoised."""
+        """The mask of the elements commuting with element ``i``, memoised.
+
+        ``x`` commutes with ``g`` exactly when ``x * g`` and ``g * x``
+        agree on the base.
+        """
         mask = self._centralizers[i]
         if mask is None:
             g = self.elements[i]
-            times_g = self.right[i]
+            on_base = self.right_on_base
+            times_g = on_base[i]
             mask = self.pack(
                 j
-                for j, (x, times_x) in enumerate(zip(self.elements, self.right))
+                for j, (x, times_x) in enumerate(zip(self.elements, on_base))
                 if times_g(x) == times_x(g)
             )
             self._centralizers[i] = mask
@@ -317,7 +357,8 @@ class Subgroup:
 
     ``mask`` is a bitmask over the parent's element numbering (see the
     module docstring); ``members`` is the sorted member tuple.  Instances
-    are immutable.
+    are immutable.  The repr names the parent by its degree and order and
+    the subgroup by its mask, so it stays short on large groups.
     """
 
     def __init__(self, parent: FiniteGroup, members: Iterable[Perm]) -> None:
@@ -335,7 +376,12 @@ class Subgroup:
         self._hash = hash((parent, mask))
 
     def __repr__(self) -> str:
-        return f"Subgroup(parent={self.parent!r}, members={self.members!r})"
+        # The parent is named by its degree and order, not printed whole.
+        parent = self.parent
+        return (
+            f"Subgroup(parent=<degree {parent.degree}, order {parent.order}>, "
+            f"order={self.order}, mask={self.mask:#x})"
+        )
 
     def __hash__(self) -> int:
         return self._hash

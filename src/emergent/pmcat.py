@@ -118,8 +118,11 @@ class _Rows(NamedTuple):
 
 
 def _rows(inst: FiniteCategoryInstance) -> _Rows:
-    n_mor = len(inst.morphisms)
     dom, cod, compose = inst.dom, inst.cod, inst.compose
+    # named[x] == x exactly when x is a morphism number.  Indexing raises
+    # on a number that is too large or not an integer, such as 1.0, and a
+    # negative one reads another entry, so malformed entries fail here.
+    named = tuple(range(len(inst.morphisms)))
     bad_compose = []
     if isinstance(compose, CompositionRows) and (compose.dom, compose.cod) == (dom, cod):
         leaving, rank, row = compose.leaving, compose.rank, compose.rows
@@ -129,14 +132,14 @@ def _rows(inst: FiniteCategoryInstance) -> _Rows:
         row = [[None] * len(leaving.get(c, ())) for c in cod]
         for key, h in compose.items():
             # A key that is not a pair, or a key or value that is not a
-            # number, raises here: it is malformed like one out of range.
+            # morphism number, raises or fails here.
             try:
                 g, f = key
-                if 0 <= g < n_mor and 0 <= f < n_mor and 0 <= h < n_mor:
+                if named[g] == g and named[f] == f and named[h] == h:
                     if dom[g] == cod[f]:
                         row[f][rank[g]] = h
                     continue
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, IndexError):
                 pass
             bad_compose.append((key, h))
         row = list(map(tuple, row))
@@ -145,8 +148,8 @@ def _rows(inst: FiniteCategoryInstance) -> _Rows:
     def lookup(g: int, f: int) -> int | None:
         h = compose.get((g, f))
         try:
-            return h if 0 <= h < n_mor else None
-        except TypeError:  # absent, or malformed
+            return h if named[h] == h else None
+        except (TypeError, IndexError):  # absent, or malformed
             return None
 
     tensor_entries = []
@@ -154,14 +157,14 @@ def _rows(inst: FiniteCategoryInstance) -> _Rows:
     for key, fg in inst.tensor_mor.items():
         try:
             f, g = key
-            if 0 <= f < n_mor and 0 <= g < n_mor and 0 <= fg < n_mor:
+            if named[f] == f and named[g] == g and named[fg] == fg:
                 tensor_entries.append((f, g, fg))
                 continue
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, IndexError):
             pass
         bad_tensor.append((key, fg))
-    tens: list[dict[int, int]] = [{} for _ in range(n_mor)]
-    tens_from: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(n_mor)]
+    tens: list[dict[int, int]] = [{} for _ in named]
+    tens_from: list[dict[int, list[tuple[int, int]]]] = [{} for _ in named]
     for f, g, fg in sorted(tensor_entries):
         tens[f][g] = fg
         tens_from[f].setdefault(dom[g], []).append((g, fg))
@@ -268,7 +271,6 @@ def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
 
 def _check_fullness(inst: FiniteCategoryInstance) -> list[Violation]:
     found: list[tuple[int, int, str]] = []
-    n_mor = len(inst.morphisms)
     dom, cod = inst.dom, inst.cod
     tensor_obj, tensor_mor = inst.tensor_obj, inst.tensor_mor
     homs_from: dict[int, list[tuple[int, list[int]]]] = {}
@@ -287,14 +289,16 @@ def _check_fullness(inst: FiniteCategoryInstance) -> list[Violation]:
                             found.append((f, g, "is missing although both endpoint tensors exist"))
     # Every present tensor of two morphisms with an undefined endpoint tensor;
     # a key that names no pair of morphisms is the functoriality check's.
+    # Indexing dom and cod raises on a number too large or not an integer.
     for key in tensor_mor:
         try:
             f, g = key
-            if not (0 <= f < n_mor and 0 <= g < n_mor):
+            if f < 0 or g < 0:
                 continue
-        except (TypeError, ValueError):
+            defined = (dom[f], dom[g]) in tensor_obj and (cod[f], cod[g]) in tensor_obj
+        except (TypeError, ValueError, IndexError):
             continue
-        if (dom[f], dom[g]) not in tensor_obj or (cod[f], cod[g]) not in tensor_obj:
+        if not defined:
             found.append((f, g, "is present although an endpoint tensor is undefined"))
     # Each (f, g) is found at most once, so this is the ascending scan order.
     found.sort()

@@ -133,6 +133,25 @@ def self_bicommutant_subgroups(elements):
     return found
 
 
+def hasse_covers(node_sets):
+    """Covering pairs (i, j) of a list of sets, i then j ascending.
+
+    Node i is covered by node j when i is inside j and no third node lies
+    between them, searched over every triple.
+    """
+    n = len(node_sets)
+    leq = [[a <= b for b in node_sets] for a in node_sets]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i][j]:
+                continue
+            if any(leq[i][k] and leq[k][j] for k in range(n) if k != i and k != j):
+                continue
+            edges.append((i, j))
+    return tuple(edges)
+
+
 def orbit_of(perms, point):
     seen = {point}
     frontier = [point]

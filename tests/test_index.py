@@ -26,6 +26,8 @@ from emergent import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SMALL = ("s3.json", "s4.json", "s3_diagonal.json", "s3x3.json")
 VALID = SMALL + ("s3x3x3.json",)
+# Theories built from generators in conftest; s3_regular has a one-point base.
+GENERATED = ("d5", "f20", "a4", "s5", "s3_regular")
 # s3x3x3 has 216 nodes; its node pairs are sampled for the join oracle.
 PAIR_LIMIT = 2_000
 PAIR_SAMPLE = 300
@@ -34,6 +36,15 @@ PAIR_SAMPLE = 300
 def _theory(name):
     theory, _ = load_theory(FIXTURES / name)
     return theory
+
+
+def _group(request, name):
+    """The group of a fixture file, of a conftest theory, or of degree one."""
+    if name == "degree-one":
+        return generate_group(1, [])
+    if name.endswith(".json"):
+        return _theory(name).group
+    return request.getfixturevalue(name).group
 
 
 def _raw(sub):
@@ -73,9 +84,9 @@ def test_point_images_match_elements(name):
         assert [images[p][i] for p in range(group.degree)] == list(g)
 
 
-@pytest.mark.parametrize("name", VALID)
-def test_element_centralizer_masks_match_oracle(name):
-    group = _theory(name).group
+@pytest.mark.parametrize("name", VALID + GENERATED)
+def test_element_centralizer_masks_match_oracle(request, name):
+    group = _group(request, name)
     index = group.index
     raw = [tuple(g) for g in group.elements]
     for i, g in enumerate(raw):
@@ -98,6 +109,17 @@ def test_mask_commutant_meet_and_join_match_oracle(name):
         assert _raw(meet(theory, a, b)) == _raw(a) & _raw(b)
         outer = oracles.centralizer_in(raw, _raw(a) | _raw(b))
         assert _raw(join(theory, a, b)) == oracles.centralizer_in(raw, outer)
+
+
+@pytest.mark.parametrize("name", VALID + GENERATED + ("degree-one",))
+def test_only_the_identity_fixes_every_base_point(request, name):
+    group = _group(request, name)
+    base = group.index.base
+    fixing = [g for g in group.elements if all(g[b] == b for b in base)]
+    assert fixing == [group.identity]
+    expected_size = {"s3_regular": 1, "degree-one": 0}.get(name)
+    if expected_size is not None:
+        assert len(base) == expected_size
 
 
 def test_subgroup_from_members_equals_subgroup_from_mask(t2):

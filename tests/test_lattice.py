@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import oracles
@@ -19,16 +21,19 @@ from emergent import (
     check_orthomodular,
     commutant,
     enumerate_self_bicommutant,
+    generate_group,
     is_orthocomplementary,
     is_orthocomplemented,
     is_orthogonal,
     is_self_bicommutant,
     join,
+    load_theory,
     meet,
     product_set,
     relative_commutant,
     subgroup_closure,
     tensor_element,
+    validate_global_theory,
 )
 
 
@@ -134,6 +139,30 @@ def test_hasse_edges_cover_exactly_the_covering_relation(t1):
         (3, 5),
         (4, 5),
     }
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+VALID_FIXTURES = ("s3.json", "s4.json", "s3_diagonal.json", "s3x3.json", "s3x3x3.json")
+GENERATED = ("d5", "f20", "a4", "s5", "s3_regular")
+
+
+def _named_theory(request, name):
+    if name == "s6":
+        return validate_global_theory(
+            generate_group(6, [Perm((1, 0, 2, 3, 4, 5)), Perm((1, 2, 3, 4, 5, 0))])
+        )
+    if name.endswith(".json"):
+        return load_theory(FIXTURES / name)[0]
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", VALID_FIXTURES + GENERATED + ("s6",))
+def test_order_and_covers_match_the_triple_loop_oracle(request, name):
+    # S6 has 513 nodes and 1 542 covers.
+    lattice = enumerate_self_bicommutant(_named_theory(request, name))
+    node_sets = [node.member_set for node in lattice.nodes]
+    assert lattice.leq == tuple(tuple(a <= b for b in node_sets) for a in node_sets)
+    assert lattice.hasse_edges == oracles.hasse_covers(node_sets)
 
 
 def test_join_and_meet_examples(t1):

@@ -260,13 +260,18 @@ def test_a_table_value_that_names_no_morphism_is_one_violation(t1, table, kind, 
         (5, 0),
         (None, 0),
         ("ab", 0),
+        ((0.5, 0), 0),
+        ((0, 0.5), 0),
         ("existing", None),
         ("existing", "x"),
+        ("existing", 0.5),
+        ("existing", 1.0),
     ],
 )
 def test_a_table_entry_that_is_not_ints_is_one_violation(t1, table, kind, name, key, value):
     # Added under a key that is not a pair of ints, or given a value that is
-    # not an int under a key already in the table.
+    # not an int under a key already in the table.  A float passes a range
+    # test but names no morphism.
     inst = extract_instance(t1)
     broken = dict(getattr(inst, table))
     if key == "existing":

@@ -788,3 +788,12 @@ def test_one_compatibility_probe_per_pair_closes_the_universe(request, theory, s
     for a in universe:
         for b in universe:
             assert are_compatible(theory, a, b) == are_compatible(theory, b, a)
+
+
+def test_process_reprs_name_the_parent_group_instead_of_printing_it(t4):
+    # A subgroup's repr used to embed its whole parent group, about 23 KB
+    # on s3x3x3 and up to 1.3 MB for one class representative.
+    group = t4.group
+    assert len(repr(group.full_subgroup())) < 200
+    cat = build_process_category(t4)
+    assert max(len(repr(c.representative)) for c in cat.classes) < 16_000
