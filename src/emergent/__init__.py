@@ -32,17 +32,13 @@ from .perms import (
     Subgroup,
     centralizer,
     centre,
-    direct_product_action,
     generate_group,
-    stabilizer,
     subgroup_closure,
     theory_violations,
     validate_global_theory,
 )
 from .lattice import (
     SbcLattice,
-    bicommutant,
-    check_orthomodular,
     commutant,
     enumerate_self_bicommutant,
     is_orthocomplemented,
@@ -52,8 +48,6 @@ from .lattice import (
     join,
     meet,
     product_set,
-    relative_commutant,
-    tensor_element,
 )
 from .states import (
     LocalState,
@@ -62,16 +56,13 @@ from .states import (
     factorizes,
     is_product_state,
     iterated_restrict,
-    local_orbit,
     pure_local_states,
     pure_stabilizer,
     restrict,
 )
 from .systems import (
-    AssociativityReport,
     System,
     are_compatible,
-    check_associativity_triple,
     enumerate_systems,
     make_system,
     tensor_pure_states,
@@ -86,14 +77,10 @@ from .processes import (
     Process,
     ProcessCategory,
     SystemEnvironmentPair,
-    apply_process,
     build_process_category,
     compose_process,
     discard_process,
-    enumerate_generalised_effects,
-    identity_process,
     make_pair,
-    make_pair_state,
     make_process,
     pair_composite,
     pair_states,
@@ -110,15 +97,8 @@ from .pmcat import (
 )
 from .catalog import (
     load_theory,
-    named_theories,
     symmetric_group,
     theory_from_dict,
-    theory_s3,
-    theory_s3_cubed,
-    theory_s3_diagonal_cosets,
-    theory_s3_squared,
-    theory_s4,
-    theory_to_dict,
 )
 from .sectors import (
     SectorDecomposition,

@@ -1,6 +1,8 @@
-"""Worked example theories and JSON input handling.
+"""The JSON theory format and its loader.
 
-The JSON format for a theory is an object with
+The bundled theories are the JSON files in ``fixtures/``, written by
+``scripts/make_fixtures.py``; the CLI and the tests both read them through
+:func:`load_theory`.  The JSON format for a theory is an object with
 
     degree      point count (int)
     generators  object of named permutation arrays; the "global" entry
@@ -25,9 +27,7 @@ from .perms import (
     GlobalTheory,
     Perm,
     Subgroup,
-    direct_product_action,
     generate_group,
-    reduce_generators,
     subgroup_closure,
     validate_global_theory,
 )
@@ -40,53 +40,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     if n > 2:
         gens.append(Perm.from_cycles(n, [list(range(n))]))
     return generate_group(n, gens)
-
-
-def theory_s3() -> GlobalTheory:
-    """The smallest global theory: all permutations of three states."""
-    return validate_global_theory(symmetric_group(3))
-
-
-def theory_s4() -> GlobalTheory:
-    return validate_global_theory(symmetric_group(4))
-
-
-def theory_s3_squared() -> GlobalTheory:
-    """Two independent three-state cells, point (i, j) encoded as 3*i + j."""
-    s3 = symmetric_group(3)
-    return validate_global_theory(direct_product_action([s3, s3]))
-
-
-def theory_s3_cubed() -> GlobalTheory:
-    """Three independent three-state cells on 27 points."""
-    s3 = symmetric_group(3)
-    return validate_global_theory(direct_product_action([s3, s3, s3]))
-
-
-def theory_s3_diagonal_cosets() -> GlobalTheory:
-    """The same abstract group as two cells, but acting on six points.
-
-    Points are the six permutations of three letters; a pair (a, b) sends
-    x to a x b^-1, so the group is generated by S3's generators acting on
-    the left and on the right.  Both factors act with trivial stabilizer,
-    so no global state splits over the factor pair.
-    """
-    points = symmetric_group(3).elements
-    index = {x: i for i, x in enumerate(points)}
-    gens = reduce_generators(points, 3)
-    left = [[index[a * x] for x in points] for a in gens]
-    right = [[index[x * b.inverse()] for x in points] for b in gens]
-    return validate_global_theory(generate_group(6, left + right))
-
-
-def named_theories() -> dict[str, GlobalTheory]:
-    return {
-        "s3": theory_s3(),
-        "s4": theory_s4(),
-        "s3x3": theory_s3_squared(),
-        "s3x3x3": theory_s3_cubed(),
-        "s3-diagonal": theory_s3_diagonal_cosets(),
-    }
 
 
 def _is_int(value) -> bool:
@@ -182,23 +135,3 @@ def load_theory(
         # ``ValueError`` covers syntax errors and over-long integers.
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return theory_from_dict(data, max_order)
-
-
-def theory_to_dict(theory: GlobalTheory, subgroups: dict[str, Subgroup] | None = None) -> dict:
-    """Serializable description regenerating the theory exactly.
-
-    Every group element is listed as a generator so that named subgroups
-    can always be expressed as generator index lists.
-    """
-    elements = theory.group.elements
-    data = {
-        "degree": theory.degree,
-        "generators": {"global": [list(g) for g in elements]},
-    }
-    if subgroups:
-        index = {g: i for i, g in enumerate(elements)}
-        data["subgroups"] = {
-            name: [index[g] for g in sub.members]
-            for name, sub in sorted(subgroups.items())
-        }
-    return data

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import IncompatibleSystems
+from .errors import IncompatibleSystems, ResourceLimit, TheoryError
 from .lattice import (
     commutant,
     enumerate_self_bicommutant,
@@ -24,7 +24,7 @@ from .lattice import (
     meet,
     product_set,
 )
-from .perms import GlobalTheory, reduce_generators
+from .perms import GlobalTheory, GroupIndex, reduce_generators
 from .processes import (
     ProcessCategory,
     build_process_category,
@@ -85,16 +85,19 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
     One ``meet`` and one ``join`` per unordered node pair fill the meet and
     join tables, and each node's commutant is looked up once.  Node indices
     are equal exactly when the nodes are, so every law is then read from
-    these tables and ``lattice.leq``.  A node that is not its own double
-    commutant, or a meet, join or commutant that is not a node, leaves the
-    tables unable to settle the laws: the suite reports it and skips them.
+    these tables and the inclusion bitsets ``SbcLattice.above``.  A node
+    that is not its own double commutant, or a meet, join or commutant that
+    is not a node, leaves the tables unable to settle the laws: the suite
+    reports it and skips them.
     """
     violations: list[str] = []
     notices: list[str] = []
     lattice = enumerate_self_bicommutant(theory)
     nodes = lattice.nodes
     node_index = lattice.node_index
-    leq = lattice.leq
+    above = lattice.above
+    # Bit j of at_or_above[i] is set when node i is inside node j.
+    at_or_above = [up | 1 << i for i, up in enumerate(above)]
     n = len(nodes)
     size = f"lattice: {n} nodes"
 
@@ -147,12 +150,12 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
                 violations.append(
                     f"lattice: join does not absorb the meet on nodes {i}, {j}"
                 )
-            if leq[i][j] and not leq[cj][ci]:
+            if at_or_above[i] >> j & 1 and not at_or_above[cj] >> ci & 1:
                 violations.append(
                     f"lattice: taking commutants does not reverse the "
                     f"inclusion of nodes {i}, {j}"
                 )
-            if leq[j][i] and not leq[ci][cj]:
+            if at_or_above[j] >> i & 1 and not at_or_above[ci] >> cj & 1:
                 violations.append(
                     f"lattice: taking commutants does not reverse the "
                     f"inclusion of nodes {j}, {i}"
@@ -213,9 +216,8 @@ def lattice_suite(theory: GlobalTheory) -> SuiteResult:
     # The orthomodular identity a v (a' ^ b) == b, for nested a < b.
     failures = sum(
         joins[i][meets[comm[i]][j]] != j
-        for i in range(n)
-        for j in range(n)
-        if i != j and leq[i][j]
+        for i, up in enumerate(above)
+        for j in GroupIndex.indices(up)
     )
     if failures:
         notices.append(f"lattice: orthomodular identity fails for {failures} nested pairs")
@@ -320,10 +322,8 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
     # Restricting a state of a larger node restricts its representative.
     reps = [tuple(state.representative for state in row) for row in local]
     for i, row in enumerate(local):
-        for j, big_reps in enumerate(reps):
-            if not lattice.leq[i][j]:
-                continue
-            for point, rep in enumerate(big_reps):
+        for j in GroupIndex.indices(lattice.above[i] | 1 << i):
+            for point, rep in enumerate(reps[j]):
                 if row[rep] != row[point]:
                     violations.append(
                         f"states: restricting through node {j} to node {i} "
@@ -575,8 +575,8 @@ def _effect_violations(cat: ProcessCategory) -> list[str]:
     For every admissible ancilla, preparation and dynamic, the only
     trivial-output decomposition the build has is ``unit x total``, and it
     records one class per distinct (codomain, outputs).  So an object's
-    classes into pairs with a trivial system hold the state maps that
-    ``enumerate_generalised_effects`` groups by, both over ``cat.universe``.
+    classes into pairs with a trivial system hold every effect's state map
+    over ``cat.universe``: the distinct tables are its distinct effects.
     """
     effects: list[set[tuple]] = [set() for _ in cat.objects]
     for c in cat.classes:
@@ -618,15 +618,23 @@ def run_suites(theory: GlobalTheory, names: tuple[str, ...]) -> tuple[SuiteResul
     """Run the named suites in order.
 
     The ``processes`` and ``pmcat`` suites check the process category, which
-    is built once for both.
+    is built once for both.  A valid theory should make the engine raise
+    nothing but ``ResourceLimit``, so any other engine error a suite raises,
+    a failed category build included, is reported as that suite's
+    violation, not as bad input.
     """
     results = []
     cat = None
     for name in names:
-        if name in ("processes", "pmcat"):
-            if cat is None:
-                cat = build_process_category(theory)
-            results.append(SUITES[name](cat))
-        else:
-            results.append(SUITES[name](theory))
+        try:
+            if name in ("processes", "pmcat"):
+                if cat is None:
+                    cat = build_process_category(theory)
+                results.append(SUITES[name](cat))
+            else:
+                results.append(SUITES[name](theory))
+        except ResourceLimit:
+            raise
+        except TheoryError as exc:
+            results.append(SuiteResult(name, (f"{name}: engine error: {exc}",), ()))
     return tuple(results)

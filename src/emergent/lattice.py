@@ -1,4 +1,4 @@
-"""Commutants and the lattice of self-bicommutant subgroups.
+"""Commutants and the lattice of subgroups equal to their double commutant.
 
 The commutant of a subgroup is its centralizer in the global group.  A
 subgroup equal to its own double commutant is the basic carrier of
@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ElementNotInGroup, NotNested, NotOrthogonal, NotSelfBicommutant
+from .errors import NotOrthogonal, NotSelfBicommutant
 from .perms import (
     GlobalTheory,
     GroupIndex,
-    Perm,
     Subgroup,
     close,
     require_subgroup,
@@ -32,10 +31,6 @@ def commutant(theory: GlobalTheory, sub: Subgroup) -> Subgroup:
     require_subgroup(theory, sub)
     group = theory.group
     return Subgroup.from_mask(group, group.index.centralizer(sub.mask))
-
-
-def bicommutant(theory: GlobalTheory, sub: Subgroup) -> Subgroup:
-    return commutant(theory, commutant(theory, sub))
 
 
 def is_self_bicommutant(theory: GlobalTheory, sub: Subgroup) -> bool:
@@ -55,10 +50,10 @@ def require_self_bicommutant(theory: GlobalTheory, sub: Subgroup) -> None:
 def enumerate_self_bicommutant(
     theory: GlobalTheory, max_nodes: int = DEFAULT_MAX_NODES
 ) -> "SbcLattice":
-    """All self-bicommutant subgroups of the global group.
+    """All subgroups of the global group equal to their double commutant.
 
-    Every commutant is self-bicommutant, and every self-bicommutant
-    subgroup is an intersection of single-element centralizers, so
+    Every commutant is its own double commutant, and every such subgroup
+    is an intersection of single-element centralizers, so
     ``perms.close`` enumerates the lattice exactly by intersecting each node
     with every centralizer, under ``max_nodes``.  The full group and the
     trivial subgroup appear as centralizer(identity) and the centre.
@@ -79,7 +74,10 @@ def enumerate_self_bicommutant(
 
 @dataclass(frozen=True)
 class SbcLattice:
-    """The complete lattice of self-bicommutant subgroups, sorted by order."""
+    """The complete lattice of subgroups equal to their double commutant.
+
+    Enumerated nodes are sorted by order.
+    """
 
     theory: GlobalTheory
     nodes: tuple[Subgroup, ...]
@@ -104,12 +102,14 @@ class SbcLattice:
         )
 
     @cached_property
-    def _above(self) -> tuple[int, ...]:
-        """``_above[i]`` is the mask of the nodes that strictly contain node ``i``.
+    def above(self) -> tuple[int, ...]:
+        """The inclusion order, as one bitset per node.
 
-        ``holders[e]`` is the mask of the nodes holding element ``e``, so
-        the nodes containing node ``i`` are the AND of ``holders`` over
-        its members.
+        ``above[i]`` has bit ``j`` set exactly when node ``j`` strictly
+        contains node ``i``; enumerated nodes are sorted by order, so every
+        such ``j`` exceeds ``i``.  ``holders[e]`` is the mask of the nodes
+        holding element ``e``, so the nodes containing node ``i`` are the
+        AND of ``holders`` over its members.
         """
         holders = [0] * self.theory.group.order
         for j, node in enumerate(self.nodes):
@@ -126,21 +126,13 @@ class SbcLattice:
         return tuple(above)
 
     @cached_property
-    def leq(self) -> tuple[tuple[bool, ...], ...]:
-        width = f"0{len(self.nodes)}b"
-        return tuple(
-            tuple(map("1".__eq__, format(up | 1 << i, width)[::-1]))
-            for i, up in enumerate(self._above)
-        )
-
-    @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Covering pairs (i, j) with node i immediately below node j.
 
         Node ``i``'s covers are the nodes above it that are above none of
         the others above it; edges are listed by ``i``, then ``j``.
         """
-        above = self._above
+        above = self.above
         edges = []
         for i, up in enumerate(above):
             covered = 0
@@ -173,7 +165,7 @@ def meet(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def join(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
-    """Smallest self-bicommutant subgroup containing both inputs.
+    """Smallest lattice node containing both inputs.
 
     Computed as the commutant of the intersection of commutants, which
     also realises the De Morgan dual of the meet.
@@ -206,22 +198,6 @@ def is_orthocomplementary(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> boo
     return meet(theory, commutant(theory, b), j) == a
 
 
-def check_orthomodular(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> bool:
-    """Test the orthomodular identity a v (a' ^ b) == b for nested a <= b."""
-    require_self_bicommutant(theory, a)
-    require_self_bicommutant(theory, b)
-    if not a.is_subset_of(b):
-        raise NotNested("orthomodularity is only tested for nested subgroups")
-    return join(theory, a, meet(theory, commutant(theory, a), b)) == b
-
-
-def relative_commutant(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
-    """Commutant of ``a`` intersected with ``b``, for a inside b."""
-    if not a.is_subset_of(b):
-        raise NotNested("relative commutant requires the first subgroup inside the second")
-    return meet(theory, commutant(theory, a), b)
-
-
 @theory_memo
 def product_set(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
     """The set {h k : h in a, k in b}, a subgroup when the inputs commute."""
@@ -232,16 +208,3 @@ def product_set(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
         theory.group,
         index.pack(index.mul(h, k) for h in a.indices for k in b.indices),
     )
-
-
-def tensor_element(
-    theory: GlobalTheory, a: Subgroup, b: Subgroup, h: Perm, k: Perm
-) -> Perm:
-    """The joint transformation h k of commuting local transformations."""
-    if not is_orthogonal(theory, a, b):
-        raise NotOrthogonal("joint transformations require commuting subgroups")
-    if h not in a:
-        raise ElementNotInGroup(f"{h!r} is not in the first subgroup")
-    if k not in b:
-        raise ElementNotInGroup(f"{k!r} is not in the second subgroup")
-    return h * k

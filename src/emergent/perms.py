@@ -6,13 +6,13 @@ product tuple is ``g`` applied to every entry of ``h``.
 
 Groups store their full element list in a canonical sorted order; all
 derived structures (subgroup lattices, orbits, state sets) inherit
-determinism from that order.  Every group, product actions included, is
-built by ``generate_group`` from generators.  One routine, :func:`close`,
-grows every set the package closes breadth-first: groups
-(``generate_group``, ``subgroup_closure``, ``reduce_generators``), the
-self-bicommutant lattice (``lattice.enumerate_self_bicommutant``) and the
-system universe (``processes.system_universe``); its cap, with a message
-each caller gives, is the only cap on group order and on lattice size.
+determinism from that order.  Every group is built by ``generate_group``
+from generators.  One routine, :func:`close`, grows every set the package
+closes breadth-first: groups (``generate_group``, ``subgroup_closure``,
+``reduce_generators``), the lattice of subgroups equal to their double
+commutant (``lattice.enumerate_self_bicommutant``) and the system universe
+(``processes.system_universe``); its cap, with a message each caller
+gives, is the only cap on group order and on lattice size.
 
 Element numbering: element ``i`` of a group is ``group.elements[i]``, so
 the numbers follow the sorted order and the identity is element 0.
@@ -42,7 +42,6 @@ and dies with it, and an equal but distinct theory computes its own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from operator import itemgetter
@@ -342,12 +341,6 @@ class FiniteGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def subgroup(self, members: Iterable[Perm]) -> "Subgroup":
-        return Subgroup(self, members)
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup.from_mask(self, self.index.full)
-
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (self.identity,))
 
@@ -575,37 +568,3 @@ def require_subgroup(theory: GlobalTheory, sub: Subgroup) -> None:
 def require_point(theory: GlobalTheory, point: int) -> None:
     if not isinstance(point, int) or not 0 <= point < theory.degree:
         raise PointOutOfRange(f"point {point} outside 0..{theory.degree - 1}")
-
-
-def stabilizer(theory: GlobalTheory, sub: Subgroup, point: int) -> Subgroup:
-    """Members of ``sub`` fixing ``point``."""
-    require_subgroup(theory, sub)
-    require_point(theory, point)
-    index = sub.parent.index
-    images = index.images[point]
-    return Subgroup.from_mask(
-        sub.parent, index.pack(i for i in sub.indices if images[i] == point)
-    )
-
-
-def direct_product_action(
-    groups: Sequence[FiniteGroup], max_order: int = DEFAULT_MAX_ORDER
-) -> FiniteGroup:
-    """Product group acting on the product of point sets, mixed-radix order.
-
-    The point ``(x_0, ..., x_k)`` is encoded as ``x_0*n_1*...*n_k + ...``,
-    with the last factor varying fastest.  Each factor's generators act on
-    that factor's own digit, and ``generate_group`` closes them under
-    ``max_order``.
-    """
-    total = math.prod(group.degree for group in groups)
-    gens = []
-    stride = total
-    for group in groups:
-        n = group.degree
-        stride //= n
-        for g in reduce_generators(group.elements, n):
-            gens.append(
-                [p + (g[p // stride % n] - p // stride % n) * stride for p in range(total)]
-            )
-    return generate_group(total, gens, max_order)

@@ -8,10 +8,10 @@ restriction after the reversible dynamics.  A pure process is a process
 between pairs whose environment is trivial, so it discards nothing.
 States of a typed pair are restrictions of pure states of the composite,
 carried together with one purification so that dynamics can always be
-computed upstairs: ``apply_process`` acts on one state that way.  A
+computed upstairs: ``process_action`` acts on states that way.  A
 process's whole state map, ``process_table``, is read from restriction
-tables over the points instead, the same tables the category build and
-the effect enumeration read.
+tables over the points instead, the same tables the category build
+reads.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .states import (
 from .systems import (
     System,
     are_compatible,
-    enumerate_systems,
     make_system,
     system_key,
     tensor_pure_states,
@@ -100,16 +99,6 @@ class PairState:
     pair: SystemEnvironmentPair
     value: LocalState
     purification: LocalState = field(compare=False)
-
-
-def make_pair_state(
-    theory: GlobalTheory, pair: SystemEnvironmentPair, purification: LocalState
-) -> PairState:
-    composite = pair_composite(theory, pair)
-    if purification not in composite.pure_set:
-        raise StateNotInPair("the purification is not a pure state of the composite")
-    value = iterated_restrict(theory, pair.system.transf, purification)
-    return PairState(pair, value, purification)
 
 
 @theory_memo
@@ -185,11 +174,12 @@ def process_codomain(theory: GlobalTheory, proc: Process) -> SystemEnvironmentPa
 
 
 def process_action(theory: GlobalTheory, proc: Process) -> Callable[[PairState], PairState]:
-    """``apply_process`` of ``proc`` as a map on states.
+    """The action of ``proc`` on the states of its domain pair.
 
     The domain's composite and the codomain pair are the process's own, so
     they are found once; each state is then purified, joined with the
-    ancilla's preparation, acted on and restricted to the codomain.
+    ancilla's preparation, acted on and restricted to the codomain.  A state
+    of another pair raises ``StateNotInPair``.
     """
     domain, ancilla, prep, transform = proc.domain, proc.ancilla, proc.prep, proc.transform
     composite = pair_composite(theory, domain)
@@ -206,15 +196,10 @@ def process_action(theory: GlobalTheory, proc: Process) -> Callable[[PairState],
     return act
 
 
-def apply_process(theory: GlobalTheory, proc: Process, state: PairState) -> PairState:
-    """Purify, adjoin the ancilla, act, and restrict to the codomain."""
-    return process_action(theory, proc)(state)
-
-
 def process_table(theory: GlobalTheory, proc: Process) -> tuple:
     """The state map of a process keyed by underlying point sets.
 
-    Read from the state tables, not through ``apply_process``.  A joint
+    Read from the state tables, not through ``process_action``.  A joint
     state is an orbit of its owner's commutant, which ``u`` in the owner
     permutes, so the joint state at ``p`` acted on by ``u`` holds ``u[p]``.
     The output system lies inside the owner, so every point of the acted
@@ -262,19 +247,6 @@ def tensor_processes(theory: GlobalTheory, left: Process, right: Process) -> Pro
         left.transform * right.transform,
         tensor_systems(theory, left.codomain_system, right.codomain_system),
         tensor_systems(theory, left.discarded, right.discarded),
-    )
-
-
-def identity_process(theory: GlobalTheory, pair: SystemEnvironmentPair) -> Process:
-    unit = trivial_system(theory)
-    return make_process(
-        theory,
-        pair,
-        unit,
-        unit.pure_orbit[0],
-        theory.group.identity,
-        pair.system,
-        unit,
     )
 
 
@@ -346,41 +318,6 @@ def _output_map(
         return tuple(map(restricted.__getitem__, joint_points(u)))
 
     return outputs
-
-
-def enumerate_generalised_effects(
-    theory: GlobalTheory,
-    pair: SystemEnvironmentPair,
-    ancillas: tuple[System, ...] | None = None,
-) -> tuple[Process, ...]:
-    """Processes from the pair to the trivial system, up to equal state maps.
-
-    Different ancillas and dynamics all collapse to the same state map,
-    so the result is the discarding effect alone.
-    """
-    if ancillas is None:
-        ancillas = enumerate_systems(theory)
-    unit = trivial_system(theory)
-    composite = pair_composite(theory, pair)
-    # The input states are those of ``pair`` for every candidate, so the
-    # output keys alone identify a state map.
-    # Of what ``make_process`` checks, only the output pair can fail, and it
-    # depends on the ancilla alone; ``unit`` x ``total`` is ``total``.
-    found: dict[tuple, Process] = {}
-    for anc in sorted(ancillas, key=system_key):
-        try:
-            total = tensor_systems(theory, pair.system, anc)
-            tensor_systems(theory, composite, anc)
-            make_pair(theory, unit, tensor_systems(theory, pair.environment, total))
-        except IncompatibleSystems:
-            continue
-        for prep in anc.pure_orbit:
-            outputs_of = _output_map(theory, pair, anc, prep, unit)
-            for u in total.transf.members:
-                outputs = outputs_of(u)
-                if outputs not in found:
-                    found[outputs] = Process(pair, anc, prep, u, unit, total)
-    return tuple(found.values())
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,6 @@ def act_local(theory: GlobalTheory, h: Perm, state: LocalState) -> LocalState:
     return LocalState(state.owner, frozenset(h[p] for p in state.points))
 
 
-def local_orbit(theory: GlobalTheory, state: LocalState) -> tuple[LocalState, ...]:
-    """All local states reachable from ``state`` by owner transformations."""
-    seen = {act_local(theory, h, state) for h in state.owner.members}
-    return tuple(sorted(seen, key=state_key))
-
-
 def iterated_restrict(theory: GlobalTheory, sub: Subgroup, state: LocalState) -> LocalState:
     """Restrict a local state further, to a subgroup of its owner.
 

@@ -1,10 +1,10 @@
 """Emergent systems and their partial tensor product.
 
-A system packages a self-bicommutant subgroup with its full set of pure
-local states.  Two systems compose exactly when they are mutual
-complements inside their join and some global state restricts to a pure
-state of each factor; the trivial system composes with everything and
-acts as a strict unit.
+A system packages a lattice node, a subgroup equal to its double
+commutant, with its full set of pure local states.  Two systems compose
+exactly when they are mutual complements inside their join and some
+global state restricts to a pure state of each factor; the trivial system
+composes with everything and acts as a strict unit.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class System:
     @property
     def is_trivial(self) -> bool:
         return self.transf.is_trivial
-
-    @property
-    def state_count(self) -> int:
-        return len(self.pure_orbit)
 
     @cached_property
     def pure_set(self) -> frozenset[LocalState]:
@@ -172,30 +168,3 @@ def tensor_pure_states(
         )
     composite = tensor_systems(theory, a, b)
     return restrict(theory, composite.transf, candidates[0])
-
-
-@dataclass(frozen=True)
-class AssociativityReport:
-    """Both bracketings of a triple tensor, when they exist."""
-
-    left: System | None
-    right: System | None
-
-    @property
-    def holds(self) -> bool:
-        return self.left == self.right
-
-
-def check_associativity_triple(
-    theory: GlobalTheory, a: System, b: System, c: System
-) -> AssociativityReport:
-    """Compare ((a x b) x c) with (a x (b x c)), tracking definedness."""
-    try:
-        left = tensor_systems(theory, tensor_systems(theory, a, b), c)
-    except IncompatibleSystems:
-        left = None
-    try:
-        right = tensor_systems(theory, a, tensor_systems(theory, b, c))
-    except IncompatibleSystems:
-        right = None
-    return AssociativityReport(left=left, right=right)

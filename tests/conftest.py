@@ -1,42 +1,43 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
-from emergent import (
-    Perm,
-    generate_group,
-    theory_s3,
-    theory_s3_cubed,
-    theory_s3_diagonal_cosets,
-    theory_s3_squared,
-    theory_s4,
-    validate_global_theory,
-)
+from emergent import Perm, generate_group, load_theory, validate_global_theory
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# The bundled theories, read from their fixtures by the CLI's own loader.
+
+
+def _fixture(name):
+    return load_theory(FIXTURES / f"{name}.json")[0]
 
 
 @pytest.fixture(scope="session")
 def t1():
-    return theory_s3()
+    return _fixture("s3")
 
 
 @pytest.fixture(scope="session")
 def t2():
-    return theory_s3_squared()
+    return _fixture("s3x3")
 
 
 @pytest.fixture(scope="session")
 def t3():
-    return theory_s3_diagonal_cosets()
+    return _fixture("s3_diagonal")
 
 
 @pytest.fixture(scope="session")
 def t4():
-    return theory_s3_cubed()
+    return _fixture("s3x3x3")
 
 
 @pytest.fixture(scope="session")
 def t5():
-    return theory_s4()
+    return _fixture("s4")
 
 
 # Small theories that are not products of S3, each built from generators.

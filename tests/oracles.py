@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from emergent.checks import SuiteResult
-from emergent.errors import IncompatibleSystems, ResourceLimit, TypeMismatch
+from emergent.errors import IncompatibleSystems, NotNested, ResourceLimit, TypeMismatch
 from emergent.lattice import (
-    check_orthomodular,
     commutant,
     enumerate_self_bicommutant,
     intersection,
@@ -23,6 +23,7 @@ from emergent.lattice import (
     join,
     meet,
     product_set,
+    require_self_bicommutant,
 )
 from emergent.perms import GlobalTheory, Subgroup, reduce_generators
 from emergent.pmcat import FiniteCategoryInstance, Violation
@@ -31,13 +32,14 @@ from emergent.processes import (
     MorphismClass,
     Process,
     ProcessCategory,
+    PairState,
     SystemEnvironmentPair,
-    apply_process,
     default_system_seeds,
     make_pair,
     make_process,
     pair_composite,
     pair_states,
+    process_action,
     system_universe,
     tensor_processes,
 )
@@ -53,7 +55,6 @@ from emergent.states import (
 from emergent.systems import (
     System,
     are_compatible,
-    check_associativity_triple,
     enumerate_systems,
     system_key,
     tensor_pure_states,
@@ -650,6 +651,11 @@ def build_process_category(
     )
 
 
+def apply_process(theory: GlobalTheory, proc: Process, state: PairState) -> PairState:
+    """Purify, adjoin the ancilla, act, and restrict to the codomain."""
+    return process_action(theory, proc)(state)
+
+
 def process_table(theory: GlobalTheory, proc: Process) -> tuple:
     """A process's state map by ``apply_process`` on every input state."""
     return tuple(
@@ -699,6 +705,15 @@ def enumerate_generalised_effects(
 SAMPLE_SEED = 20240801
 TRIPLE_LIMIT = 300_000
 TRIPLE_SAMPLE = 10_000
+
+
+def check_orthomodular(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> bool:
+    """Test the orthomodular identity a v (a' ^ b) == b for nested a <= b."""
+    require_self_bicommutant(theory, a)
+    require_self_bicommutant(theory, b)
+    if not a.is_subset_of(b):
+        raise NotNested("orthomodularity is only tested for nested subgroups")
+    return join(theory, a, meet(theory, commutant(theory, a), b)) == b
 
 
 def lattice_suite(theory: GlobalTheory) -> SuiteResult:
@@ -971,6 +986,33 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
     pure_counts = sum(len(pure_local_states(theory, sub)) for sub in nodes)
     notices.append(f"states: {pure_counts} pure local states across all nodes")
     return SuiteResult("states", tuple(violations), tuple(notices))
+
+
+@dataclass(frozen=True)
+class AssociativityReport:
+    """Both bracketings of a triple tensor, when they exist."""
+
+    left: System | None
+    right: System | None
+
+    @property
+    def holds(self) -> bool:
+        return self.left == self.right
+
+
+def check_associativity_triple(
+    theory: GlobalTheory, a: System, b: System, c: System
+) -> AssociativityReport:
+    """Compare ((a x b) x c) with (a x (b x c)), tracking definedness."""
+    try:
+        left = tensor_systems(theory, tensor_systems(theory, a, b), c)
+    except IncompatibleSystems:
+        left = None
+    try:
+        right = tensor_systems(theory, a, tensor_systems(theory, b, c))
+    except IncompatibleSystems:
+        right = None
+    return AssociativityReport(left=left, right=right)
 
 
 def systems_suite(theory: GlobalTheory) -> SuiteResult:

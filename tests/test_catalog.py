@@ -1,8 +1,10 @@
-"""Worked example theories, the JSON input format, and its validation."""
+"""The bundled theories, the JSON input format, and its validation."""
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,14 +15,12 @@ from emergent import (
     ParseError,
     ResourceLimit,
     load_theory,
-    named_theories,
     symmetric_group,
     theory_from_dict,
-    theory_s3_diagonal_cosets,
-    theory_to_dict,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MAKE_FIXTURES = FIXTURES.parent / "scripts" / "make_fixtures.py"
 
 S3_DOC = {"degree": 3, "generators": {"global": [[1, 0, 2], [1, 2, 0]]}}
 
@@ -37,34 +37,50 @@ def test_symmetric_group_needs_two_points():
         symmetric_group(1)
 
 
-def test_named_theories_shapes():
+def test_named_theories_shapes(request):
+    # The session theories t1-t5 are the bundled fixtures, read by load_theory.
     shapes = {
-        "s3": (3, 6),
-        "s4": (4, 24),
-        "s3x3": (9, 36),
-        "s3x3x3": (27, 216),
-        "s3-diagonal": (6, 36),
+        "t1": (3, 6),
+        "t2": (9, 36),
+        "t3": (6, 36),
+        "t4": (27, 216),
+        "t5": (4, 24),
     }
-    theories = named_theories()
-    assert set(theories) == set(shapes)
     for name, (degree, order) in shapes.items():
-        assert theories[name].degree == degree
-        assert theories[name].group.order == order
+        theory = request.getfixturevalue(name)
+        assert theory.degree == degree
+        assert theory.group.order == order
 
 
-def test_diagonal_theory_is_every_two_sided_translation():
+def test_fixtures_regenerate_byte_for_byte(tmp_path):
+    # The fixtures are the only definition of the bundled theories, so the
+    # script that writes them must reproduce every committed file exactly.
+    proc = subprocess.run(
+        [sys.executable, str(MAKE_FIXTURES), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
+    assert "bad_syntax.json" in written
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_diagonal_theory_is_every_two_sided_translation(t3):
     points = symmetric_group(3).elements
     index = {x: i for i, x in enumerate(points)}
     expected = {
         tuple(index[a * x * b.inverse()] for x in points) for a in points for b in points
     }
-    assert [tuple(g) for g in theory_s3_diagonal_cosets().group] == sorted(expected)
+    assert [tuple(g) for g in t3.group] == sorted(expected)
 
 
-def test_diagonal_theory_factors_act_freely():
+def test_diagonal_theory_factors_act_freely(t3):
     # The six points are themselves group elements, so any nontrivial
     # one-sided translation moves every point.
-    theory = theory_s3_diagonal_cosets()
+    theory = t3
     ident = theory.group.identity
     free = [
         g
@@ -185,17 +201,20 @@ def test_load_theory_bad_fixtures():
 
 
 def test_theory_round_trip():
+    # Every element listed as a generator, and each named subgroup as the
+    # indices of its members, describes the same theory again.
     theory, named = load_theory(FIXTURES / "s3x3.json")
-    data = theory_to_dict(theory, named)
+    elements = theory.group.elements
+    index = {g: i for i, g in enumerate(elements)}
+    data = {
+        "degree": theory.degree,
+        "generators": {"global": [list(g) for g in elements]},
+        "subgroups": {
+            name: [index[g] for g in sub.members] for name, sub in named.items()
+        },
+    }
     again, named_again = theory_from_dict(data)
     assert again.group.elements == theory.group.elements
     assert set(named_again) == set(named)
     for key in named:
         assert named_again[key].members == named[key].members
-
-
-def test_theory_to_dict_lists_every_element():
-    theory, _ = load_theory(FIXTURES / "s3.json")
-    data = theory_to_dict(theory)
-    assert len(data["generators"]["global"]) == theory.group.order
-    assert "subgroups" not in data

@@ -122,6 +122,22 @@ def test_check_single_suite(capsys):
     assert [s["name"] for s in payload["suites"]] == ["lattice"]
 
 
+def test_check_on_a_valid_theory_never_exits_2(capsys, tmp_path):
+    # S6 is a valid theory whose process category the engine fails to build;
+    # that is a violation in the JSON report, not an input error.
+    path = tmp_path / "s6.json"
+    gens = [[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]]
+    path.write_text(json.dumps({"degree": 6, "generators": {"global": gens}}))
+    code, out, err = run_cli(
+        capsys, ["check", "--input", str(path), "--suite", "processes"]
+    )
+    assert code in (0, 1)
+    assert err == ""
+    (suite,) = json.loads(out)["suites"]
+    assert suite["name"] == "processes"
+    assert all(v.startswith("processes: ") for v in suite["violations"])
+
+
 def test_check_report_flags_violations():
     results = (
         SuiteResult(name="lattice", violations=(), notices=()),

@@ -141,9 +141,10 @@ def test_degree_one_group():
     assert index.mul(0, 0) == 0
     assert index.inverse == (0,)
     assert index.element_centralizer(0) == 1
-    assert centralizer(group, group.elements) == group.full_subgroup()
+    full = Subgroup(group, group.elements)
+    assert centralizer(group, group.elements) == full
     closed = subgroup_closure(group, [Perm((0,))])
-    assert closed == group.trivial_subgroup() == group.full_subgroup()
+    assert closed == group.trivial_subgroup() == full
     assert generate_group(1, [Perm((0,))]) == group
 
 

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from emergent import checks
 from emergent import (
-    ElementNotInGroup,
     NotNested,
     NotOrthogonal,
     NotSelfBicommutant,
@@ -17,8 +16,6 @@ from emergent import (
     ResourceLimit,
     SbcLattice,
     Subgroup,
-    bicommutant,
-    check_orthomodular,
     commutant,
     enumerate_self_bicommutant,
     generate_group,
@@ -30,9 +27,7 @@ from emergent import (
     load_theory,
     meet,
     product_set,
-    relative_commutant,
     subgroup_closure,
-    tensor_element,
     validate_global_theory,
 )
 
@@ -45,8 +40,12 @@ def _alternating(theory):
     return _sub(theory, (1, 2, 0))
 
 
+def _full(theory):
+    return Subgroup(theory.group, theory.group.elements)
+
+
 def test_commutant_of_bounds(t1):
-    full = t1.group.full_subgroup()
+    full = _full(t1)
     trivial = t1.group.trivial_subgroup()
     assert commutant(t1, full) == trivial
     assert commutant(t1, trivial) == full
@@ -70,7 +69,7 @@ def test_self_bicommutant_detection(t1, t5):
     assert is_self_bicommutant(t1, _alternating(t1))
     swap = _sub(t5, (1, 0, 2, 3))
     assert not is_self_bicommutant(t5, swap)
-    assert bicommutant(t5, swap) == _sub(t5, (1, 0, 2, 3), (0, 1, 3, 2))
+    assert commutant(t5, commutant(t5, swap)) == _sub(t5, (1, 0, 2, 3), (0, 1, 3, 2))
 
 
 def test_every_commutant_is_self_bicommutant(t1, t5):
@@ -88,7 +87,7 @@ def test_bicommutant_contains_and_commutant_reverses(t5):
         for raw in oracles.all_subgroups(elements)
     ]
     for sub in subs:
-        assert sub.is_subset_of(bicommutant(t5, sub))
+        assert sub.is_subset_of(commutant(t5, commutant(t5, sub)))
     for a in subs:
         for b in subs:
             if a.is_subset_of(b):
@@ -113,7 +112,7 @@ def test_lattice_bounds(t1, t2, t5):
     for theory in (t1, t2, t5):
         lattice = enumerate_self_bicommutant(theory)
         assert lattice.bottom.is_trivial
-        assert lattice.top == theory.group.full_subgroup()
+        assert lattice.top == _full(theory)
 
 
 def test_lattice_node_cap(t2):
@@ -161,18 +160,20 @@ def test_order_and_covers_match_the_triple_loop_oracle(request, name):
     # S6 has 513 nodes and 1 542 covers.
     lattice = enumerate_self_bicommutant(_named_theory(request, name))
     node_sets = [node.member_set for node in lattice.nodes]
-    assert lattice.leq == tuple(tuple(a <= b for b in node_sets) for a in node_sets)
+    assert lattice.above == tuple(
+        sum(1 << j for j, b in enumerate(node_sets) if a < b) for a in node_sets
+    )
     assert lattice.hasse_edges == oracles.hasse_covers(node_sets)
 
 
 def test_join_and_meet_examples(t1):
     swap_a = _sub(t1, (1, 0, 2))
     swap_b = _sub(t1, (2, 1, 0))
-    assert join(t1, swap_a, swap_b) == t1.group.full_subgroup()
+    assert join(t1, swap_a, swap_b) == _full(t1)
     assert meet(t1, _alternating(t1), swap_a).is_trivial
     for node in enumerate_self_bicommutant(t1).nodes:
         assert join(t1, t1.group.trivial_subgroup(), node) == node
-        assert meet(t1, t1.group.full_subgroup(), node) == node
+        assert meet(t1, _full(t1), node) == node
 
 
 def test_join_requires_self_bicommutant_inputs(t5):
@@ -197,7 +198,7 @@ def test_factor_subgroups_are_orthogonal(t2):
 
 
 def test_orthocomplemented(t1, t2):
-    assert is_orthocomplemented(t1, t1.group.full_subgroup())
+    assert is_orthocomplemented(t1, _full(t1))
     assert is_orthocomplemented(t1, t1.group.trivial_subgroup())
     assert not is_orthocomplemented(t1, _alternating(t1))
     rows = _sub(t2, (3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
@@ -223,22 +224,26 @@ def test_orthocomplementary_pairs(t1, t2):
 
 def test_orthomodular_check(t1):
     a3 = _alternating(t1)
-    full = t1.group.full_subgroup()
-    assert check_orthomodular(t1, a3, a3)
-    assert check_orthomodular(t1, t1.group.trivial_subgroup(), a3)
-    assert not check_orthomodular(t1, a3, full)
+    full = _full(t1)
+    assert oracles.check_orthomodular(t1, a3, a3)
+    assert oracles.check_orthomodular(t1, t1.group.trivial_subgroup(), a3)
+    assert not oracles.check_orthomodular(t1, a3, full)
     with pytest.raises(NotNested):
-        check_orthomodular(t1, full, a3)
+        oracles.check_orthomodular(t1, full, a3)
+
+
+def _relative_commutant(theory, a, b):
+    """The commutant of ``a`` inside ``b``."""
+    return meet(theory, commutant(theory, a), b)
 
 
 def test_relative_commutant(t1, t2):
     a3 = _alternating(t1)
-    assert relative_commutant(t1, a3, t1.group.full_subgroup()) == commutant(t1, a3)
+    assert _relative_commutant(t1, a3, _full(t1)) == commutant(t1, a3)
     rows = _sub(t2, (3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
     cols = _sub(t2, (1, 0, 2, 4, 3, 5, 7, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6))
-    assert relative_commutant(t2, rows, t2.group.full_subgroup()) == cols
-    with pytest.raises(NotNested):
-        relative_commutant(t2, t2.group.full_subgroup(), rows)
+    assert _relative_commutant(t2, rows, _full(t2)) == cols
+    assert _relative_commutant(t2, rows, rows).is_trivial
 
 
 def test_relative_commutant_inside_the_join(t2):
@@ -247,8 +252,8 @@ def test_relative_commutant_inside_the_join(t2):
         for b in lattice.nodes:
             if is_orthocomplementary(t2, a, b):
                 p = join(t2, a, b)
-                assert relative_commutant(t2, a, p) == b
-                assert relative_commutant(t2, b, p) == a
+                assert _relative_commutant(t2, a, p) == b
+                assert _relative_commutant(t2, b, p) == a
 
 
 def test_product_set_examples(t1, t2):
@@ -256,7 +261,7 @@ def test_product_set_examples(t1, t2):
     assert product_set(t1, a3, a3) == a3
     rows = _sub(t2, (3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
     cols = _sub(t2, (1, 0, 2, 4, 3, 5, 7, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6))
-    assert product_set(t2, rows, cols) == t2.group.full_subgroup()
+    assert product_set(t2, rows, cols) == _full(t2)
     with pytest.raises(NotOrthogonal):
         product_set(t1, _sub(t1, (1, 0, 2)), _sub(t1, (2, 1, 0)))
 
@@ -274,16 +279,15 @@ def test_product_set_matches_oracle(t1):
             assert got == expected
 
 
-def test_tensor_element(t1):
-    a3 = _alternating(t1)
-    cycle = Perm((1, 2, 0))
-    assert tensor_element(t1, a3, a3, Perm.identity(3), cycle) == cycle
-    with pytest.raises(ElementNotInGroup):
-        tensor_element(t1, a3, a3, Perm((1, 0, 2)), cycle)
-    with pytest.raises(NotOrthogonal):
-        tensor_element(
-            t1, _sub(t1, (1, 0, 2)), _sub(t1, (2, 1, 0)), Perm((1, 0, 2)), Perm((2, 1, 0))
-        )
+def test_tensor_element(t2):
+    # The joint transformation of local transformations h of rows and k of
+    # columns is h k: each one is a distinct element of their product set.
+    rows = _sub(t2, (3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
+    cols = _sub(t2, (1, 0, 2, 4, 3, 5, 7, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6))
+    joint = [h * k for h in rows.members for k in cols.members]
+    assert len(set(joint)) == rows.order * cols.order
+    assert set(joint) == product_set(t2, rows, cols).member_set
+    assert all(h * k == k * h for h in rows.members for k in cols.members)
 
 
 def test_orthogonality_is_symmetric_on_every_node_pair(t1, t2, t3, t5):
@@ -398,6 +402,30 @@ def test_planted_join_fault_breaks_absorption_on_the_second_node_only(
     found = checks.lattice_suite(t5)
     assert found == oracles.lattice_suite(t5)
     assert "lattice: join does not absorb the meet on nodes 8, 16" in found.violations
+
+
+def test_planted_commutant_fault_breaks_the_order_reversal(monkeypatch, t1):
+    # The commutant of the trivial node 0 goes to node 1 instead of the top.
+    # Node 0 lies inside node 2, whose commutant, node 2 itself, does not lie
+    # inside node 1, so taking commutants no longer reverses that inclusion;
+    # both this check and the orthomodular count read the inclusion bitsets.
+    nodes = enumerate_self_bicommutant(t1).nodes
+    clean = checks.lattice_suite(t1)
+    right = checks.commutant
+
+    def planted(theory, sub):
+        return nodes[1] if sub == nodes[0] else right(theory, sub)
+
+    monkeypatch.setattr(checks, "commutant", planted)
+    monkeypatch.setattr(oracles, "commutant", planted)
+    found = checks.lattice_suite(t1)
+    assert found == oracles.lattice_suite(t1)
+    assert (
+        "lattice: taking commutants does not reverse the inclusion of nodes 0, 2"
+        in found.violations
+    )
+    (count,) = [x for x in found.notices if "orthomodular" in x]
+    assert count not in clean.notices
 
 
 def test_lattice_suite_reports_a_missing_node_without_a_traceback(

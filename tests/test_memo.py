@@ -14,14 +14,17 @@ from emergent import (
     enumerate_self_bicommutant,
     enumerate_systems,
     load_theory,
-    theory_s3,
-    theory_s3_squared,
 )
 from emergent.checks import SUITES, lattice_suite, processes_suite, run_suites
 from emergent.perms import theory_memo
 from emergent.processes import process_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fresh(name):
+    """A newly loaded theory, with an empty memo."""
+    return load_theory(FIXTURES / f"{name}.json")[0]
 
 
 def test_memo_returns_the_first_result_for_equal_arguments():
@@ -32,7 +35,7 @@ def test_memo_returns_the_first_result_for_equal_arguments():
         calls.append(k)
         return [(theory.degree + k) * scale]
 
-    theory = theory_s3()
+    theory = _fresh("s3")
     first = degree_plus(theory, 1)
     assert degree_plus(theory, 1) is first
     assert degree_plus(theory, 2) == [5]
@@ -51,12 +54,12 @@ def test_memo_stores_nothing_for_a_call_that_raises():
         calls.append(None)
         raise ValueError("no result")
 
-    theory = theory_s3()
+    theory = _fresh("s3")
     for _ in range(2):
         with pytest.raises(ValueError):
             fails(theory)
     assert len(calls) == 2
-    fresh = theory_s3_squared()
+    fresh = _fresh("s3x3")
     for _ in range(2):
         with pytest.raises(ResourceLimit):
             enumerate_self_bicommutant(fresh, max_nodes=10)
@@ -64,7 +67,7 @@ def test_memo_stores_nothing_for_a_call_that_raises():
 
 
 def test_theory_equality_ignores_the_memo():
-    used, fresh = theory_s3(), theory_s3()
+    used, fresh = _fresh("s3"), _fresh("s3")
     enumerate_systems(used)
     assert used == fresh
     assert hash(used) == hash(fresh)
@@ -81,23 +84,22 @@ def test_a_theorys_memo_dies_with_it():
 
 
 def test_equal_but_distinct_theories_share_nothing():
-    loaded, _ = load_theory(FIXTURES / "s3x3.json")
-    built = theory_s3_squared()
-    assert loaded == built
-    assert loaded.group is not built.group
-    for theory in (loaded, built):
+    loaded, again = _fresh("s3x3"), _fresh("s3x3")
+    assert loaded == again
+    assert loaded.group is not again.group
+    for theory in (loaded, again):
         group = theory.group
         lattice = enumerate_self_bicommutant(theory)
         assert lattice.theory is theory
         assert all(node.parent is group for node in lattice.nodes)
         assert all(s.transf.parent is group for s in enumerate_systems(theory))
-    assert lattice_suite(loaded) == lattice_suite(built)
+    assert lattice_suite(loaded) == lattice_suite(again)
 
 
 def test_neither_process_tables_nor_state_maps_are_memoised():
     # A process table is read from the memoised state tables, and a state
     # map would keep every acted joint state alive.
-    theory = theory_s3_squared()
+    theory = _fresh("s3x3")
     processes_suite(build_process_category(theory))
     assert process_table not in theory._memo
     assert not any("state_map" in fn.__name__ for fn in theory._memo)

@@ -22,11 +22,11 @@ from emergent import (
     Subgroup,
     centralizer,
     centre,
-    direct_product_action,
     enumerate_self_bicommutant,
     enumerate_systems,
     generate_group,
-    stabilizer,
+    pure_stabilizer,
+    restrict,
     subgroup_closure,
     symmetric_group,
     theory_violations,
@@ -34,6 +34,7 @@ from emergent import (
 )
 import emergent.perms
 from emergent.perms import close, reduce_generators
+from emergent.states import _orbits
 
 
 def test_perm_rejects_non_bijections():
@@ -143,7 +144,7 @@ def test_centralizer_of_empty_set_is_everything(t1):
 def test_centre_examples(t1):
     assert centre(t1.group).order == 1
     order_two = generate_group(2, [Perm((1, 0))])
-    assert centre(order_two) == order_two.full_subgroup()
+    assert centre(order_two) == Subgroup(order_two, order_two.elements)
 
 
 def test_validate_global_theory_accepts_the_three_state_model():
@@ -178,21 +179,27 @@ def test_theory_violations_lists_every_failure():
 
 
 def test_stabilizer_example(t1):
-    stab = stabilizer(t1, t1.group.full_subgroup(), 0)
+    # Both bounds see only pure states; the pointwise stabilizer of a state's
+    # representative is the second route of ``pure_stabilizer``.
+    full = Subgroup(t1.group, t1.group.elements)
+    _, stab = pure_stabilizer(t1, restrict(t1, full, 0))
     assert stab.members == (Perm((0, 1, 2)), Perm((0, 2, 1)))
     trivial = t1.group.trivial_subgroup()
-    assert stabilizer(t1, trivial, 2) == trivial
+    assert pure_stabilizer(t1, restrict(t1, trivial, 2))[1] == trivial
     with pytest.raises(PointOutOfRange):
-        stabilizer(t1, trivial, 3)
+        restrict(t1, trivial, 3)
 
 
 def test_orbit_stabilizer_relation_everywhere(t5):
+    # The engine's orbit partition of every subgroup, against the oracle's
+    # stabilizers.
     elements = [tuple(g) for g in t5.group.elements]
     for raw in oracles.all_subgroups(elements):
         sub = Subgroup(t5.group, tuple(sorted(Perm(g) for g in raw)))
+        orbits = _orbits(t5, sub)
         for point in t5.points:
-            orbit = oracles.orbit_of(raw, point)
-            assert len(orbit) * stabilizer(t5, sub, point).order == sub.order
+            assert orbits[point] == oracles.orbit_of(raw, point)
+            assert len(orbits[point]) * len(oracles.stabilizer_in(raw, point)) == sub.order
 
 
 def test_subgroup_closure_inside_parent(t1):
@@ -200,15 +207,34 @@ def test_subgroup_closure_inside_parent(t1):
     assert closed.members == (Perm((0, 1, 2)), Perm((1, 0, 2)))
 
 
-def test_direct_product_action_encoding():
-    s3 = generate_group(3, [Perm((1, 0, 2)), Perm((1, 2, 0))])
-    product = direct_product_action([s3, s3])
-    assert product.degree == 9
-    assert product.order == 36
+def _digit_generators(groups):
+    """Each factor's generators acting on its own digit of the product point.
+
+    The point ``(x_0, ..., x_k)`` is ``x_0*n_1*...*n_k + ...``, with the
+    last factor varying fastest, as in the product fixtures.
+    """
+    total = math.prod(group.degree for group in groups)
+    gens = []
+    stride = total
+    for group in groups:
+        n = group.degree
+        stride //= n
+        for g in reduce_generators(group.elements, n):
+            gens.append(
+                [p + (g[p // stride % n] - p // stride % n) * stride for p in range(total)]
+            )
+    return gens
+
+
+def test_direct_product_action_encoding(t2, t4):
+    # The product fixtures are the direct product actions of S3 on two and
+    # three digits.
+    s3 = symmetric_group(3)
+    assert t2.group.elements == _mixed_radix_product([s3, s3])
+    assert t4.group.elements == _mixed_radix_product([s3, s3, s3])
     left = Perm((1, 0, 2))
-    embedded_left = min(
-        g for g in product.elements if tuple(g) == tuple(3 * left(i // 3) + i % 3 for i in range(9))
-    )
+    embedded_left = Perm(3 * left(i // 3) + i % 3 for i in range(9))
+    assert embedded_left in t2.group
     assert embedded_left(0) == 3
     assert embedded_left(5) == 2
 
@@ -230,16 +256,16 @@ def _mixed_radix_product(groups):
 @pytest.mark.parametrize("degrees", [(3, 4), (4, 3), (2, 3, 4)])
 def test_direct_product_action_is_the_mixed_radix_enumeration(degrees):
     groups = [symmetric_group(n) for n in degrees]
-    product = direct_product_action(groups)
+    product = generate_group(math.prod(degrees), _digit_generators(groups))
     assert product.degree == math.prod(degrees)
     assert product.elements == _mixed_radix_product(groups)
 
 
 def test_direct_product_action_answers_to_the_order_cap():
-    s3 = symmetric_group(3)
-    assert direct_product_action([s3, s3], max_order=36).order == 36
+    gens = _digit_generators([symmetric_group(3)] * 2)
+    assert generate_group(9, gens, max_order=36).order == 36
     with pytest.raises(ResourceLimit, match="group order exceeds cap of 35 elements"):
-        direct_product_action([s3, s3], max_order=35)
+        generate_group(9, gens, max_order=35)
 
 
 def _reduce_generators_reclosing(members, degree):

@@ -14,25 +14,24 @@ from emergent import (
     GenerationReport,
     IncompatibleSystems,
     MorphismClass,
+    PairState,
     Perm,
     ResourceLimit,
     StateNotInPair,
+    Subgroup,
     TypeMismatch,
     act_local,
-    apply_process,
     are_compatible,
     build_process_category,
     commutant,
     compose_process,
     discard_process,
-    enumerate_generalised_effects,
     enumerate_self_bicommutant,
     enumerate_systems,
     generate_group,
-    identity_process,
     is_product_state,
+    iterated_restrict,
     make_pair,
-    make_pair_state,
     make_process,
     make_system,
     pair_composite,
@@ -86,20 +85,35 @@ def _pure(theory, system, ancilla, prep, transform):
     )
 
 
+def _identity(theory, pair):
+    """The process on ``pair`` that prepares, changes and discards nothing."""
+    unit = trivial_system(theory)
+    return make_process(
+        theory, pair, unit, unit.pure_orbit[0], theory.group.identity, pair.system, unit
+    )
+
+
+def _pair_state(theory, pair, purification):
+    """The state of ``pair`` purified by a pure state of its composite."""
+    assert purification in pair_composite(theory, pair).pure_set
+    value = iterated_restrict(theory, pair.system.transf, purification)
+    return PairState(pair, value, purification)
+
+
 def _state_map(theory, proc):
     """Each input state paired with ``apply_process`` of it."""
     return tuple(
-        (state, apply_process(theory, proc, state))
+        (state, oracles.apply_process(theory, proc, state))
         for state in pair_states(theory, proc.domain)
     )
 
 
 def test_identity_pure_is_the_identity(t2):
     rows, _ = _rows_cols(t2)
-    ident = identity_process(t2, make_pair(t2, rows, trivial_system(t2)))
+    ident = _identity(t2, make_pair(t2, rows, trivial_system(t2)))
     for rho in rows.pure_orbit:
-        state = make_pair_state(t2, ident.domain, rho)
-        assert apply_process(t2, ident, state).value == rho
+        state = _pair_state(t2, ident.domain, rho)
+        assert oracles.apply_process(t2, ident, state).value == rho
 
 
 def test_pure_preparation_maps_the_unit_state(t2):
@@ -107,8 +121,8 @@ def test_pure_preparation_maps_the_unit_state(t2):
     unit = trivial_system(t2)
     for sigma in rows.pure_orbit:
         prep = _pure(t2, unit, rows, sigma, t2.group.identity)
-        state = make_pair_state(t2, prep.domain, unit.pure_orbit[0])
-        assert apply_process(t2, prep, state).value == sigma
+        state = _pair_state(t2, prep.domain, unit.pure_orbit[0])
+        assert oracles.apply_process(t2, prep, state).value == sigma
 
 
 def test_pure_process_with_an_active_ancilla(t2):
@@ -116,7 +130,7 @@ def test_pure_process_with_an_active_ancilla(t2):
     u = ROW_SWAP_01 * COL_SWAP_12
     proc = _pure(t2, rows, cols, cols.pure_orbit[0], u)
     row0 = restrict(t2, rows.transf, 0)
-    image = apply_process(t2, proc, make_pair_state(t2, proc.domain, row0)).value
+    image = oracles.apply_process(t2, proc, _pair_state(t2, proc.domain, row0)).value
     assert image.points == frozenset({u[0]})
     assert u[0] == 3
 
@@ -124,10 +138,10 @@ def test_pure_process_with_an_active_ancilla(t2):
 def test_pure_process_rejects_foreign_input(t2):
     rows, cols = _rows_cols(t2)
     unit = trivial_system(t2)
-    ident = identity_process(t2, make_pair(t2, rows, unit))
-    foreign = make_pair_state(t2, make_pair(t2, cols, unit), cols.pure_orbit[0])
+    ident = _identity(t2, make_pair(t2, rows, unit))
+    foreign = _pair_state(t2, make_pair(t2, cols, unit), cols.pure_orbit[0])
     with pytest.raises(StateNotInPair):
-        apply_process(t2, ident, foreign)
+        oracles.apply_process(t2, ident, foreign)
 
 
 def test_compose_pure_type_checking_and_tables(t2):
@@ -138,8 +152,8 @@ def test_compose_pure_type_checking_and_tables(t2):
     second = _pure(t2, rows, unit, unit.pure_orbit[0], u)
     chained = compose_process(t2, second, first)
     for state in pair_states(t2, first.domain):
-        assert apply_process(t2, chained, state) == apply_process(
-            t2, second, apply_process(t2, first, state)
+        assert oracles.apply_process(t2, chained, state) == oracles.apply_process(
+            t2, second, oracles.apply_process(t2, first, state)
         )
     prep = _pure(t2, unit, rows, rows.pure_orbit[0], t2.group.identity)
     with pytest.raises(TypeMismatch):
@@ -150,7 +164,7 @@ def test_compose_pure_with_identity_is_extensional_identity(t2):
     rows, _ = _rows_cols(t2)
     unit = trivial_system(t2)
     proc = _pure(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
-    ident = identity_process(t2, proc.domain)
+    ident = _identity(t2, proc.domain)
     composite = compose_process(t2, proc, ident)
     assert _state_map(t2, composite) == _state_map(t2, proc)
 
@@ -176,7 +190,7 @@ def test_tensor_with_the_identity_on_the_unit(t2):
     rows, _ = _rows_cols(t2)
     unit = trivial_system(t2)
     proc = _pure(t2, rows, unit, unit.pure_orbit[0], ROW_SWAP_01)
-    widened = tensor_processes(t2, proc, identity_process(t2, make_pair(t2, unit, unit)))
+    widened = tensor_processes(t2, proc, _identity(t2, make_pair(t2, unit, unit)))
     assert _state_map(t2, widened) == _state_map(t2, proc)
 
 
@@ -198,8 +212,8 @@ def test_pair_state_equality_ignores_the_purification(t2):
     whole = tensor_systems(t2, rows, cols)
     same_row = [s for s in whole.pure_orbit if s.representative in (0, 1)]
     assert len(same_row) == 2
-    first = make_pair_state(t2, pair, same_row[0])
-    second = make_pair_state(t2, pair, same_row[1])
+    first = _pair_state(t2, pair, same_row[0])
+    second = _pair_state(t2, pair, same_row[1])
     assert first == second
     assert first.purification != second.purification
 
@@ -208,16 +222,16 @@ def test_identity_process_fixes_every_pair_state(t2):
     rows, cols = _rows_cols(t2)
     for env in (trivial_system(t2), cols):
         pair = make_pair(t2, rows, env)
-        ident = identity_process(t2, pair)
+        ident = _identity(t2, pair)
         for state in pair_states(t2, pair):
-            assert apply_process(t2, ident, state) == state
+            assert oracles.apply_process(t2, ident, state) == state
 
 
 def test_discard_process_collapses_everything(t2):
     rows, cols = _rows_cols(t2)
     pair = make_pair(t2, rows, cols)
     top = discard_process(t2, pair)
-    outputs = {apply_process(t2, top, s).value for s in pair_states(t2, pair)}
+    outputs = {oracles.apply_process(t2, top, s).value for s in pair_states(t2, pair)}
     assert len(outputs) == 1
     assert next(iter(outputs)).points == frozenset(t2.points)
 
@@ -261,7 +275,7 @@ def test_causality_discard_after_anything_is_discard(t2):
 def test_compose_process_with_identity(t2):
     rows, _ = _rows_cols(t2)
     pair = make_pair(t2, rows, trivial_system(t2))
-    ident = identity_process(t2, pair)
+    ident = _identity(t2, pair)
     again = compose_process(t2, ident, ident)
     assert process_table(t2, again) == process_table(t2, ident)
 
@@ -274,7 +288,7 @@ def test_generalised_effects_are_unique(t2):
         make_pair(t2, rows, unit),
         make_pair(t2, rows, cols),
     ):
-        effects = enumerate_generalised_effects(t2, pair)
+        effects = oracles.enumerate_generalised_effects(t2, pair)
         assert len(effects) == 1
         assert process_table(t2, effects[0]) == process_table(
             t2, discard_process(t2, pair)
@@ -367,19 +381,6 @@ def test_full_universe_category_equals_the_first_written_build(t1):
     assert single
     assert any(cat.classes[fi].dom in single for _, fi in cat.compose)
     assert any(cat.classes[ci].dom in single for ci, _ in cat.tensor_mor)
-
-
-def test_effects_equal_the_first_written_enumeration(t2):
-    cat = build_process_category(t2)
-    for obj in cat.objects:
-        assert enumerate_generalised_effects(
-            t2, obj, ancillas=cat.universe
-        ) == oracles.enumerate_generalised_effects(t2, obj, ancillas=cat.universe)
-    rows, cols = _rows_cols(t2)
-    pair = make_pair(t2, rows, cols)
-    assert enumerate_generalised_effects(t2, pair) == (
-        oracles.enumerate_generalised_effects(t2, pair)
-    )
 
 
 @pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
@@ -495,7 +496,7 @@ def test_process_action_types_its_process_once(t2, monkeypatch):
     proc = max((c.representative for c in cat.classes), key=lambda p: len(pair_states(t2, p.domain)))
     states = pair_states(t2, proc.domain)
     assert len(states) > 1
-    expected = [apply_process(t2, proc, s) for s in states]
+    expected = [oracles.apply_process(t2, proc, s) for s in states]
     calls = []
 
     def counting(theory, proc):
@@ -568,6 +569,40 @@ def test_check_builds_the_category_once_for_both_suites(t2, monkeypatch):
     assert len(built) == 1
     monkeypatch.undo()
     assert results == run_suites(t2, ("processes",)) + run_suites(t2, ("pmcat",))
+
+
+def _raising(error):
+    def suite(_):
+        raise error("planted")
+
+    return suite
+
+
+def test_an_engine_error_in_a_suite_is_that_suites_violation(t1, monkeypatch):
+    monkeypatch.setitem(emergent.checks.SUITES, "states", _raising(IncompatibleSystems))
+    results = run_suites(t1, ("lattice", "states", "systems"))
+    assert [r.name for r in results] == ["lattice", "states", "systems"]
+    assert results[1] == emergent.checks.SuiteResult(
+        "states", ("states: engine error: planted",), ()
+    )
+    assert results[0].ok and results[2].ok
+
+
+def test_a_failed_category_build_is_a_violation_of_both_suites(t1, monkeypatch):
+    monkeypatch.setattr(
+        emergent.checks, "build_process_category", _raising(IncompatibleSystems)
+    )
+    results = run_suites(t1, ("processes", "pmcat"))
+    assert [r.violations for r in results] == [
+        ("processes: engine error: planted",),
+        ("pmcat: engine error: planted",),
+    ]
+
+
+def test_a_resource_limit_in_a_suite_still_raises(t1, monkeypatch):
+    monkeypatch.setitem(emergent.checks.SUITES, "lattice", _raising(ResourceLimit))
+    with pytest.raises(ResourceLimit, match="^planted$"):
+        run_suites(t1, ("lattice",))
 
 
 @pytest.mark.parametrize(
@@ -794,6 +829,6 @@ def test_process_reprs_name_the_parent_group_instead_of_printing_it(t4):
     # A subgroup's repr used to embed its whole parent group, about 23 KB
     # on s3x3x3 and up to 1.3 MB for one class representative.
     group = t4.group
-    assert len(repr(group.full_subgroup())) < 200
+    assert len(repr(Subgroup(group, group.elements))) < 200
     cat = build_process_category(t4)
     assert max(len(repr(c.representative)) for c in cat.classes) < 16_000

@@ -13,6 +13,7 @@ from emergent import (
     NotOrthogonal,
     NotPure,
     Perm,
+    Subgroup,
     act_local,
     commutant,
     enumerate_self_bicommutant,
@@ -20,7 +21,6 @@ from emergent import (
     is_orthogonal,
     is_product_state,
     iterated_restrict,
-    local_orbit,
     pure_local_states,
     pure_stabilizer,
     restrict,
@@ -36,7 +36,7 @@ def _sub(theory, image_tuples):
 
 
 def test_restriction_to_the_full_group_is_a_singleton(t1):
-    full = t1.group.full_subgroup()
+    full = Subgroup(t1.group, t1.group.elements)
     for p in t1.points:
         assert restrict(t1, full, p).points == frozenset({p})
 
@@ -86,8 +86,9 @@ def test_act_local_matches_global_action(t1):
 
 def test_local_orbit_of_a_row(t2):
     rows = _sub(t2, ROWS)
-    orbit = local_orbit(t2, restrict(t2, rows, 0))
-    assert [s.sorted_points for s in orbit] == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    row0 = restrict(t2, rows, 0)
+    orbit = {act_local(t2, h, row0) for h in rows.members}
+    assert sorted(s.sorted_points for s in orbit) == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
 
 
 def test_iterated_restrict_identity_and_errors(t2):
@@ -136,7 +137,7 @@ def test_iterated_restrict_is_representative_independent(t2):
 
 
 def test_purity_for_the_bounds(t1):
-    full = t1.group.full_subgroup()
+    full = Subgroup(t1.group, t1.group.elements)
     trivial = t1.group.trivial_subgroup()
     for p in t1.points:
         assert is_product_state(t1, full, p).pure
@@ -203,7 +204,7 @@ def test_factorizes_agrees_with_the_commutant_case(t2):
 
 
 def test_pure_local_states_examples(t1, t2, t3):
-    full = t1.group.full_subgroup()
+    full = Subgroup(t1.group, t1.group.elements)
     assert len(pure_local_states(t1, full)) == 3
     a3 = _sub(t1, [(1, 2, 0)])
     assert pure_local_states(t1, a3) == ()

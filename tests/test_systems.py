@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -18,21 +19,19 @@ from emergent import (
     System,
     act_local,
     are_compatible,
-    check_associativity_triple,
     enumerate_self_bicommutant,
     enumerate_systems,
+    load_theory,
     make_system,
     restrict,
     subgroup_closure,
     tensor_pure_states,
     tensor_state_candidates,
     tensor_systems,
-    theory_s3,
-    theory_s3_diagonal_cosets,
-    theory_s3_squared,
-    theory_s4,
     trivial_system,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 ROWS = ((3, 4, 5, 0, 1, 2, 6, 7, 8), (3, 4, 5, 6, 7, 8, 0, 1, 2))
 COLS = ((1, 0, 2, 4, 3, 5, 7, 6, 8), (1, 2, 0, 4, 5, 3, 7, 8, 6))
@@ -58,13 +57,13 @@ def test_system_counts(t1, t2, t3):
 def test_trivial_system_shape(t1):
     unit = trivial_system(t1)
     assert unit.is_trivial
-    assert unit.state_count == 1
+    assert len(unit.pure_orbit) == 1
     assert unit.pure_orbit[0].points == frozenset(t1.points)
 
 
 def test_make_system_rows(t2):
     rows, _ = _rows_cols(t2)
-    assert rows.state_count == 3
+    assert len(rows.pure_orbit) == 3
     assert [s.sorted_points for s in rows.pure_orbit] == [
         (0, 1, 2),
         (3, 4, 5),
@@ -129,7 +128,7 @@ def test_tensor_rows_with_columns(t2):
     rows, cols = _rows_cols(t2)
     whole = tensor_systems(t2, rows, cols)
     assert whole.transf.order == 36
-    assert whole.state_count == 9
+    assert len(whole.pure_orbit) == 9
     assert all(len(s.points) == 1 for s in whole.pure_orbit)
     assert tensor_systems(t2, cols, rows) == whole
 
@@ -196,26 +195,26 @@ def _factor_systems(t4):
 
 def test_associativity_for_three_independent_cells(t4):
     a, b, c = _factor_systems(t4)
-    report = check_associativity_triple(t4, a, b, c)
+    report = oracles.check_associativity_triple(t4, a, b, c)
     assert report.holds
     assert report.left is not None
     assert report.left.transf.order == 216
-    assert report.left.state_count == 27
-    permuted = check_associativity_triple(t4, c, a, b)
+    assert len(report.left.pure_orbit) == 27
+    permuted = oracles.check_associativity_triple(t4, c, a, b)
     assert permuted.left == report.left
 
 
 def test_associativity_with_a_unit_factor(t2):
     rows, cols = _rows_cols(t2)
     unit = trivial_system(t2)
-    report = check_associativity_triple(t2, rows, cols, unit)
+    report = oracles.check_associativity_triple(t2, rows, cols, unit)
     assert report.holds
     assert report.left == tensor_systems(t2, rows, cols)
 
 
 def test_undefined_bracketing_is_reported(t2):
     rows, cols = _rows_cols(t2)
-    report = check_associativity_triple(t2, rows, rows, cols)
+    report = oracles.check_associativity_triple(t2, rows, rows, cols)
     assert report.left is None
 
 
@@ -344,14 +343,15 @@ def test_unlisted_composite_is_reported(t2, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make_theory",
-    [theory_s3, theory_s4, theory_s3_diagonal_cosets, theory_s3_squared],
+    "fixture",
+    ["s3", "s4", "s3_diagonal", "s3x3"],
+    ids=["theory_s3", "theory_s4", "theory_s3_diagonal_cosets", "theory_s3_squared"],
 )
-def test_composites_are_the_enumerated_systems(make_theory):
-    theory = make_theory()
+def test_composites_are_the_enumerated_systems(fixture):
+    # A freshly loaded theory, so the memo holds nothing yet.
+    theory, _ = load_theory(FIXTURES / f"{fixture}.json")
     systems = enumerate_systems(theory)
     for a, b in itertools.product(systems, repeat=2):
         if are_compatible(theory, a, b) is not None:
             composite = tensor_systems(theory, a, b)
             assert any(composite is s for s in systems)
-
