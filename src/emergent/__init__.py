@@ -88,13 +88,6 @@ from .processes import (
     tensor_processes,
     verify_generation,
 )
-from .pmcat import (
-    FiniteCategoryInstance,
-    Violation,
-    check_partially_monoidal,
-    extract_instance,
-    instance_from_category,
-)
 from .catalog import (
     load_theory,
     symmetric_group,
@@ -115,3 +108,23 @@ from .sectors import (
 from .checks import SuiteResult, run_suites
 
 __version__ = "0.1.0"
+
+# ``pmcat`` is loaded on first use: its ``FiniteCategoryInstance`` is a
+# dataclass, and a run that never checks the category axioms need not
+# import ``dataclasses``.
+_PMCAT_NAMES = frozenset({
+    "FiniteCategoryInstance",
+    "Violation",
+    "check_partially_monoidal",
+    "extract_instance",
+    "instance_from_category",
+})
+
+
+def __getattr__(name: str):
+    if name == "pmcat" or name in _PMCAT_NAMES:
+        from importlib import import_module
+
+        pmcat = import_module(".pmcat", __name__)
+        return pmcat if name == "pmcat" else getattr(pmcat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import IncompatibleSystems, ResourceLimit, TheoryError
 from .lattice import (
@@ -58,8 +58,7 @@ SAMPLE_SEED = 20240801
 COMPOSE_SAMPLE = 2_000
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """Outcome of one verification suite."""
 
     name: str
@@ -621,15 +620,21 @@ def run_suites(theory: GlobalTheory, names: tuple[str, ...]) -> tuple[SuiteResul
     is built once for both.  A valid theory should make the engine raise
     nothing but ``ResourceLimit``, so any other engine error a suite raises,
     a failed category build included, is reported as that suite's
-    violation, not as bad input.
+    violation, not as bad input.  A failed build is not tried again: its
+    error is each of the two suites' violation.
     """
     results = []
-    cat = None
+    cat: ProcessCategory | TheoryError | None = None
     for name in names:
         try:
             if name in ("processes", "pmcat"):
                 if cat is None:
-                    cat = build_process_category(theory)
+                    try:
+                        cat = build_process_category(theory)
+                    except TheoryError as exc:
+                        cat = exc
+                if isinstance(cat, TheoryError):
+                    raise cat
                 results.append(SUITES[name](cat))
             else:
                 results.append(SUITES[name](theory))

@@ -9,7 +9,6 @@ double commutant of the union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotOrthogonal, NotSelfBicommutant
@@ -72,21 +71,27 @@ def enumerate_self_bicommutant(
     )
 
 
-@dataclass(frozen=True)
 class SbcLattice:
     """The complete lattice of subgroups equal to their double commutant.
 
     Enumerated nodes are sorted by order.
     """
 
-    theory: GlobalTheory
-    nodes: tuple[Subgroup, ...]
+    def __init__(self, theory: GlobalTheory, nodes: tuple[Subgroup, ...]) -> None:
+        self.theory = theory
+        self.nodes = nodes
+        self._hash = hash((theory, nodes))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.theory, self.nodes)))
+    def __repr__(self) -> str:
+        return f"SbcLattice(theory={self.theory!r}, nodes={self.nodes!r})"
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.theory, self.nodes) == (other.theory, other.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

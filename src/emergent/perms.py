@@ -42,7 +42,6 @@ and dies with it, and an equal but distinct theory computes its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -296,15 +295,16 @@ class GroupIndex:
         return result
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite permutation group with a canonical sorted element list."""
 
-    degree: int
-    elements: tuple[Perm, ...]
+    def __init__(self, degree: int, elements: tuple[Perm, ...]) -> None:
+        self.degree = degree
+        self.elements = elements
+        self._hash = hash((degree, elements))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.degree, self.elements)))
+    def __repr__(self) -> str:
+        return f"FiniteGroup(degree={self.degree!r}, elements={self.elements!r})"
 
     def __hash__(self) -> int:
         return self._hash
@@ -473,7 +473,6 @@ def orbit(elements: Iterable[Perm], point: int) -> frozenset[int]:
     return frozenset(p[point] for p in elements)
 
 
-@dataclass(frozen=True)
 class GlobalTheory:
     """A centreless group acting transitively and faithfully on points.
 
@@ -481,15 +480,22 @@ class GlobalTheory:
     reversible global transformations and its points are the global states.
     """
 
-    group: FiniteGroup
+    def __init__(self, group: FiniteGroup) -> None:
+        self.group = group
+        self._hash = hash(group)
+        # Equality, hashing and repr ignore the memo.
+        self._memo: dict = {}
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.group))
-        # Not a field: equality, hashing and repr ignore the memo.
-        object.__setattr__(self, "_memo", {})
+    def __repr__(self) -> str:
+        return f"GlobalTheory(group={self.group!r})"
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group == other.group
 
     @property
     def degree(self) -> int:

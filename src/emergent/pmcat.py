@@ -26,8 +26,7 @@ from .perms import _tuple_getter
 from .processes import DEFAULT_OBJECT_CAP, CompositionRows, build_process_category
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A single failed axiom with a witness locating it."""
 
     kind: str
@@ -45,6 +44,8 @@ class FiniteCategoryInstance:
     that category's tables, and its composition is the category's
     read-only rows: ``dict(...)`` a table before planting a change in
     it.  ``extract_instance`` holds its composition as a dict instead.
+    A dataclass, so that ``dataclasses.replace`` copies an instance with
+    a planted table.
     """
 
     objects: tuple[str, ...]

@@ -17,10 +17,10 @@ reads.
 from __future__ import annotations
 
 from collections.abc import Callable, ItemsView, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     ElementNotInGroup,
@@ -67,8 +67,7 @@ DEFAULT_OBJECT_CAP = 64
 # Typed pairs and their states
 
 
-@dataclass(frozen=True)
-class SystemEnvironmentPair:
+class SystemEnvironmentPair(NamedTuple):
     """A system together with the environment it may later interact with."""
 
     system: System
@@ -88,7 +87,6 @@ def pair_composite(theory: GlobalTheory, pair: SystemEnvironmentPair) -> System:
     return tensor_systems(theory, pair.system, pair.environment)
 
 
-@dataclass(frozen=True)
 class PairState:
     """A state of a typed pair: a system state with one chosen purification.
 
@@ -96,9 +94,28 @@ class PairState:
     exactly when the system sees the same local state.
     """
 
-    pair: SystemEnvironmentPair
-    value: LocalState
-    purification: LocalState = field(compare=False)
+    __slots__ = ("pair", "value", "purification")
+
+    def __init__(
+        self, pair: SystemEnvironmentPair, value: LocalState, purification: LocalState
+    ) -> None:
+        self.pair = pair
+        self.value = value
+        self.purification = purification
+
+    def __repr__(self) -> str:
+        return (
+            f"PairState(pair={self.pair!r}, value={self.value!r}, "
+            f"purification={self.purification!r})"
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.pair, self.value))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pair, self.value) == (other.pair, other.value)
 
 
 @theory_memo
@@ -119,8 +136,7 @@ def pair_states(
 # Full processes
 
 
-@dataclass(frozen=True)
-class Process:
+class Process(NamedTuple):
     """Ancilla preparation, joint reversible dynamics, then discarding.
 
     The composite of domain system and ancilla must re-factorize as the
@@ -324,14 +340,33 @@ def _output_map(
 # The category of processes over a finite object universe
 
 
-@dataclass(frozen=True)
 class MorphismClass:
-    """Processes identified by domain, codomain, and state map."""
+    """Processes identified by domain, codomain, and state map.
 
-    dom: int
-    cod: int
-    table: tuple
-    representative: Process = field(compare=False)
+    Equality ignores the representative.
+    """
+
+    __slots__ = ("dom", "cod", "table", "representative")
+
+    def __init__(self, dom: int, cod: int, table: tuple, representative: Process) -> None:
+        self.dom = dom
+        self.cod = cod
+        self.table = table
+        self.representative = representative
+
+    def __repr__(self) -> str:
+        return (
+            f"MorphismClass(dom={self.dom!r}, cod={self.cod!r}, table={self.table!r}, "
+            f"representative={self.representative!r})"
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.table))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dom, self.cod, self.table) == (other.dom, other.cod, other.table)
 
 
 class _CompositionItems(ItemsView):
@@ -386,19 +421,62 @@ class CompositionRows(Mapping):
         return _CompositionItems(self)
 
 
-@dataclass
 class ProcessCategory:
-    """A finite, tensor-closed fragment of the full process theory."""
+    """A finite, tensor-closed fragment of the full process theory.
 
-    theory: GlobalTheory
-    universe: tuple[System, ...]
-    objects: tuple[SystemEnvironmentPair, ...]
-    classes: tuple[MorphismClass, ...]
-    identity: tuple[int, ...]
-    compose: Mapping[tuple[int, int], int]
-    tensor_obj: dict[tuple[int, int], int]
-    tensor_mor: dict[tuple[int, int], int]
-    unit: int
+    Mutable and unhashable; equality compares every field.
+    """
+
+    def __init__(
+        self,
+        theory: GlobalTheory,
+        universe: tuple[System, ...],
+        objects: tuple[SystemEnvironmentPair, ...],
+        classes: tuple[MorphismClass, ...],
+        identity: tuple[int, ...],
+        compose: Mapping[tuple[int, int], int],
+        tensor_obj: dict[tuple[int, int], int],
+        tensor_mor: dict[tuple[int, int], int],
+        unit: int,
+    ) -> None:
+        self.theory = theory
+        self.universe = universe
+        self.objects = objects
+        self.classes = classes
+        self.identity = identity
+        self.compose = compose
+        self.tensor_obj = tensor_obj
+        self.tensor_mor = tensor_mor
+        self.unit = unit
+
+    def _values(self) -> tuple:
+        return (
+            self.theory,
+            self.universe,
+            self.objects,
+            self.classes,
+            self.identity,
+            self.compose,
+            self.tensor_obj,
+            self.tensor_mor,
+            self.unit,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ProcessCategory(theory={self.theory!r}, universe={self.universe!r}, "
+            f"objects={self.objects!r}, classes={self.classes!r}, "
+            f"identity={self.identity!r}, compose={self.compose!r}, "
+            f"tensor_obj={self.tensor_obj!r}, tensor_mor={self.tensor_mor!r}, "
+            f"unit={self.unit!r})"
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
 
     @cached_property
     def object_index(self) -> dict[SystemEnvironmentPair, int]:
@@ -637,8 +715,7 @@ def build_process_category(
 # Generation of the full theory from its pure fragment
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(NamedTuple):
     """Whether transformations, preparations, and discards generate everything."""
 
     pure_total: int
@@ -663,21 +740,22 @@ def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
 
     A fixpoint over the tables, not ``perms.close``: a worklist needs each
     class's composites and tensors, an index that a ``compose`` mapping
-    (tests plant faults in plain dicts) does not hold, and on s3x3x3 the
-    fixpoint settles in two passes.
+    (tests plant faults in plain dicts) does not hold.  It stops as soon
+    as the span holds every class; on s3x3x3 that is within the first pass.
     """
     span = set(start)
+    missing = set(range(len(cat.classes))) - span
     changed = True
-    while changed:
+    while changed and missing:
         changed = False
-        for (gi, fi), out in cat.compose.items():
-            if gi in span and fi in span and out not in span:
-                span.add(out)
-                changed = True
-        for (ci, cj), out in cat.tensor_mor.items():
-            if ci in span and cj in span and out not in span:
-                span.add(out)
-                changed = True
+        for table in (cat.compose, cat.tensor_mor):
+            for (a, b), out in table.items():
+                if a in span and b in span and out not in span:
+                    span.add(out)
+                    missing.discard(out)
+                    if not missing:
+                        return span
+                    changed = True
     return span
 
 

@@ -10,7 +10,7 @@ questions have closed-form answers, which this module states and checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GeneralCaseUnsupported, ParseError, ZeroDimension
 
@@ -21,8 +21,7 @@ GENERAL = "general"
 _SECTOR = re.compile(r"^\s*(\d+)\s*x\s*(\d+)\s*$")
 
 
-@dataclass(frozen=True)
-class SectorDecomposition:
+class SectorDecomposition(NamedTuple):
     """Sector dimension pairs, sorted for a canonical form."""
 
     sectors: tuple[tuple[int, int], ...]
@@ -107,8 +106,7 @@ def classify(decomp: SectorDecomposition) -> str:
     return GENERAL
 
 
-@dataclass(frozen=True)
-class SpecialPairReport:
+class SpecialPairReport(NamedTuple):
     """Closed-form composability facts for a special decomposition."""
 
     decomposition: SectorDecomposition

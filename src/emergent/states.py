@@ -12,15 +12,14 @@ per subgroup and kept in the theory's memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ElementNotInOwner, NotNested, NotOrthogonal, NotPure
 from .lattice import commutant, is_orthogonal, require_self_bicommutant
 from .perms import GlobalTheory, Perm, Subgroup, require_point, require_subgroup, theory_memo
 
 
-@dataclass(frozen=True)
 class LocalState:
     """A state of the subsystem with transformations ``owner``.
 
@@ -28,14 +27,21 @@ class LocalState:
     it is always a single orbit of the owner's commutant.
     """
 
-    owner: Subgroup
-    points: frozenset[int]
+    def __init__(self, owner: Subgroup, points: frozenset[int]) -> None:
+        self.owner = owner
+        self.points = points
+        self._hash = hash((owner, points))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.owner, self.points)))
+    def __repr__(self) -> str:
+        return f"LocalState(owner={self.owner!r}, points={self.points!r})"
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.owner, self.points) == (other.owner, other.points)
 
     @cached_property
     def sorted_points(self) -> tuple[int, ...]:
@@ -120,8 +126,7 @@ def _stabilizer_splits(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: in
     return product_order * fixed_both == len(orbit_product) * fixed_a * fixed_b
 
 
-@dataclass(frozen=True)
-class PurityVerdict:
+class PurityVerdict(NamedTuple):
     """Outcome of the product-state test at one global state."""
 
     state: LocalState

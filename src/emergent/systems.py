@@ -9,7 +9,6 @@ composes with everything and acts as a strict unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IncompatibleSystems, NotProductState, StateNotInSystem
@@ -29,18 +28,24 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
 class System:
     """A subsystem: local transformations plus all of its pure states."""
 
-    transf: Subgroup
-    pure_orbit: tuple[LocalState, ...]
+    def __init__(self, transf: Subgroup, pure_orbit: tuple[LocalState, ...]) -> None:
+        self.transf = transf
+        self.pure_orbit = pure_orbit
+        self._hash = hash((transf, pure_orbit))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.transf, self.pure_orbit)))
+    def __repr__(self) -> str:
+        return f"System(transf={self.transf!r}, pure_orbit={self.pure_orbit!r})"
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.transf, self.pure_orbit) == (other.transf, other.pure_orbit)
 
     @property
     def is_trivial(self) -> bool:

@@ -487,6 +487,29 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # Only pmcat's FiniteCategoryInstance is a dataclass, and ``emergent``
+    # loads pmcat on first use, so start-up does not import ``dataclasses``
+    # (nor ``inspect``, which it pulls in); the pmcat names still resolve.
+    script = (
+        "import sys\n"
+        "absent = {'dataclasses', 'inspect'} - set(sys.modules)\n"
+        "import emergent.cli\n"
+        "print(sorted(absent & set(sys.modules)))\n"
+        "import emergent\n"
+        "print(emergent.check_partially_monoidal.__name__)\n"
+        "print(emergent.FiniteCategoryInstance.__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "[]\ncheck_partially_monoidal\nFiniteCategoryInstance\n"
+
+
 def _resolves(module: str, name: str | None = None) -> bool:
     """``import module`` or ``from module import name`` would succeed."""
     try:

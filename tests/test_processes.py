@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import array
-import dataclasses
 import gc
 import random
 
@@ -16,6 +15,7 @@ from emergent import (
     MorphismClass,
     PairState,
     Perm,
+    ProcessCategory,
     ResourceLimit,
     StateNotInPair,
     Subgroup,
@@ -50,6 +50,7 @@ import emergent.pmcat
 import emergent.processes
 from emergent.checks import run_suites
 from emergent.processes import default_system_seeds, process_table, system_universe
+from emergent.sectors import check_special_pair_claims, parse_decomposition
 from emergent.states import state_key
 from emergent.systems import system_key
 
@@ -215,7 +216,76 @@ def test_pair_state_equality_ignores_the_purification(t2):
     first = _pair_state(t2, pair, same_row[0])
     second = _pair_state(t2, pair, same_row[1])
     assert first == second
+    assert hash(first) == hash(second)
     assert first.purification != second.purification
+
+
+def test_morphism_class_equality_ignores_the_representative(t1):
+    cat = build_process_category(t1)
+    c, other = cat.classes[0], cat.classes[-1]
+    moved = MorphismClass(c.dom, c.cod, c.table, other.representative)
+    assert moved.representative != c.representative
+    assert moved == c
+    assert hash(moved) == hash(c)
+    assert moved != MorphismClass(c.dom, c.cod, other.table, c.representative)
+
+
+def test_value_types_hash_as_the_fields_they_compare(t1):
+    # Set iteration order feeds CLI output, so each value type keeps the
+    # hash it has always had: that of the tuple of its compared fields.
+    cat = build_process_category(t1)
+    lattice = enumerate_self_bicommutant(t1)
+    c = cat.classes[-1]
+    proc = c.representative
+    state = pair_states(t1, proc.domain)[-1]
+    verdict = is_product_state(t1, lattice.nodes[1], 0)
+    report = verify_generation(t1, cat)
+    suite = run_suites(t1, ("processes",))[0]
+    violation = emergent.pmcat.Violation("unit", (0,), "planted")
+    decomp = parse_decomposition("2x3 + 1x1")
+    special = check_special_pair_claims(parse_decomposition("2x3"))
+    cases = [
+        (t1.group, (t1.group.degree, t1.group.elements)),
+        (lattice, (lattice.theory, lattice.nodes)),
+        (proc.prep, (proc.prep.owner, proc.prep.points)),
+        (proc.ancilla, (proc.ancilla.transf, proc.ancilla.pure_orbit)),
+        (verdict, (verdict.state, verdict.pure)),
+        (proc.domain, (proc.domain.system, proc.domain.environment)),
+        (state, (state.pair, state.value)),
+        (
+            proc,
+            (
+                proc.domain, proc.ancilla, proc.prep, proc.transform,
+                proc.codomain_system, proc.discarded,
+            ),
+        ),
+        (c, (c.dom, c.cod, c.table)),
+        (
+            report,
+            (
+                report.pure_total, report.pure_generated, report.full_total,
+                report.full_generated, report.transformation_generators,
+                report.preparation_generators, report.discard_generators,
+            ),
+        ),
+        (suite, (suite.name, suite.violations, suite.notices)),
+        (violation, (violation.kind, violation.witness, violation.message)),
+        (decomp, (decomp.sectors,)),
+        (
+            special,
+            (
+                special.decomposition, special.commutant, special.kind,
+                special.orthogonal, special.orthocomplementary,
+                special.centre_rank, special.join, special.join_full,
+            ),
+        ),
+    ]
+    for value, fields in cases:
+        assert hash(value) == hash(fields), type(value).__name__
+    # A theory hashes as its group; a category is mutable and unhashable.
+    assert hash(t1) == hash(t1.group)
+    with pytest.raises(TypeError):
+        hash(cat)
 
 
 def test_identity_process_fixes_every_pair_state(t2):
@@ -589,14 +659,19 @@ def test_an_engine_error_in_a_suite_is_that_suites_violation(t1, monkeypatch):
 
 
 def test_a_failed_category_build_is_a_violation_of_both_suites(t1, monkeypatch):
-    monkeypatch.setattr(
-        emergent.checks, "build_process_category", _raising(IncompatibleSystems)
-    )
+    built = []
+
+    def failing_build(theory):
+        built.append(theory)
+        raise IncompatibleSystems("planted")
+
+    monkeypatch.setattr(emergent.checks, "build_process_category", failing_build)
     results = run_suites(t1, ("processes", "pmcat"))
     assert [r.violations for r in results] == [
         ("processes: engine error: planted",),
         ("pmcat: engine error: planted",),
     ]
+    assert len(built) == 1
 
 
 def test_a_resource_limit_in_a_suite_still_raises(t1, monkeypatch):
@@ -638,6 +713,15 @@ def test_effects_read_from_the_category_are_the_enumerated_effects(request, theo
         } == {oracles.process_table(theory, e) for e in effects}
 
 
+def _replaced(cat, **changes):
+    """A copy of ``cat`` with the named fields changed."""
+    fields = (
+        "theory", "universe", "objects", "classes", "identity",
+        "compose", "tensor_obj", "tensor_mor", "unit",
+    )
+    return ProcessCategory(**{f: changes.get(f, getattr(cat, f)) for f in fields})
+
+
 def test_effect_check_counts_the_planted_effects(t2):
     cat = build_process_category(t2)
     effects = [
@@ -645,13 +729,11 @@ def test_effect_check_counts_the_planted_effects(t2):
     ]
     ((src, out),) = effects[0].table
     extra = MorphismClass(0, effects[0].cod, ((src, out[:1]),), effects[0].representative)
-    planted = dataclasses.replace(cat, classes=cat.classes + (extra,))
+    planted = _replaced(cat, classes=cat.classes + (extra,))
     assert emergent.checks._effect_violations(planted) == [
         "processes: object 0 has 2 distinct effects instead of exactly one"
     ]
-    dropped = dataclasses.replace(
-        cat, classes=tuple(c for c in cat.classes if c not in effects)
-    )
+    dropped = _replaced(cat, classes=tuple(c for c in cat.classes if c not in effects))
     assert emergent.checks._effect_violations(dropped) == [
         "processes: object 0 has 0 distinct effects instead of exactly one"
     ]
@@ -672,7 +754,7 @@ def test_identity_faults_are_reported_by_the_pmcat_suite(t1):
 
     compose = dict(cat.compose)
     del compose[(ci, ident)]
-    missing = dataclasses.replace(cat, compose=compose)
+    missing = _replaced(cat, compose=compose)
     assert emergent.checks.processes_suite(missing).violations == ()
     assert (
         f"category-composition: composite of {names[ident]} then {names[ci]} "
@@ -681,7 +763,7 @@ def test_identity_faults_are_reported_by_the_pmcat_suite(t1):
 
     compose = dict(cat.compose)
     compose[(ci, ident)] = other
-    reassigned = dataclasses.replace(cat, compose=compose)
+    reassigned = _replaced(cat, compose=compose)
     assert (
         f"category-identity: pre-composing {names[ci]} with an identity changes it "
         f"(witness {(ci,)})"
