@@ -33,7 +33,7 @@ from .sectors import (
     parse_decomposition,
     system_count,
 )
-from .states import is_product_state
+from .states import purity_row
 from .systems import are_compatible, enumerate_systems
 
 
@@ -121,11 +121,9 @@ def cmd_scan_mixed(args) -> int:
     nodes = []
     both = []
     for i, node in enumerate(lattice.nodes):
-        pure = [
-            p for p in theory.points if is_product_state(theory, node, p).pure
-        ]
-        pure_set = set(pure)
-        mixed = [p for p in theory.points if p not in pure_set]
+        row = purity_row(theory, node)
+        pure = [p for p in theory.points if row[p]]
+        mixed = [p for p in theory.points if not row[p]]
         if pure and mixed:
             both.append(i)
         nodes.append(

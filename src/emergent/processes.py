@@ -46,8 +46,8 @@ from .states import (
     LocalState,
     act_local,
     iterated_restrict,
+    local_row,
     pure_local_states,
-    restrict,
     state_key,
 )
 from .systems import (
@@ -295,7 +295,7 @@ def _restriction(
     require_subgroup(theory, sub)
     if not sub.is_subset_of(owner):
         raise NotNested("can only restrict a state to a subgroup of its owner")
-    return tuple(state_key(restrict(theory, sub, p)) for p in theory.points)
+    return tuple(map(state_key, local_row(theory, sub)))
 
 
 @theory_memo

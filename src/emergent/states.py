@@ -5,9 +5,15 @@ p under the commutant of H: two global states related by a transformation
 H commutes with are indistinguishable to H.  A global state is a product
 state for H when its joint stabilizer over H and the commutant splits as
 a direct product of the marginal stabilizers, that is, when its H-orbit
-and its commutant orbit meet only in the state itself.  Restriction and
-the test both read the orbit partition of each subgroup, computed once
-per subgroup and kept in the theory's memo.
+and its commutant orbit meet only in the state itself.
+
+Both facts are kept per lattice node as rows indexed by point, read from
+the orbit partition of each subgroup and kept in the theory's memo:
+``local_row`` holds one shared ``LocalState`` per commutant orbit, and
+``purity_row`` the product-state verdict at each point.  ``restrict``,
+``is_product_state`` and ``pure_local_states`` check their arguments and
+read these rows, so a node's states are built once per commutant orbit,
+not once per point.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ class LocalState:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.owner, self.points) == (other.owner, other.points)
@@ -49,7 +57,13 @@ class LocalState:
 
     @property
     def representative(self) -> int:
-        return min(self.points)
+        """The least point, read from ``sorted_points`` once that is cached.
+
+        Most states the local action makes are read once, so a fresh state
+        takes ``min`` rather than sorting its points.
+        """
+        cached = self.__dict__.get("sorted_points")
+        return min(self.points) if cached is None else cached[0]
 
 
 def state_key(state: LocalState) -> tuple[int, ...]:
@@ -72,11 +86,23 @@ def _orbits(theory: GlobalTheory, sub: Subgroup) -> tuple[frozenset[int], ...]:
 
 
 @theory_memo
+def local_row(theory: GlobalTheory, sub: Subgroup) -> tuple[LocalState, ...]:
+    """The local state ``sub`` sees at each point, one object per state.
+
+    Points of one commutant orbit share the same ``LocalState``.
+    """
+    require_subgroup(theory, sub)
+    orbits = _orbits(theory, commutant(theory, sub))
+    states = {orbit: LocalState(sub, orbit) for orbit in set(orbits)}
+    return tuple(map(states.__getitem__, orbits))
+
+
+@theory_memo
 def restrict(theory: GlobalTheory, sub: Subgroup, point: int) -> LocalState:
     """The local state ``sub`` sees at the global state ``point``."""
     require_subgroup(theory, sub)
     require_point(theory, point)
-    return LocalState(sub, _orbits(theory, commutant(theory, sub))[point])
+    return local_row(theory, sub)[point]
 
 
 def act_local(theory: GlobalTheory, h: Perm, state: LocalState) -> LocalState:
@@ -108,22 +134,36 @@ def _orbits_meet_once(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int
 
 
 def _stabilizer_splits(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:
-    """Whether the stabilizer of ``point`` in AB is the product A_p B_p.
+    """Whether the stabilizer of ``point`` in AB is the product A_p B_p."""
+    return _splits_row(theory, a, b)[point]
+
+
+@theory_memo
+def _splits_row(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> tuple[bool, ...]:
+    """``_stabilizer_splits`` at every point.
 
     A_p B_p lies in (AB)_p, so the two are equal exactly when
     |AB|/|ABp| = |A_p|·|B_p|/|(A∩B)_p|.  Here |AB| = |A|·|B|/|A∩B| and
-    ABp, the orbit of p under AB, is the union of the B-orbits over Ap.
-    Purity does not read it: only the states suite's divergence notice does.
+    ABp, the orbit of p under AB, is the union of the B-orbits over Ap, so
+    it is formed once per A-orbit.  Purity does not read it: only the
+    states suite's divergence notice does.
     """
     both = Subgroup.from_mask(a.parent, a.mask & b.mask)
+    orbits_a = _orbits(theory, a)
     orbits_b = _orbits(theory, b)
-    orbit_a = _orbits(theory, a)[point]
-    fixed_a = a.order // len(orbit_a)
-    fixed_b = b.order // len(orbits_b[point])
-    fixed_both = both.order // len(_orbits(theory, both)[point])
-    orbit_product = set().union(*(orbits_b[q] for q in orbit_a))
+    orbits_both = _orbits(theory, both)
     product_order = a.order * b.order // both.order
-    return product_order * fixed_both == len(orbit_product) * fixed_a * fixed_b
+    product_sizes = {
+        orbit: len(frozenset().union(*{orbits_b[q] for q in orbit}))
+        for orbit in set(orbits_a)
+    }
+    return tuple(
+        product_order * (both.order // len(orbits_both[p]))
+        == product_sizes[orbits_a[p]]
+        * (a.order // len(orbits_a[p]))
+        * (b.order // len(orbits_b[p]))
+        for p in theory.points
+    )
 
 
 class PurityVerdict(NamedTuple):
@@ -134,8 +174,8 @@ class PurityVerdict(NamedTuple):
 
 
 @theory_memo
-def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityVerdict:
-    """Test whether a global state splits over ``sub`` and its commutant.
+def purity_row(theory: GlobalTheory, sub: Subgroup) -> tuple[bool, ...]:
+    """Whether each point is a product state over ``sub`` and its commutant.
 
     Write A for ``sub``, B for its commutant, Ap for the A-orbit of the
     point p and A_p for its stabilizer.  The joint stabilizer
@@ -147,13 +187,24 @@ def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityV
     meet only in p.
     """
     require_subgroup(theory, sub)
-    require_point(theory, point)
     require_self_bicommutant(theory, sub)
-    comm = commutant(theory, sub)
-    return PurityVerdict(
-        state=restrict(theory, sub, point),
-        pure=_orbits_meet_once(theory, sub, comm, point),
+    orbits_b = _orbits(theory, commutant(theory, sub))
+    return tuple(
+        len(orbit_a & orbit_b) == 1
+        for orbit_a, orbit_b in zip(_orbits(theory, sub), orbits_b)
     )
+
+
+@theory_memo
+def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityVerdict:
+    """Test whether a global state splits over ``sub`` and its commutant.
+
+    Reads ``purity_row``, so ``sub`` must be its own double commutant.
+    """
+    require_subgroup(theory, sub)
+    require_point(theory, point)
+    pure = purity_row(theory, sub)[point]
+    return PurityVerdict(local_row(theory, sub)[point], pure)
 
 
 def factorizes(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:
@@ -168,11 +219,8 @@ def factorizes(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bo
 def pure_local_states(theory: GlobalTheory, sub: Subgroup) -> tuple[LocalState, ...]:
     """All distinct local states of ``sub`` arising from product states."""
     require_subgroup(theory, sub)
-    states = {
-        restrict(theory, sub, p)
-        for p in theory.points
-        if is_product_state(theory, sub, p).pure
-    }
+    pure = purity_row(theory, sub)
+    states = {state for state, is_pure in zip(local_row(theory, sub), pure) if is_pure}
     return tuple(sorted(states, key=state_key))
 
 

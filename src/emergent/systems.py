@@ -22,8 +22,9 @@ from .perms import GlobalTheory, Subgroup, theory_memo
 from .states import (
     LocalState,
     factorizes,
-    is_product_state,
+    local_row,
     pure_local_states,
+    purity_row,
     restrict,
 )
 
@@ -106,13 +107,15 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
         return a.pure_orbit[0].representative
     if not is_orthocomplementary(theory, a.transf, b.transf):
         return None
-    j = join(theory, a.transf, b.transf)
+    row_a = local_row(theory, a.transf)
+    row_b = local_row(theory, b.transf)
+    pure_j = purity_row(theory, join(theory, a.transf, b.transf))
     for point in theory.points:
-        if restrict(theory, a.transf, point) not in a.pure_set:
+        if row_a[point] not in a.pure_set:
             continue
-        if restrict(theory, b.transf, point) not in b.pure_set:
+        if row_b[point] not in b.pure_set:
             continue
-        if not is_product_state(theory, j, point).pure:
+        if not pure_j[point]:
             continue
         if factorizes(theory, a.transf, b.transf, point):
             return point
@@ -147,10 +150,10 @@ def tensor_state_candidates(
         raise IncompatibleSystems("cannot tensor states of incompatible systems")
     if a.is_trivial or b.is_trivial:
         return tuple(sorted(rho.points & sigma.points))
-    j = join(theory, a.transf, b.transf)
+    pure_j = purity_row(theory, join(theory, a.transf, b.transf))
     found = []
     for point in sorted(rho.points & sigma.points):
-        if not is_product_state(theory, j, point).pure:
+        if not pure_j[point]:
             continue
         if factorizes(theory, a.transf, b.transf, point):
             found.append(point)

@@ -12,8 +12,11 @@ from emergent import (
     NotNested,
     NotOrthogonal,
     NotPure,
+    NotSelfBicommutant,
     Perm,
+    PointOutOfRange,
     Subgroup,
+    SubgroupNotInTheory,
     act_local,
     commutant,
     enumerate_self_bicommutant,
@@ -63,6 +66,44 @@ def test_restriction_is_a_commutant_orbit(t1, t5, t3, t2):
             comm = oracles.centralizer_in(elements, members)
             for p in theory.points:
                 assert restrict(theory, node, p).points == oracles.orbit_of(comm, p)
+
+
+def test_rows_hold_one_state_per_commutant_orbit(t1, t5, t3, t2):
+    # Every node and point against the brute-force commutant orbit and
+    # orbit-counting purity; points of one orbit share one state object.
+    for theory in (t1, t5, t3, t2):
+        elements = [tuple(g) for g in theory.group.elements]
+        for node in enumerate_self_bicommutant(theory).nodes:
+            members = [tuple(h) for h in node.members]
+            comm = oracles.centralizer_in(elements, members)
+            orbits = [frozenset(oracles.orbit_of(comm, p)) for p in theory.points]
+            for p in theory.points:
+                state = restrict(theory, node, p)
+                assert state == LocalState(node, orbits[p])
+                assert is_product_state(theory, node, p).pure == (
+                    oracles.is_product_point(elements, members, p)
+                )
+                for q in theory.points:
+                    shared = restrict(theory, node, q) is state
+                    assert shared == (orbits[q] == orbits[p])
+
+
+def test_argument_checks_keep_their_order(t1, t5):
+    foreign = t1.group.trivial_subgroup()
+    with pytest.raises(SubgroupNotInTheory):
+        restrict(t5, foreign, 99)
+    with pytest.raises(SubgroupNotInTheory):
+        is_product_state(t5, foreign, 99)
+    # A single transposition is not its own double commutant in S4:
+    # restriction accepts it, and only the purity test refuses it.
+    swap = _sub(t5, [(1, 0, 2, 3)])
+    with pytest.raises(PointOutOfRange):
+        is_product_state(t5, swap, 4)
+    assert restrict(t5, swap, 0).points == frozenset({0, 1})
+    with pytest.raises(NotSelfBicommutant):
+        is_product_state(t5, swap, 0)
+    with pytest.raises(NotSelfBicommutant):
+        pure_local_states(t5, swap)
 
 
 def test_act_local_examples(t2):
@@ -303,3 +344,70 @@ def test_planted_faults_give_the_member_loops_violations(t2, monkeypatch, fault)
     if fault == "restrict":
         assert any("distinguishes states" in v for v in found.violations)
         assert any("restricting through node" in v for v in found.violations)
+
+
+def _node_numbers(violations, message):
+    return {int(v.split("node ")[1].split()[0]) for v in violations if message in v}
+
+
+def test_planted_central_fault_gives_the_member_loops_violations(t2, monkeypatch):
+    ident = t2.group.identity
+
+    def bad_act_local(theory, h, state):
+        # A central transformation lies in the commutant, so it fixes every
+        # commutant orbit; the planted action sends the state nowhere.
+        if h != ident and h in state.owner and h in commutant(theory, state.owner):
+            return LocalState(state.owner, frozenset())
+        return act_local(theory, h, state)
+
+    monkeypatch.setattr(checks, "act_local", bad_act_local)
+    monkeypatch.setattr(oracles, "act_local", bad_act_local)
+    found = checks.states_suite(t2)
+    assert found == oracles.states_suite(t2)
+    nodes = enumerate_self_bicommutant(t2).nodes
+    central = {
+        i
+        for i, node in enumerate(nodes)
+        if any(h != ident for h in node.members if h in commutant(t2, node))
+    }
+    assert len(central) == 32
+    moved = [v for v in found.violations if "central transformation" in v]
+    assert len(moved) == len(central) * t2.degree
+    assert _node_numbers(moved, "moves the local state") == central
+    assert _node_numbers(found.violations, "local action on node") == central
+
+
+def test_planted_purity_fault_gives_the_member_loops_violations(t2, monkeypatch):
+    rows = _sub(t2, ROWS)
+    cols = commutant(t2, rows)
+    assert is_product_state(t2, rows, 4).pure
+
+    def bad_is_product_state(theory, sub, point):
+        verdict = is_product_state(theory, sub, point)
+        if sub == rows and point == 4:
+            return verdict._replace(pure=False)
+        return verdict
+
+    monkeypatch.setattr(checks, "is_product_state", bad_is_product_state)
+    monkeypatch.setattr(oracles, "is_product_state", bad_is_product_state)
+    found = checks.states_suite(t2)
+    assert found == oracles.states_suite(t2)
+    nodes = enumerate_self_bicommutant(t2).nodes
+    i, j = nodes.index(rows), nodes.index(cols)
+
+    def symmetric(k):
+        return (
+            f"states: the product-state test on node {k} is not "
+            "symmetric in the pair at point 4"
+        )
+
+    def constant(p):
+        return (
+            f"states: purity at node {i} is not constant on the "
+            f"commutant orbit of point {p}"
+        )
+
+    at_rows = [constant(3), symmetric(i), constant(4), constant(5)]
+    at_cols = [symmetric(j)]
+    expected = at_rows + at_cols if i < j else at_cols + at_rows
+    assert found.violations == tuple(expected)
