@@ -8,7 +8,6 @@ from .errors import (
     IncompatibleSystems,
     InvalidTheory,
     NotCentreless,
-    NotFaithful,
     NotNested,
     NotOrthogonal,
     NotProductState,

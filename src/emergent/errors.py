@@ -37,10 +37,6 @@ class NotCentreless(InvalidTheory):
     """The global group has a non-trivial centre."""
 
 
-class NotFaithful(InvalidTheory):
-    """A non-identity element acts trivially."""
-
-
 class PointOutOfRange(TheoryError):
     """A point index lies outside 0..degree-1."""
 

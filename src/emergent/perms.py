@@ -51,7 +51,6 @@ from .errors import (
     ElementNotInGroup,
     InvalidTheory,
     NotCentreless,
-    NotFaithful,
     NotTransitive,
     PointOutOfRange,
     ResourceLimit,
@@ -529,40 +528,36 @@ def theory_memo(fn):
     return memoised
 
 
-def theory_violations(group: FiniteGroup) -> tuple[str, ...]:
-    """Human-readable reasons why ``group`` fails the global-theory conditions."""
-    violations = []
+def _failed_conditions(group: FiniteGroup) -> list[tuple[type[InvalidTheory], str]]:
+    """Each global-theory condition ``group`` fails, with its error class.
+
+    A permutation group acts faithfully by construction, so that condition
+    is not checked.
+    """
+    failed = []
     n = group.degree
-    identity = group.identity
     if n < 1:
-        violations.append("the point set is empty")
-    for g in group.elements:
-        if g != identity and all(g[i] == i for i in range(n)):
-            violations.append(f"non-identity element {g!r} acts trivially")
-            break
-    if n >= 1 and len(orbit(group.elements, 0)) != n:
-        violations.append("the action is not transitive on the point set")
+        failed.append((InvalidTheory, "the point set is empty"))
+    elif len(orbit(group.elements, 0)) != n:
+        failed.append((NotTransitive, "the action is not transitive on the point set"))
     z = centre(group)
     if not z.is_trivial:
-        violations.append(
-            f"the group has a non-trivial centre of order {z.order}"
+        failed.append(
+            (NotCentreless, f"the group has a non-trivial centre of order {z.order}")
         )
-    return tuple(violations)
+    return failed
 
 
-def validate_global_theory(group: FiniteGroup, degree: int | None = None) -> GlobalTheory:
-    """Check the global-theory conditions, raising a typed error on failure."""
-    if degree is not None and degree != group.degree:
-        raise DegreeMismatch(f"expected degree {degree}, group acts on {group.degree}")
-    violations = theory_violations(group)
-    if violations:
-        if any("transitive" in v for v in violations):
-            raise NotTransitive(violations)
-        if any("centre" in v for v in violations):
-            raise NotCentreless(violations)
-        if any("trivially" in v for v in violations):
-            raise NotFaithful(violations)
-        raise InvalidTheory(violations)
+def theory_violations(group: FiniteGroup) -> tuple[str, ...]:
+    """Human-readable reasons why ``group`` fails the global-theory conditions."""
+    return tuple(message for _, message in _failed_conditions(group))
+
+
+def validate_global_theory(group: FiniteGroup) -> GlobalTheory:
+    """Check the global-theory conditions, raising the first failure's error."""
+    failed = _failed_conditions(group)
+    if failed:
+        raise failed[0][0]([message for _, message in failed])
     return GlobalTheory(group)
 
 

@@ -10,14 +10,14 @@ States of a typed pair are restrictions of pure states of the composite,
 carried together with one purification so that dynamics can always be
 computed upstairs: ``process_action`` acts on states that way.  A
 process's whole state map, ``process_table``, is read from restriction
-tables over the points instead, the same tables the category build
-reads.
+tables over the points instead.  The category build reads the same
+tables, and ``verify_generation`` finds each generator's class by its
+``process_table``, so a class's state map has one route.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, ItemsView, Mapping
-from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -164,7 +164,10 @@ def make_process(
     if prep not in ancilla.pure_set:
         raise StateNotInSystem("the preparation is not a pure state of the ancilla")
     total = tensor_systems(theory, domain.system, ancilla)
-    _require_transform(total, transform)
+    if transform not in total.transf:
+        raise ElementNotInGroup(
+            "the transformation does not belong to the composite of domain and ancilla"
+        )
     if tensor_systems(theory, codomain_system, discarded) != total:
         raise TypeMismatch(
             "codomain and discarded systems do not re-factorize the composite"
@@ -174,13 +177,6 @@ def make_process(
     proc = Process(domain, ancilla, prep, transform, codomain_system, discarded)
     process_codomain(theory, proc)
     return proc
-
-
-def _require_transform(total: System, transform: Perm) -> None:
-    if transform not in total.transf:
-        raise ElementNotInGroup(
-            "the transformation does not belong to the composite of domain and ancilla"
-        )
 
 
 def process_codomain(theory: GlobalTheory, proc: Process) -> SystemEnvironmentPair:
@@ -386,33 +382,27 @@ class CompositionRows(Mapping):
     mapping is read-only: copy it with ``dict`` before changing an entry.
     """
 
-    __slots__ = ("_dom", "_cod", "_leaving", "_rank", "_rows", "_len")
+    __slots__ = ("dom", "cod", "leaving", "rank", "rows", "_len")
 
     def __init__(self, dom, cod, leaving, rank, rows):
         # ``leaving[x]``: the classes leaving object ``x``, ascending.
-        self._dom, self._cod, self._leaving = dom, cod, leaving
-        self._rank, self._rows = rank, rows
+        self.dom, self.cod, self.leaving = dom, cod, leaving
+        self.rank, self.rows = rank, rows
         self._len = sum(map(len, rows))
-
-    dom = property(attrgetter("_dom"))
-    cod = property(attrgetter("_cod"))
-    leaving = property(attrgetter("_leaving"))
-    rank = property(attrgetter("_rank"))
-    rows = property(attrgetter("_rows"))
 
     def __getitem__(self, key):
         # As in a dict, any key but a composable pair of in-range ints is absent.
         if isinstance(key, tuple) and len(key) == 2:
             g, f = key
-            n = len(self._rows)
+            n = len(self.rows)
             if isinstance(g, int) and isinstance(f, int) and 0 <= g < n and 0 <= f < n:
-                if self._dom[g] == self._cod[f]:
-                    return self._rows[f][self._rank[g]]
+                if self.dom[g] == self.cod[f]:
+                    return self.rows[f][self.rank[g]]
         raise KeyError(key)
 
     def __iter__(self):
-        keys_after = map(self._leaving.__getitem__, self._cod)
-        return chain.from_iterable(map(zip, keys_after, map(repeat, range(len(self._cod)))))
+        keys_after = map(self.leaving.__getitem__, self.cod)
+        return chain.from_iterable(map(zip, keys_after, map(repeat, range(len(self.cod)))))
 
     def __len__(self):
         return self._len
@@ -421,66 +411,22 @@ class CompositionRows(Mapping):
         return _CompositionItems(self)
 
 
-class ProcessCategory:
+class ProcessCategory(NamedTuple):
     """A finite, tensor-closed fragment of the full process theory.
 
-    Mutable and unhashable; equality compares every field.
+    Immutable, iterable and equal to the tuple of its fields.  ``compose``,
+    ``tensor_obj`` and ``tensor_mor`` are mappings, so it is unhashable.
     """
 
-    def __init__(
-        self,
-        theory: GlobalTheory,
-        universe: tuple[System, ...],
-        objects: tuple[SystemEnvironmentPair, ...],
-        classes: tuple[MorphismClass, ...],
-        identity: tuple[int, ...],
-        compose: Mapping[tuple[int, int], int],
-        tensor_obj: dict[tuple[int, int], int],
-        tensor_mor: dict[tuple[int, int], int],
-        unit: int,
-    ) -> None:
-        self.theory = theory
-        self.universe = universe
-        self.objects = objects
-        self.classes = classes
-        self.identity = identity
-        self.compose = compose
-        self.tensor_obj = tensor_obj
-        self.tensor_mor = tensor_mor
-        self.unit = unit
-
-    def _values(self) -> tuple:
-        return (
-            self.theory,
-            self.universe,
-            self.objects,
-            self.classes,
-            self.identity,
-            self.compose,
-            self.tensor_obj,
-            self.tensor_mor,
-            self.unit,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessCategory(theory={self.theory!r}, universe={self.universe!r}, "
-            f"objects={self.objects!r}, classes={self.classes!r}, "
-            f"identity={self.identity!r}, compose={self.compose!r}, "
-            f"tensor_obj={self.tensor_obj!r}, tensor_mor={self.tensor_mor!r}, "
-            f"unit={self.unit!r})"
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    @cached_property
-    def object_index(self) -> dict[SystemEnvironmentPair, int]:
-        return {obj: i for i, obj in enumerate(self.objects)}
+    theory: GlobalTheory
+    universe: tuple[System, ...]
+    objects: tuple[SystemEnvironmentPair, ...]
+    classes: tuple[MorphismClass, ...]
+    identity: tuple[int, ...]
+    compose: Mapping[tuple[int, int], int]
+    tensor_obj: dict[tuple[int, int], int]
+    tensor_mor: dict[tuple[int, int], int]
+    unit: int
 
 
 def default_system_seeds(theory: GlobalTheory) -> tuple[System, ...]:
@@ -535,7 +481,10 @@ def build_process_category(
     Tensors are typed once per typing pair: what a product is, bar its
     dynamics, depends only on its factors' typings, so each class pair
     multiplies the two dynamics and reads its outputs through the typing
-    pair's ``_output_map``.
+    pair's ``_output_map``.  ``tensor_processes`` proves once per typing
+    pair that the product of the dynamics lies in the product's total;
+    that total contains both factors' totals, so no class pair proves it
+    again, and ``_output_map`` still checks the joint owner on every call.
     """
     seeds = default_system_seeds(theory) if systems is None else tuple(systems)
     universe = system_universe(theory, seeds)
@@ -656,8 +605,9 @@ def build_process_category(
     # A product's objects, ancilla, preparation, output system, discard and
     # output map depend on its factors' typings alone, so the first class
     # pair of each typing pair builds them through ``tensor_processes``,
-    # with every check ``make_process`` makes; each pair then checks its own
-    # ``h * k`` and reads its outputs.
+    # with every check ``make_process`` makes; each pair then reads the
+    # outputs of its own ``h * k``, which lies in the product's total: that
+    # total is a join containing both factors' totals.
     typing_ids: dict[tuple, int] = {}
     typing_of = [
         typing_ids.setdefault(
@@ -685,16 +635,13 @@ def build_process_category(
                 prod = tensor_processes(theory, c.representative, d.representative)
                 cod = tensor_obj[(c.cod, d.cod)]
                 typed[pair_typing] = (
-                    tensor_systems(theory, prod.domain.system, prod.ancilla),
                     _output_map(theory, prod.domain, prod.ancilla, prod.prep, prod.codomain_system),
                     state_position[cod].__getitem__,
                     tensor_obj[(c.dom, d.dom)],
                     cod,
                 )
-            total, outputs, position, dom, cod = typed[pair_typing]
-            u = h * d.representative.transform
-            _require_transform(total, u)
-            where = tuple(map(position, outputs(u)))
+            outputs, position, dom, cod = typed[pair_typing]
+            where = tuple(map(position, outputs(h * d.representative.transform)))
             tensor_mor[(ci, cj)] = class_index[(dom, cod, where)]
 
     unit = trivial_system(theory)
@@ -762,14 +709,22 @@ def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
 def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationReport:
     """Check that reversible dynamics, preparations, and discards span the theory.
 
-    The pure span is the full span's pure part, so one closure serves both.
-    A class's codomain environment is its domain environment with its
-    discard, so a composite between trivial environments has factors
-    between trivial environments, and a tensor has a trivial environment
-    only when both factors do.  The one discard between trivial
-    environments, the unit object's, is the unit identity.
+    Each generator is built as a ``Process`` and found by its ends and its
+    ``process_table``, the state tables the build reads.  The pure span is
+    the full span's pure part, so one closure serves both.  A class's
+    codomain environment is its domain environment with its discard, so a
+    composite between trivial environments has factors between trivial
+    environments, and a tensor has a trivial environment only when both
+    factors do.  The one discard between trivial environments, the unit
+    object's, is the unit identity.
     """
+    object_index = {obj: i for i, obj in enumerate(cat.objects)}
     class_index = {(c.dom, c.cod, c.table): i for i, c in enumerate(cat.classes)}
+
+    def class_of(proc: Process) -> int:
+        ends = (object_index[proc.domain], object_index[process_codomain(theory, proc)])
+        return class_index[(*ends, process_table(theory, proc))]
+
     env_trivial = {i for i, obj in enumerate(cat.objects) if obj.environment.is_trivial}
     pure_ids = {
         i
@@ -777,28 +732,21 @@ def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationR
         if c.dom in env_trivial and c.cod in env_trivial
     }
 
+    unit = trivial_system(theory)
+    identity = theory.group.identity
     transf_gens: set[int] = set(cat.identity)
     prep_gens: set[int] = set()
     for oi in env_trivial:
         obj = cat.objects[oi]
-        states = pair_states(theory, obj)
-        for u in obj.system.transf.members:
-            table = tuple(
-                (state_key(s.value), state_key(act_local(theory, u, s.value)))
-                for s in states
-            )
-            transf_gens.add(class_index[(oi, oi, table)])
-        if not obj.system.is_trivial:
-            theta = pair_states(theory, cat.objects[cat.unit])[0]
-            for target in states:
-                table = ((state_key(theta.value), state_key(target.value)),)
-                prep_gens.add(class_index[(cat.unit, oi, table)])
-
-    discard_gens: set[int] = set()
-    for oi, obj in enumerate(cat.objects):
-        proc = discard_process(theory, obj)
-        cod = cat.object_index[process_codomain(theory, proc)]
-        discard_gens.add(class_index[(oi, cod, process_table(theory, proc))])
+        system = obj.system
+        for u in system.transf.members:
+            transf_gens.add(class_of(Process(obj, unit, unit.pure_orbit[0], u, system, unit)))
+        if not system.is_trivial:
+            for prep in system.pure_orbit:
+                prep_gens.add(
+                    class_of(Process(cat.objects[cat.unit], system, prep, identity, system, unit))
+                )
+    discard_gens = {class_of(discard_process(theory, obj)) for obj in cat.objects}
 
     full_span = _closure(cat, transf_gens | prep_gens | discard_gens)
     pure_span = full_span & pure_ids

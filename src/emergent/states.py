@@ -57,13 +57,8 @@ class LocalState:
 
     @property
     def representative(self) -> int:
-        """The least point, read from ``sorted_points`` once that is cached.
-
-        Most states the local action makes are read once, so a fresh state
-        takes ``min`` rather than sorting its points.
-        """
-        cached = self.__dict__.get("sorted_points")
-        return min(self.points) if cached is None else cached[0]
+        """The least point."""
+        return min(self.points)
 
 
 def state_key(state: LocalState) -> tuple[int, ...]:

@@ -10,11 +10,13 @@ import pytest
 
 import oracles
 from emergent import (
+    ElementNotInOwner,
     GenerationReport,
     IncompatibleSystems,
     MorphismClass,
     PairState,
     Perm,
+    Process,
     ProcessCategory,
     ResourceLimit,
     StateNotInPair,
@@ -282,8 +284,12 @@ def test_value_types_hash_as_the_fields_they_compare(t1):
     ]
     for value, fields in cases:
         assert hash(value) == hash(fields), type(value).__name__
-    # A theory hashes as its group; a category is mutable and unhashable.
+    # A theory hashes as its group; a category is an immutable tuple of its
+    # fields, but its tables are mappings, so it is unhashable.
     assert hash(t1) == hash(t1.group)
+    assert cat == tuple(getattr(cat, f) for f in ProcessCategory._fields)
+    with pytest.raises(AttributeError):
+        cat.unit = 0
     with pytest.raises(TypeError):
         hash(cat)
 
@@ -312,6 +318,17 @@ def test_make_process_type_constraint(t2):
     pair = make_pair(t2, rows, unit)
     with pytest.raises(TypeMismatch):
         make_process(t2, pair, unit, unit.pure_orbit[0], t2.group.identity, cols, unit)
+
+
+def test_process_table_rejects_a_transform_outside_the_joint_owner(t2):
+    # ``make_process`` would refuse this process; built by hand, only the
+    # owner check in ``process_table`` stands between it and a wrong table.
+    rows, _ = _rows_cols(t2)
+    unit = trivial_system(t2)
+    pair = make_pair(t2, rows, unit)
+    proc = Process(pair, unit, unit.pure_orbit[0], COL_SWAP_12, rows, unit)
+    with pytest.raises(ElementNotInOwner):
+        process_table(t2, proc)
 
 
 def test_prepare_act_discard_table(t2):
@@ -836,7 +853,7 @@ def _two_closure_generation(theory, cat):
                 prep_gens.add(class_index[(cat.unit, oi, table)])
     for oi, obj in enumerate(cat.objects):
         proc = discard_process(theory, obj)
-        cod = cat.object_index[process_codomain(theory, proc)]
+        cod = cat.objects.index(process_codomain(theory, proc))
         discard_gens.add(class_index[(oi, cod, process_table(theory, proc))])
     pure_span = _fixed_point(cat, transf_gens | prep_gens) & pure_ids
     full_span = _fixed_point(cat, transf_gens | prep_gens | discard_gens)
@@ -877,6 +894,19 @@ def test_system_and_ancilla_lie_inside_the_pair_and_ancilla(request, name):
             assert total.transf.is_subset_of(owner.transf)
             checked += 1
     assert checked >= len(cat.objects)
+
+
+@pytest.mark.parametrize("name", GENERATION_CATEGORIES)
+def test_tensored_dynamics_lie_in_the_product_total(request, name):
+    # The build reads each tensor pair's outputs at ``h * k`` without
+    # checking that it lies in the product's total (system x ancilla).
+    cat = _generation_category(request, name)
+    theory = cat.theory
+    reps = [c.representative for c in cat.classes]
+    for ci, cj in cat.tensor_mor:
+        prod = tensor_processes(theory, reps[ci], reps[cj])
+        total = tensor_systems(theory, prod.domain.system, prod.ancilla)
+        assert reps[ci].transform * reps[cj].transform in total.transf
 
 
 def _two_order_universe(theory, seeds):
