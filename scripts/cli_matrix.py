@@ -2,17 +2,19 @@
 
 Runs ``lattice``, ``lattice --format dot``, ``systems``, ``scan-mixed`` and
 ``check --suite S`` for each of the six suite choices, on each of the ten
-fixtures and on a missing file: 110 cases.  Each case runs in a fresh
-interpreter from the repository root, with ``PYTHONHASHSEED=0`` and with
-this checkout's ``src`` as the whole ``PYTHONPATH``.  One line per case
-gives the argv, the exit code, and the SHA-256 of stdout and of stderr,
-tab-separated.
+fixtures and on a missing file, and ``quantum`` on three decompositions
+and on a malformed one: 114 cases.  Each case runs in a fresh interpreter
+from the root of the checkout under test, with ``PYTHONHASHSEED=0`` and
+with that checkout's ``src`` as the whole ``PYTHONPATH``.  One line per
+case gives the argv, the exit code, and the SHA-256 of stdout and of
+stderr, tab-separated.
 
-To check that a change keeps the CLI's bytes, run it at both commits and
-compare:
+``--root DIR`` runs the cases on the checkout at ``DIR`` (by default, the
+one holding this script).  To check that a change keeps the CLI's bytes,
+run this script's cases on both commits and compare:
 
-    python3 scripts/cli_matrix.py > before.txt   # at the parent
-    python3 scripts/cli_matrix.py > after.txt    # at the change
+    python3 scripts/cli_matrix.py --root ../parent > before.txt
+    python3 scripts/cli_matrix.py > after.txt
     diff before.txt after.txt
 
 The s3x3x3 ``check --suite pmcat|all`` cases take several seconds each.
@@ -20,6 +22,7 @@ The s3x3x3 ``check --suite pmcat|all`` cases take several seconds each.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -52,16 +55,21 @@ COMMANDS = (
         for suite in ("lattice", "states", "systems", "processes", "pmcat", "all")
     ),
 )
-CASES = tuple((*command, "--input", path) for path in INPUTS for command in COMMANDS)
+# The decompositions the benchmark's check-small workload runs, and one
+# that does not parse (exit code 2).
+DECOMPOSITIONS = ("2x2+1x3", "1x6", "3x1+2x1", "2x")
+CASES = tuple(
+    (*command, "--input", path) for path in INPUTS for command in COMMANDS
+) + tuple(("quantum", "--decomposition", text) for text in DECOMPOSITIONS)
 
 
-def run_case(argv: tuple[str, ...]) -> str:
+def run_case(argv: tuple[str, ...], root: Path = ROOT) -> str:
     """One output line: argv, exit code, and the digests of both streams."""
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "emergent.cli", *argv],
         capture_output=True,
-        cwd=ROOT,
+        cwd=root,
         env=env,
     )
     digests = (hashlib.sha256(stream).hexdigest() for stream in (proc.stdout, proc.stderr))
@@ -69,8 +77,13 @@ def run_case(argv: tuple[str, ...]) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser()
+    parser.add_argument(
+        "--root", type=Path, default=ROOT, help="checkout to run (default: this one)"
+    )
+    root = parser.parse_args().root.resolve()
     for argv in CASES:
-        print(run_case(argv), flush=True)
+        print(run_case(argv, root), flush=True)
 
 
 if __name__ == "__main__":

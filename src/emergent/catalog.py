@@ -18,7 +18,6 @@ Subgroups are closed inside the generated group and returned by name.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .errors import DegreeMismatch, ElementNotInGroup, ParseError, ResourceLimit
 from .perms import (
@@ -124,7 +123,8 @@ def load_theory(
 ) -> tuple[GlobalTheory, dict[str, Subgroup]]:
     """Read and validate a theory from a UTF-8 JSON file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

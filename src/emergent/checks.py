@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import random
+from collections.abc import Callable, Iterable
 from itertools import islice
 from typing import NamedTuple
 
@@ -24,14 +25,17 @@ from .lattice import (
     meet,
     product_set,
 )
-from .perms import GlobalTheory, GroupIndex, reduce_generators
+from .perms import GlobalTheory, GroupIndex, Perm, reduce_generators
 from .processes import (
+    Process,
     ProcessCategory,
+    _output_route,
     build_process_category,
     compose_process,
+    pair_composite,
     pair_states,
-    process_action,
-    process_table,
+    process_typing,
+    require_in_total,
     tensor_processes,
     verify_generation,
 )
@@ -498,10 +502,15 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
     composite.  In a built category they hold by construction, since an
     identity's output positions are ``range(n)``.
 
-    The tensor check applies each sampled pair's tensor to every input
-    state through ``process_action``, whose per-process part is found once
-    per pair; the build typed tensors once per typing pair and read them
-    through ``_output_map``, a route this check does not share.
+    Each sampled pair's composite or tensor is typed once per typing pair
+    (see ``_per_pair_tables``): ``compose_process`` and ``tensor_processes``
+    run, with every check ``make_process`` makes, for the first pair of
+    each typing pair only.  Every pair still multiplies its two
+    transformations, checks the product against the total and reads its
+    own outputs.  The compose check reads them through the build's output
+    route; the tensor check applies the product to each input state's
+    purification, a route the build, which registered tensors through the
+    output route, does not share.
     """
     theory = cat.theory
     violations: list[str] = []
@@ -520,11 +529,10 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
             at[position] = next(islice(keys, position - last - 1, None))
             last = position
         composable = map(at.__getitem__, drawn)
+    composite_table = _per_pair_tables(cat, compose_process, _restricted_outputs)
     for gi, fi in composable:
-        f, g = cat.classes[fi], cat.classes[gi]
-        composite = compose_process(theory, g.representative, f.representative)
-        expected = cat.classes[cat.compose[(gi, fi)]]
-        if process_table(theory, composite) != expected.table:
+        table = composite_table(gi, fi)
+        if table != cat.classes[cat.compose[(gi, fi)]].table:
             violations.append(
                 f"processes: composing representatives of {fi}, {gi} "
                 "disagrees with the composite class"
@@ -533,6 +541,7 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
     tensorable = list(cat.tensor_mor.items())
     if len(tensorable) > COMPOSE_SAMPLE:
         tensorable = rng.sample(tensorable, COMPOSE_SAMPLE)
+    product_table = _per_pair_tables(cat, tensor_processes, _purified_outputs)
     for (ci, cj), out in tensorable:
         c, d = cat.classes[ci], cat.classes[cj]
         h, k = c.representative.transform, d.representative.transform
@@ -541,13 +550,7 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
                 f"processes: the transformations of representatives of {ci}, {cj} "
                 "do not commute"
             )
-        # Not by ``process_table``, the route the build registered ``out`` by.
-        prod = tensor_processes(theory, c.representative, d.representative)
-        act = process_action(theory, prod)
-        if cat.classes[out].table != tuple(
-            (state_key(s.value), state_key(act(s).value))
-            for s in pair_states(theory, prod.domain)
-        ):
+        if cat.classes[out].table != product_table(ci, cj):
             violations.append(
                 f"processes: tensoring representatives of {ci}, {cj} "
                 "disagrees with the registered class"
@@ -576,6 +579,70 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
         f"{report.discard_generators} discards"
     )
     return SuiteResult("processes", tuple(violations), tuple(notices))
+
+
+def _per_pair_tables(
+    cat: ProcessCategory,
+    combine: Callable[[GlobalTheory, Process, Process], Process],
+    outputs_of: Callable[[GlobalTheory, Process], Callable[[Perm], Iterable]],
+) -> Callable[[int, int], tuple]:
+    """``table(i, j)``: the state table of ``combine`` of classes i and j.
+
+    Bar its transformation, the product of the two representatives'
+    transformations, that process depends on the representatives' typings
+    alone (``process_typing``), so ``combine`` runs once per typing pair
+    and ``outputs_of`` gives that typing's map from a transformation to
+    the outputs, in input order.  Each call multiplies the two
+    transformations, checks the product against the total with
+    ``make_process``'s error, and reads its own outputs.
+    """
+    theory = cat.theory
+    reps = [c.representative for c in cat.classes]
+    typing_ids: dict[tuple, int] = {}
+    typing_of = [typing_ids.setdefault(process_typing(r), len(typing_ids)) for r in reps]
+    typed: dict[tuple[int, int], tuple] = {}
+
+    def table(i: int, j: int) -> tuple:
+        a, b = reps[i], reps[j]
+        typing = (typing_of[i], typing_of[j])
+        if typing not in typed:
+            proc = combine(theory, a, b)
+            keys = tuple(state_key(s.value) for s in pair_states(theory, proc.domain))
+            total = tensor_systems(theory, proc.domain.system, proc.ancilla)
+            typed[typing] = (keys, total, outputs_of(theory, proc))
+        keys, total, outputs = typed[typing]
+        u = a.transform * b.transform
+        require_in_total(total, u)
+        return tuple(zip(keys, outputs(u)))
+
+    return table
+
+
+def _restricted_outputs(theory: GlobalTheory, proc: Process) -> Callable[[Perm], Iterable]:
+    """Outputs by the build's route: the restriction at each acted joint point."""
+    restricted, acted = _output_route(
+        theory, proc.domain, proc.ancilla, proc.prep, proc.codomain_system
+    )
+    return lambda u: map(restricted.__getitem__, acted(u))
+
+
+def _purified_outputs(theory: GlobalTheory, proc: Process) -> Callable[[Perm], Iterable]:
+    """Outputs through purifications, as ``process_action`` finds them.
+
+    Each input state's purification is joined with the preparation once;
+    each transformation then acts on every joint state, and the acted state
+    is restricted to the output system.
+    """
+    composite = pair_composite(theory, proc.domain)
+    joints = [
+        tensor_pure_states(theory, composite, proc.ancilla, s.purification, proc.prep)
+        for s in pair_states(theory, proc.domain)
+    ]
+    out = proc.codomain_system.transf
+    return lambda u: (
+        state_key(iterated_restrict(theory, out, act_local(theory, u, joint)))
+        for joint in joints
+    )
 
 
 def _effect_violations(cat: ProcessCategory) -> list[str]:

@@ -506,23 +506,27 @@ class GlobalTheory:
 
 
 _KEYWORDS = object()
+_MISSING = object()
 
 
 def theory_memo(fn):
     """Memoise ``fn(theory, *args, **kwargs)`` in the memo ``theory`` holds.
 
     As ``lru_cache(maxsize=None)`` with the theory kept out of the key: a
-    call that raises stores nothing, and keyword calls are keyed apart.
+    call that raises stores nothing, and keyword calls are keyed apart.  A
+    miss is found with ``dict.get`` and a private sentinel, so it raises
+    nothing, and a stored ``None`` or ``False`` is served like any result.
     """
 
     @wraps(fn)
     def memoised(theory, *args, **kwargs):
         key = (*args, _KEYWORDS, *kwargs.items()) if kwargs else args
-        try:
-            return theory._memo[memoised][key]
-        except KeyError:
-            pass
-        found = theory._memo.setdefault(memoised, {})[key] = fn(theory, *args, **kwargs)
+        table = theory._memo.get(memoised)
+        if table is None:
+            table = theory._memo[memoised] = {}
+        found = table.get(key, _MISSING)
+        if found is _MISSING:
+            found = table[key] = fn(theory, *args, **kwargs)
         return found
 
     return memoised

@@ -10,16 +10,21 @@ States of a typed pair are restrictions of pure states of the composite,
 carried together with one purification so that dynamics can always be
 computed upstairs: ``process_action`` acts on states that way.  A
 process's whole state map, ``process_table``, is read from restriction
-tables over the points instead.  The category build reads the same
-tables, and ``verify_generation`` finds each generator's class by its
-``process_table``, so a class's state map has one route.
+tables over the points instead, through ``_output_route``.  The category
+build reads the same tables and the same route, and ``verify_generation``
+finds each generator's class by its ``process_table``, so a class's state
+map has one route.
+
+The build finds classes by byte keys (``_ByteKeys``): a point, a state
+position and an object number each fit one byte on every theory of at
+most ``BYTE_KEY_LIMIT`` points whose category has at most that many
+objects, and a larger one takes the same steps on tuple keys.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, ItemsView, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
 from itertools import chain, repeat
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -164,10 +169,7 @@ def make_process(
     if prep not in ancilla.pure_set:
         raise StateNotInSystem("the preparation is not a pure state of the ancilla")
     total = tensor_systems(theory, domain.system, ancilla)
-    if transform not in total.transf:
-        raise ElementNotInGroup(
-            "the transformation does not belong to the composite of domain and ancilla"
-        )
+    require_in_total(total, transform)
     if tensor_systems(theory, codomain_system, discarded) != total:
         raise TypeMismatch(
             "codomain and discarded systems do not re-factorize the composite"
@@ -177,6 +179,19 @@ def make_process(
     proc = Process(domain, ancilla, prep, transform, codomain_system, discarded)
     process_codomain(theory, proc)
     return proc
+
+
+def require_in_total(total: System, transform: Perm) -> None:
+    """Raise ``make_process``'s error unless ``transform`` acts on ``total``."""
+    if transform not in total.transf:
+        raise ElementNotInGroup(
+            "the transformation does not belong to the composite of domain and ancilla"
+        )
+
+
+def process_typing(proc: Process) -> tuple:
+    """A process's fields bar its transformation: all that its type reads."""
+    return (proc.domain, proc.ancilla, proc.prep, proc.codomain_system, proc.discarded)
 
 
 def process_codomain(theory: GlobalTheory, proc: Process) -> SystemEnvironmentPair:
@@ -218,8 +233,10 @@ def process_table(theory: GlobalTheory, proc: Process) -> tuple:
     joint state gives it the same local state: the restriction at ``u[p]``.
     """
     keys = (state_key(s.value) for s in pair_states(theory, proc.domain))
-    outputs = _output_map(theory, proc.domain, proc.ancilla, proc.prep, proc.codomain_system)
-    return tuple(zip(keys, outputs(proc.transform)))
+    restricted, acted = _output_route(
+        theory, proc.domain, proc.ancilla, proc.prep, proc.codomain_system
+    )
+    return tuple(zip(keys, map(restricted.__getitem__, acted(proc.transform))))
 
 
 def compose_process(theory: GlobalTheory, after: Process, before: Process) -> Process:
@@ -306,30 +323,102 @@ def _joint_points(
     )
 
 
-def _output_map(
+def _output_route(
     theory: GlobalTheory,
     domain: SystemEnvironmentPair,
     ancilla: System,
     prep: LocalState,
     codomain_system: System,
-) -> Callable[[Perm], tuple[tuple[int, ...], ...]]:
-    """The output state keys of ``process_table``, in input order, as a map
-    of the transformation ``u`` of a process of this typing.
+) -> tuple[tuple[tuple[int, ...], ...], Callable[[Sequence[int]], tuple[int, ...]]]:
+    """The one route to the outputs of a process of this typing.
 
-    The joint states' owner, the restriction to the output system and one
-    point of each joint state depend on the typing alone, so processes that
-    differ only in their transformation share them.
+    Returns ``(restricted, acted)``: ``restricted[p]`` is the key of the
+    local state the output system sees at point ``p``, and ``acted(u)`` is
+    one point of each input's joint state acted on by the transformation
+    ``u``, in input order, so ``process_table`` reads the restriction at
+    each.  The joint states' owner, the restriction and one point of each
+    joint state depend on the typing alone, so processes that differ only
+    in their transformation share them; ``acted`` checks the owner on every
+    call, and ``u`` may be a plain image tuple.
     """
     owner = tensor_systems(theory, pair_composite(theory, domain), ancilla).transf
     restricted = _restriction(theory, codomain_system.transf, owner)
     joint_points = _tuple_getter(_joint_points(theory, domain, ancilla, prep))
 
-    def outputs(u: Perm) -> tuple[tuple[int, ...], ...]:
+    def acted(u: Sequence[int]) -> tuple[int, ...]:
         if u not in owner:
             raise ElementNotInOwner(f"{u!r} does not belong to the state's owner")
-        return tuple(map(restricted.__getitem__, joint_points(u)))
+        return joint_points(u)
 
-    return outputs
+    return restricted, acted
+
+
+# ---------------------------------------------------------------------------
+# Class keys
+
+# Byte keys hold an object number, a point or a state position in one byte,
+# and keep the byte _MARK free to mark; a build takes them when every such
+# number of the theory and the category is at most this limit.
+BYTE_KEY_LIMIT = 255
+_MARK = 255
+
+
+class _ByteKeys:
+    """A class's key within its domain: its codomain, then its positions.
+
+    The positions are where each input's output lies in the codomain's
+    state list, and the key holds all of them in one ``bytes``.  A class
+    ``g``'s ``table`` maps position ``i`` to ``g``'s position ``i`` and the
+    mark to ``g``'s codomain, so a class ``f``'s ``reader``, the mark then
+    ``f``'s positions, translates through it into the key of ``g . f``.
+    ``points`` reads the key of the outputs at acted joint points through
+    one 256-byte table from each point to its codomain position; a point
+    whose state the codomain does not list maps to the mark, which no key
+    holds as a position.
+    """
+
+    @staticmethod
+    def of(cod: int, where: Iterable[int]) -> bytes:
+        return bytes((cod, *where))
+
+    @staticmethod
+    def table(key: bytes) -> bytes:
+        return key[1:].ljust(_MARK, b"\0") + key[:1]
+
+    @staticmethod
+    def reader(key: bytes) -> Callable[[bytes], bytes]:
+        return (bytes((_MARK,)) + key[1:]).translate
+
+    @staticmethod
+    def points(cod: int, restricted: Sequence, position: dict) -> Callable[[tuple], bytes]:
+        prefix = bytes((cod,))
+        table = bytes(position.get(k, _MARK) for k in restricted).ljust(256, bytes((_MARK,)))
+        return lambda acted: prefix + bytes(acted).translate(table)
+
+
+class _TupleKeys:
+    """The same keys as tuples of ints, for theories too large for bytes.
+
+    A table is the positions then the codomain, which a reader reads at
+    index -1; an unlisted state's position is -1.
+    """
+
+    @staticmethod
+    def of(cod: int, where: Iterable[int]) -> tuple[int, ...]:
+        return (cod, *where)
+
+    @staticmethod
+    def table(key: tuple[int, ...]) -> tuple[int, ...]:
+        return key[1:] + key[:1]
+
+    @staticmethod
+    def reader(key: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+        return _tuple_getter((-1, *key[1:]))
+
+    @staticmethod
+    def points(cod: int, restricted: Sequence, position: dict) -> Callable[[tuple], tuple]:
+        at = tuple(position.get(k, -1) for k in restricted)
+        return lambda acted: (cod, *map(at.__getitem__, acted))
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +562,23 @@ def build_process_category(
     objects, its inverse gives each total's output splits, and ancilla
     composites, codomain objects, the object tensor and the unit are
     lookups in it.  The rest runs on state tables (see ``process_table``).
-    A class is keyed by its domain, its codomain and the positions of its
-    outputs in the codomain's state list, so ``g . f`` is ``g``'s
-    positions read at ``f``'s, and only the pairs that compose or tensor
-    are visited.  The loops establish every condition ``make_process``
-    checks, so each representative is built as a ``Process`` directly.
+    A class is found, among the classes leaving its domain, by its key:
+    its codomain, then the positions of its outputs in the codomain's
+    state list, in one ``bytes`` string (see ``_ByteKeys``).  So ``g . f``
+    is ``f``'s positions translated through ``g``'s table, and only the
+    pairs that compose or tensor are visited.  The loops establish every
+    condition ``make_process`` checks, so each representative is built as
+    a ``Process`` directly.
+
     Tensors are typed once per typing pair: what a product is, bar its
-    dynamics, depends only on its factors' typings, so each class pair
-    multiplies the two dynamics and reads its outputs through the typing
-    pair's ``_output_map``.  ``tensor_processes`` proves once per typing
-    pair that the product of the dynamics lies in the product's total;
-    that total contains both factors' totals, so no class pair proves it
-    again, and ``_output_map`` still checks the joint owner on every call.
+    dynamics, depends only on its factors' typings.  Per typing pair,
+    ``tensor_processes`` proves that the product of the dynamics lies in
+    the product's total, and ``_output_route`` gives the joint points and
+    the restriction, read into a table from each point to its codomain
+    position.  That total contains both factors' totals, so no class pair
+    proves it again.  Per class pair, ``h * k`` comes from the group's
+    right-multiplication getters, the route checks it against the joint
+    owner, and its acted points are translated into the product's key.
     """
     seeds = default_system_seeds(theory) if systems is None else tuple(systems)
     universe = system_universe(theory, seeds)
@@ -511,11 +605,14 @@ def build_process_category(
     ]
     state_position = [{key: i for i, key in enumerate(keys)} for keys in state_keys]
 
+    # Classes are found by their key within their domain (see _ByteKeys).
+    keys = _ByteKeys if max(theory.degree, len(objects)) <= BYTE_KEY_LIMIT else _TupleKeys
     classes: list[MorphismClass] = []
-    positions: list[tuple[int, ...]] = []
-    class_index: dict[tuple, int] = {}
+    class_keys: list = []
+    found: list[dict] = [{} for _ in objects]
     for oi, obj in enumerate(objects):
         in_keys = state_keys[oi]
+        at_dom = found[oi]
         composite = tensor[(obj.system, obj.environment)]
         for anc in universe:
             total = tensor.get((obj.system, anc))
@@ -524,12 +621,12 @@ def build_process_category(
                 continue
             outs = []
             for out_sys, discards in splits[total].items():
-                cods = []
+                restricted = _restriction(theory, out_sys.transf, joint.transf)
                 for disc in discards:
                     cod = object_index.get((out_sys, tensor.get((obj.environment, disc))))
                     if cod is not None:
-                        cods.append((disc, cod))
-                outs.append((out_sys, _restriction(theory, out_sys.transf, joint.transf), cods))
+                        read = keys.points(cod, restricted, state_position[cod])
+                        outs.append((out_sys, disc, cod, restricted, read))
             # The classes a tuple of acted points gives were all made when it
             # was first met, so a repeat under another ``prep`` or ``u`` is
             # skipped.
@@ -541,45 +638,37 @@ def build_process_category(
                     if acted in met:
                         continue
                     met.add(acted)
-                    at_acted = _tuple_getter(acted)
-                    for out_sys, restricted, cods in outs:
-                        values = at_acted(restricted)
-                        for disc, cod in cods:
-                            where = tuple(map(state_position[cod].__getitem__, values))
-                            if (oi, cod, where) in class_index:
-                                continue
-                            rep = Process(obj, anc, prep, u, out_sys, disc)
-                            class_index[(oi, cod, where)] = len(classes)
-                            classes.append(
-                                MorphismClass(oi, cod, tuple(zip(in_keys, values)), rep)
-                            )
-                            positions.append(where)
+                    for out_sys, disc, cod, restricted, read in outs:
+                        key = read(acted)
+                        if key in at_dom:
+                            continue
+                        at_dom[key] = len(classes)
+                        class_keys.append(key)
+                        values = map(restricted.__getitem__, acted)
+                        rep = Process(obj, anc, prep, u, out_sys, disc)
+                        classes.append(MorphismClass(oi, cod, tuple(zip(in_keys, values)), rep))
 
     identity = tuple(
-        class_index[(oi, oi, tuple(range(len(keys))))]
-        for oi, keys in enumerate(state_keys)
+        found[oi][keys.of(oi, range(len(in_keys)))] for oi, in_keys in enumerate(state_keys)
     )
 
-    # For each object, the classes leaving it, their codomains and their
-    # output positions, in ascending order; each class's rank among the
-    # classes leaving its domain.
-    leaving: dict[int, tuple[list[int], list[int], list[tuple[int, ...]]]] = {}
+    # For each object, the classes leaving it in ascending order and their
+    # tables; each class's rank among the classes leaving its domain.
+    leaving: dict[int, list[int]] = {}
     rank: list[int] = []
     for ci, c in enumerate(classes):
-        gis, cods, wheres = leaving.setdefault(c.dom, ([], [], []))
+        gis = leaving.setdefault(c.dom, [])
         rank.append(len(gis))
         gis.append(ci)
-        cods.append(c.cod)
-        wheres.append(positions[ci])
-    rows: list[tuple[int, ...]] = []
-    for fi, f in enumerate(classes):
-        gis, cods, wheres = leaving[f.cod]
-        keys = zip(repeat(f.dom), cods, map(_tuple_getter(positions[fi]), wheres))
-        rows.append(tuple(map(class_index.__getitem__, keys)))
+    tables = {x: [keys.table(class_keys[gi]) for gi in gis] for x, gis in leaving.items()}
+    rows = [
+        tuple(map(found[f.dom].__getitem__, map(keys.reader(key), tables[f.cod])))
+        for f, key in zip(classes, class_keys)
+    ]
     compose = CompositionRows(
         tuple(c.dom for c in classes),
         tuple(c.cod for c in classes),
-        {x: tuple(gis) for x, (gis, _, _) in leaving.items()},
+        {x: tuple(gis) for x, gis in leaving.items()},
         rank,
         rows,
     )
@@ -603,18 +692,19 @@ def build_process_category(
     for ci, c in enumerate(classes):
         by_ends.setdefault((c.dom, c.cod), []).append(ci)
     # A product's objects, ancilla, preparation, output system, discard and
-    # output map depend on its factors' typings alone, so the first class
+    # output route depend on its factors' typings alone, so the first class
     # pair of each typing pair builds them through ``tensor_processes``,
     # with every check ``make_process`` makes; each pair then reads the
     # outputs of its own ``h * k``, which lies in the product's total: that
     # total is a join containing both factors' totals.
     typing_ids: dict[tuple, int] = {}
     typing_of = [
-        typing_ids.setdefault(
-            (r.domain, r.ancilla, r.prep, r.codomain_system, r.discarded), len(typing_ids)
-        )
-        for r in map(attrgetter("representative"), classes)
+        typing_ids.setdefault(process_typing(c.representative), len(typing_ids))
+        for c in classes
     ]
+    # ``times[cj](h)`` is ``h`` times class cj's transformation, as a tuple.
+    index = theory.group.index
+    times = [index.right[index.position[c.representative.transform]] for c in classes]
     typed: dict[tuple[int, int], tuple] = {}
     partners: dict[tuple[int, int], list[int]] = {}
     tensor_mor: dict[tuple[int, int], int] = {}
@@ -629,20 +719,21 @@ def build_process_category(
             )
         h = c.representative.transform
         for cj in partners[ends]:
-            d = classes[cj]
             pair_typing = (typing_of[ci], typing_of[cj])
             if pair_typing not in typed:
+                d = classes[cj]
                 prod = tensor_processes(theory, c.representative, d.representative)
                 cod = tensor_obj[(c.cod, d.cod)]
-                typed[pair_typing] = (
-                    _output_map(theory, prod.domain, prod.ancilla, prod.prep, prod.codomain_system),
-                    state_position[cod].__getitem__,
-                    tensor_obj[(c.dom, d.dom)],
-                    cod,
+                restricted, acted = _output_route(
+                    theory, prod.domain, prod.ancilla, prod.prep, prod.codomain_system
                 )
-            outputs, position, dom, cod = typed[pair_typing]
-            where = tuple(map(position, outputs(h * d.representative.transform)))
-            tensor_mor[(ci, cj)] = class_index[(dom, cod, where)]
+                typed[pair_typing] = (
+                    acted,
+                    keys.points(cod, restricted, state_position[cod]),
+                    found[tensor_obj[(c.dom, d.dom)]],
+                )
+            acted, read, at_dom = typed[pair_typing]
+            tensor_mor[(ci, cj)] = at_dom[read(acted(times[cj](h)))]
 
     unit = trivial_system(theory)
     return ProcessCategory(

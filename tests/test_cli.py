@@ -510,6 +510,21 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     assert proc.stdout == "[]\ncheck_partially_monoidal\nFiniteCategoryInstance\n"
 
 
+def test_importing_the_cli_without_site_leaves_pathlib_unloaded():
+    # ``site`` may load pathlib itself (a .pth file can), so the check runs
+    # without it: the loader reads its file with ``open``, not ``pathlib``.
+    script = "import sys\nimport emergent.cli\nprint('pathlib' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+        env=dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src")),
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "False\n"
+
+
 def _resolves(module: str, name: str | None = None) -> bool:
     """``import module`` or ``from module import name`` would succeed."""
     try:
@@ -548,12 +563,18 @@ def test_cli_matrix_covers_every_fixture_and_command():
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
     cases = matrix.CASES
-    assert len(cases) == len(set(cases)) == 110
-    inputs = {argv[argv.index("--input") + 1] for argv in cases}
+    assert len(cases) == len(set(cases)) == 114
+    on_files = [argv for argv in cases if "--input" in argv]
+    inputs = {argv[argv.index("--input") + 1] for argv in on_files}
     fixtures = {f"fixtures/{p.name}" for p in FIXTURES.glob("*.json")}
     assert inputs == fixtures | {matrix.MISSING}
     assert matrix.MISSING not in fixtures
-    assert {argv[: argv.index("--input")] for argv in cases} == set(matrix.COMMANDS)
+    assert {argv[: argv.index("--input")] for argv in on_files} == set(matrix.COMMANDS)
+    quantum = [argv for argv in cases if "--input" not in argv]
+    assert quantum == [("quantum", "--decomposition", d) for d in matrix.DECOMPOSITIONS]
+    # Every decomposition but the last parses; the last exits with code 2.
+    exits = [matrix.run_case(argv).split("\t")[1] for argv in quantum]
+    assert exits == ["0", "0", "0", "2"]
 
 
 _JUNK = st.one_of(

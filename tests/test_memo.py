@@ -66,6 +66,22 @@ def test_memo_stores_nothing_for_a_call_that_raises():
     assert len(enumerate_self_bicommutant(fresh, max_nodes=100)) > 10
 
 
+@pytest.mark.parametrize("result", [None, False, 0, ()])
+def test_memo_serves_a_falsy_result_without_recomputing_it(result):
+    calls = []
+
+    @theory_memo
+    def falsy(theory, k):
+        calls.append(k)
+        return result
+
+    theory = _fresh("s3")
+    assert falsy(theory, 1) is result
+    assert falsy(theory, 1) is result
+    assert falsy(theory, k=1) is result
+    assert calls == [1, 1]
+
+
 def test_theory_equality_ignores_the_memo():
     used, fresh = _fresh("s3"), _fresh("s3")
     enumerate_systems(used)

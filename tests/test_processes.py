@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from emergent import (
+    ElementNotInGroup,
     ElementNotInOwner,
     GenerationReport,
     IncompatibleSystems,
@@ -470,6 +471,35 @@ def test_full_universe_category_equals_the_first_written_build(t1):
     assert any(cat.classes[ci].dom in single for ci, _ in cat.tensor_mor)
 
 
+def _spy_on_keys(monkeypatch):
+    """The names of the class-key routes a build then reads."""
+    used = set()
+    for keys in (emergent.processes._ByteKeys, emergent.processes._TupleKeys):
+
+        def reader(key, name=keys.__name__, real=keys.reader):
+            used.add(name)
+            return real(key)
+
+        monkeypatch.setattr(keys, "reader", staticmethod(reader))
+    return used
+
+
+@pytest.mark.parametrize(
+    "theory", ["t1", "t2", "t3", "t4", "t5", "d5", "f20", "a4", "s5", "s3_regular"]
+)
+def test_byte_and_tuple_keys_build_the_same_category(request, theory, monkeypatch):
+    theory = request.getfixturevalue(theory)
+    used = _spy_on_keys(monkeypatch)
+    by_bytes = build_process_category(theory)
+    assert used == {"_ByteKeys"}
+    used.clear()
+    monkeypatch.setattr(emergent.processes, "BYTE_KEY_LIMIT", 0)
+    by_tuples = build_process_category(theory)
+    assert used == {"_TupleKeys"}
+    _assert_same_category(by_tuples, by_bytes)
+    assert by_tuples.compose.rows == by_bytes.compose.rows
+
+
 @pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
 def test_compose_keys_are_the_composable_pairs_in_order(request, theory):
     # processes_suite samples its pairs by position in cat.compose's key
@@ -529,32 +559,46 @@ def test_compose_is_a_read_only_mapping_equal_to_the_dict(request, theory):
 @pytest.mark.parametrize("sample", [emergent.checks.COMPOSE_SAMPLE, 100])
 def test_processes_suite_draws_the_pairs_the_key_list_draws(t2, monkeypatch, sample):
     cat = build_process_category(t2)
-    class_of = {id(c.representative): i for i, c in enumerate(cat.classes)}
-    composed, tensored = [], []
+    compared = {compose_process: [], tensor_processes: []}
+    per_pair_tables = emergent.checks._per_pair_tables
 
-    def recording(calls, fn):
-        def record(theory, a, b):
-            calls.append((class_of[id(a)], class_of[id(b)]))
-            return fn(theory, a, b)
+    def recording(cat, combine, outputs_of):
+        table = per_pair_tables(cat, combine, outputs_of)
+
+        def record(i, j):
+            compared[combine].append((i, j))
+            return table(i, j)
 
         return record
 
     monkeypatch.setattr(emergent.checks, "COMPOSE_SAMPLE", sample)
-    monkeypatch.setattr(
-        emergent.checks, "compose_process", recording(composed, compose_process)
-    )
-    monkeypatch.setattr(
-        emergent.checks, "tensor_processes", recording(tensored, tensor_processes)
-    )
+    monkeypatch.setattr(emergent.checks, "_per_pair_tables", recording)
     assert emergent.checks.processes_suite(cat).violations == ()
 
     rng = random.Random(emergent.checks.SAMPLE_SEED)
     assert len(cat.compose) > sample
-    assert composed == rng.sample(list(cat.compose), sample)
+    assert compared[compose_process] == rng.sample(list(cat.compose), sample)
     tensorable = list(cat.tensor_mor)
     if len(tensorable) > sample:
         tensorable = [key for key, _ in rng.sample(list(cat.tensor_mor.items()), sample)]
-    assert tensored == tensorable
+    assert compared[tensor_processes] == tensorable
+
+
+@pytest.mark.parametrize("combine", ["compose_process", "tensor_processes"])
+def test_processes_suite_types_each_typing_pair_once(t2, monkeypatch, combine):
+    # Every make_process check still runs, on the first pair of each typing pair.
+    cat = build_process_category(t2)
+    made = []
+    real = getattr(emergent.checks, combine)
+
+    def counting(theory, a, b):
+        made.append((emergent.processes.process_typing(a), emergent.processes.process_typing(b)))
+        return real(theory, a, b)
+
+    monkeypatch.setattr(emergent.checks, combine, counting)
+    assert emergent.checks.processes_suite(cat).violations == ()
+    assert made
+    assert len(made) == len(set(made))
 
 
 @pytest.mark.parametrize("theory", ["t5", "t3", "t2"])
@@ -600,16 +644,16 @@ def test_process_action_types_its_process_once(t2, monkeypatch):
 
 
 def test_the_tensor_check_catches_a_fault_shared_with_the_build(t1, monkeypatch):
-    # With _output_map blind to the dynamics, the build registers each tensor
-    # by that state map and process_table repeats it; only applying the
-    # tensor to each input state tells them apart.
-    output_map = emergent.processes._output_map
+    # With _output_route blind to the dynamics, the build registers each
+    # tensor by that state map and process_table repeats it; only applying
+    # the tensor to each input state tells them apart.
+    output_route = emergent.processes._output_route
 
     def static(theory, *typing):
-        outputs = output_map(theory, *typing)
-        return lambda u: outputs(theory.group.identity)
+        restricted, acted = output_route(theory, *typing)
+        return restricted, lambda u: acted(theory.group.identity)
 
-    monkeypatch.setattr(emergent.processes, "_output_map", static)
+    monkeypatch.setattr(emergent.processes, "_output_route", static)
     cat = build_process_category(t1)
     found = [
         v
@@ -629,6 +673,75 @@ def test_the_tensor_check_catches_a_fault_shared_with_the_build(t1, monkeypatch)
         "disagrees with the registered class"
         for ci, cj in wrong
     ]
+
+
+def test_the_compose_check_reads_each_pairs_dynamics(t2):
+    # Swap a representative's transformation for another member of its
+    # total: its typing, and so each typing pair, stays, so only reading
+    # every sampled pair's own product finds the pairs the swap changes.
+    cat = build_process_category(t2)
+    rng = random.Random(emergent.checks.SAMPLE_SEED)
+    sampled = rng.sample(list(cat.compose), emergent.checks.COMPOSE_SAMPLE)
+
+    def changed(ci, classes):
+        reps = [c.representative for c in classes]
+        return [
+            (gi, fi)
+            for gi, fi in sampled
+            if ci in (gi, fi)
+            and oracles.process_table(t2, compose_process(t2, reps[gi], reps[fi]))
+            != cat.classes[cat.compose[(gi, fi)]].table
+        ]
+
+    def swaps():
+        for ci, c in enumerate(cat.classes):
+            rep = c.representative
+            for v in tensor_systems(t2, rep.domain.system, rep.ancilla).transf.members:
+                swapped = MorphismClass(c.dom, c.cod, c.table, rep._replace(transform=v))
+                classes = cat.classes[:ci] + (swapped,) + cat.classes[ci + 1 :]
+                pairs = changed(ci, classes)
+                # The class is changed both as the first and the second factor.
+                if {gi == ci for gi, _ in pairs} == {True, False}:
+                    yield classes, pairs
+
+    classes, pairs = next(swaps())
+    found = [
+        v
+        for v in emergent.checks.processes_suite(_replaced(cat, classes=classes)).violations
+        if v.startswith("processes: composing")
+    ]
+    assert found == [
+        f"processes: composing representatives of {fi}, {gi} "
+        "disagrees with the composite class"
+        for gi, fi in pairs
+    ]
+
+
+def test_each_pair_checks_its_product_against_the_total(t2):
+    # A pair whose typing pair is already typed skips compose_process, so
+    # only the per-pair check sees that its product leaves the total.
+    cat = build_process_category(t2)
+    typing = [emergent.processes.process_typing(c.representative) for c in cat.classes]
+    gi, fi, first = next(
+        (gi, fi, other)
+        for fi, f in enumerate(cat.classes)
+        for other in range(fi)
+        if typing[other] == typing[fi]
+        for gi, g in enumerate(cat.classes)
+        if g.dom == f.cod
+    )
+    g, f = cat.classes[gi].representative, cat.classes[fi].representative
+    total = tensor_systems(t2, f.domain.system, compose_process(t2, g, f).ancilla)
+    v = next(v for v in t2.group.elements if g.transform * v not in total.transf)
+    c = cat.classes[fi]
+    swapped = MorphismClass(c.dom, c.cod, c.table, f._replace(transform=v))
+    classes = cat.classes[:fi] + (swapped,) + cat.classes[fi + 1 :]
+    table = emergent.checks._per_pair_tables(
+        _replaced(cat, classes=classes), compose_process, emergent.checks._restricted_outputs
+    )
+    table(gi, first)
+    with pytest.raises(ElementNotInGroup, match="does not belong to the composite"):
+        table(gi, fi)
 
 
 def test_composition_holds_no_object_per_pair(t2):
