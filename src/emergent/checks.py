@@ -529,7 +529,13 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
             at[position] = next(islice(keys, position - last - 1, None))
             last = position
         composable = map(at.__getitem__, drawn)
-    composite_table = _per_pair_tables(cat, compose_process, _restricted_outputs)
+    # Both tables number the classes' typings in one list.
+    typing_ids: dict[tuple, int] = {}
+    typing_of = [
+        typing_ids.setdefault(process_typing(c.representative), len(typing_ids))
+        for c in cat.classes
+    ]
+    composite_table = _per_pair_tables(cat, typing_of, compose_process, _restricted_outputs)
     for gi, fi in composable:
         table = composite_table(gi, fi)
         if table != cat.classes[cat.compose[(gi, fi)]].table:
@@ -541,7 +547,7 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
     tensorable = list(cat.tensor_mor.items())
     if len(tensorable) > COMPOSE_SAMPLE:
         tensorable = rng.sample(tensorable, COMPOSE_SAMPLE)
-    product_table = _per_pair_tables(cat, tensor_processes, _purified_outputs)
+    product_table = _per_pair_tables(cat, typing_of, tensor_processes, _purified_outputs)
     for (ci, cj), out in tensorable:
         c, d = cat.classes[ci], cat.classes[cj]
         h, k = c.representative.transform, d.representative.transform
@@ -583,6 +589,7 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
 
 def _per_pair_tables(
     cat: ProcessCategory,
+    typing_of: list[int],
     combine: Callable[[GlobalTheory, Process, Process], Process],
     outputs_of: Callable[[GlobalTheory, Process], Callable[[Perm], Iterable]],
 ) -> Callable[[int, int], tuple]:
@@ -592,14 +599,13 @@ def _per_pair_tables(
     transformations, that process depends on the representatives' typings
     alone (``process_typing``), so ``combine`` runs once per typing pair
     and ``outputs_of`` gives that typing's map from a transformation to
-    the outputs, in input order.  Each call multiplies the two
+    the outputs, in input order.  ``typing_of[i]`` numbers class i's
+    typing: classes with one number have one typing.  Each call multiplies the two
     transformations, checks the product against the total with
     ``make_process``'s error, and reads its own outputs.
     """
     theory = cat.theory
     reps = [c.representative for c in cat.classes]
-    typing_ids: dict[tuple, int] = {}
-    typing_of = [typing_ids.setdefault(process_typing(r), len(typing_ids)) for r in reps]
     typed: dict[tuple[int, int], tuple] = {}
 
     def table(i: int, j: int) -> tuple:

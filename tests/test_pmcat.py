@@ -426,6 +426,230 @@ def test_a_tensor_with_wrong_endpoints_is_composed_through_a_stray_entry(t1):
 
 def test_a_unit_that_is_not_an_object_is_one_unit_violation(t1):
     inst = extract_instance(t1)
-    for unit in (len(inst.objects), -1):
+    for unit in (len(inst.objects), -1, 0.5, None):
         report = check_partially_monoidal(dataclasses.replace(inst, unit=unit))
         assert report == (Violation("unit", (unit,), f"the unit {unit} is not an object"),)
+
+
+# pmcat-audit's four planted corruption kinds, as single changes above.
+AUDIT_CHANGES = (
+    ("compose", "delete"),
+    ("compose", "reassign-within-hom"),
+    ("tensor_mor", "delete"),
+    ("tensor_obj", "delete-off-diagonal"),
+)
+
+
+@pytest.mark.parametrize("theory, per_change", [("t1", 16), ("t5", 8), ("t2", 2)])
+def test_some_generator_fails_exactly_when_the_row_search_finds_a_triple(
+    request, monkeypatch, theory, per_change
+):
+    # Light's test runs only where every composite is present with the
+    # right endpoints; there it must agree with the search over every triple.
+    clean = extract_instance(request.getfixturevalue(theory))
+    rng = random.Random(20191)
+    instances = [clean]
+    for first in CHANGES:
+        instances += [_corrupted(clean, rng, first) for _ in range(per_change)]
+    for change in AUDIT_CHANGES:
+        instances += [_change(clean, rng, *change) for _ in range(per_change)]
+    light_test = emergent.pmcat._light_test
+    outcomes = []
+
+    def spy(inst, rows):
+        passed = light_test(inst, rows)
+        outcomes.append(passed)
+        assert passed == (emergent.pmcat._row_search(inst, rows) == [])
+        return passed
+
+    monkeypatch.setattr(emergent.pmcat, "_light_test", spy)
+    for inst in instances:
+        check_partially_monoidal(inst)
+    assert set(outcomes) == {True, False}
+    assert len(outcomes) < len(instances)
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
+def test_the_greedy_generators_span_every_morphism(request, theory):
+    inst = extract_instance(request.getfixturevalue(theory))
+    generators = emergent.pmcat._generating_set(inst, emergent.pmcat._rows(inst))
+
+    def span(members):
+        spanned = set(members)
+        while True:
+            new = {
+                h
+                for (g, f), h in inst.compose.items()
+                if g in spanned and f in spanned and h not in spanned
+            }
+            if not new:
+                return spanned
+            spanned |= new
+
+    # Greedy, in morphism order: no generator is spanned by the ones
+    # before it, and together they span every morphism.
+    assert generators == sorted(generators)
+    spanned: set[int] = set()
+    for a in generators:
+        assert a not in spanned
+        spanned = span(spanned | {a})
+    assert spanned == set(range(len(inst.morphisms)))
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "d5", "f20", "a4", "s3_regular"])
+def test_a_clean_category_never_enters_the_row_search(request, monkeypatch, theory):
+    cat = build_process_category(request.getfixturevalue(theory))
+    searched = []
+
+    def spy(inst, rows):
+        searched.append(inst)
+        return []
+
+    monkeypatch.setattr(emergent.pmcat, "_row_search", spy)
+    assert check_partially_monoidal(instance_from_category(cat)) == ()
+    assert check_partially_monoidal(extract_instance(request.getfixturevalue(theory))) == ()
+    assert searched == []
+
+
+def test_a_fault_off_the_generators_is_still_reported(t1):
+    # A reassigned composite whose report holds a triple (h, g, f) with g
+    # outside the corrupted instance's generating set: Light's test fails
+    # on some generator, and the search over every triple finds this one.
+    clean = extract_instance(t1)
+    found = None
+    for key in sorted(clean.compose):
+        g, f = key
+        for value in clean.hom_sets[(clean.dom[f], clean.cod[g])]:
+            if value == clean.compose[key]:
+                continue
+            compose = dict(clean.compose)
+            compose[key] = value
+            inst = dataclasses.replace(clean, compose=compose)
+            generators = emergent.pmcat._generating_set(inst, emergent.pmcat._rows(inst))
+            report = check_partially_monoidal(inst)
+            off = [
+                v
+                for v in report
+                if len(v.witness) == 3 and v.witness[1] not in generators
+            ]
+            if off:
+                found = inst, report, off
+                break
+        if found:
+            break
+    assert found is not None
+    inst, report, off = found
+    assert report == oracles.pmcat_violations(inst)
+    assert all(v.message == "composition is not associative on this triple" for v in off)
+
+
+def _one_object_instance(**tables) -> FiniteCategoryInstance:
+    inst = FiniteCategoryInstance(
+        objects=("a",),
+        morphisms=("1a",),
+        dom=(0,),
+        cod=(0,),
+        identity=(0,),
+        compose={(0, 0): 0},
+        tensor_obj={(0, 0): 0},
+        tensor_mor={(0, 0): 0},
+        unit=0,
+    )
+    return dataclasses.replace(inst, **tables)
+
+
+def test_the_one_object_instance_is_valid():
+    assert check_partially_monoidal(_one_object_instance()) == ()
+
+
+@pytest.mark.parametrize("value", [5, 1, -1, 0.0, None, "0"])
+def test_an_identity_that_names_no_morphism_is_one_violation(value):
+    report = check_partially_monoidal(_one_object_instance(identity=(value,)))
+    assert report == (
+        Violation("category-identity", (0,), f"identity entry 0 -> {value!r} names no morphism"),
+    )
+
+
+@pytest.mark.parametrize("table, name", [("dom", "domain"), ("cod", "codomain")])
+@pytest.mark.parametrize("value", [3, 7, 1, -1, 0.0, None])
+def test_an_endpoint_that_names_no_object_is_one_violation(table, name, value):
+    report = check_partially_monoidal(_one_object_instance(**{table: (value,)}))
+    assert report == (
+        Violation("category-composition", (0,), f"{name} entry 0 -> {value!r} names no object"),
+    )
+
+
+@pytest.mark.parametrize(
+    "table, kind, name",
+    [
+        ("identity", "category-identity", "identity"),
+        ("dom", "category-composition", "domain"),
+        ("cod", "category-composition", "codomain"),
+    ],
+)
+@pytest.mark.parametrize("entries", [(), (0, 0)])
+def test_an_endpoint_table_of_the_wrong_length_is_one_violation(table, kind, name, entries):
+    report = check_partially_monoidal(_one_object_instance(**{table: entries}))
+    assert report == (
+        Violation(kind, (min(len(entries), 1),), f"{name} table has {len(entries)} entries, not 1"),
+    )
+
+
+def test_each_malformed_endpoint_entry_is_reported(t1):
+    # A malformed endpoint table stops every other check, since each reads
+    # the endpoints; every bad entry of every such table is still named.
+    inst = extract_instance(t1)
+    n_obj, n_mor = len(inst.objects), len(inst.morphisms)
+    dom = (n_obj,) + inst.dom[1:-1] + (-1,)
+    identity = inst.identity[:-1]
+    report = check_partially_monoidal(dataclasses.replace(inst, dom=dom, identity=identity))
+    assert report == (
+        Violation("category-composition", (0,), f"domain entry 0 -> {n_obj} names no object"),
+        Violation("category-composition", (n_mor - 1,), f"domain entry {n_mor - 1} -> -1 names no object"),
+        Violation("category-identity", (n_obj - 1,), f"identity table has {n_obj - 1} entries, not {n_obj}"),
+    )
+
+
+@pytest.mark.parametrize("value", [4, 1, -1, 0.5, None])
+def test_an_object_tensor_that_names_no_object_is_one_violation(value):
+    report = check_partially_monoidal(_one_object_instance(tensor_obj={(0, 0): value}))
+    assert report == (
+        Violation(
+            "associativity-definedness",
+            (0, 0),
+            f"object tensor entry (0, 0) -> {value!r} names no object",
+        ),
+    )
+
+
+@pytest.mark.parametrize("theory", ["t1", "t2"])
+@pytest.mark.parametrize("past_the_end", [True, False])
+def test_an_object_tensor_value_that_names_no_object_is_one_violation(request, theory, past_the_end):
+    # Its key is still defined for fullness, repleteness and symmetry, and
+    # no check compares its value.
+    inst = extract_instance(request.getfixturevalue(theory))
+    value = len(inst.objects) if past_the_end else -1
+    for key in sorted(inst.tensor_obj):
+        broken = dict(inst.tensor_obj)
+        broken[key] = value
+        report = check_partially_monoidal(dataclasses.replace(inst, tensor_obj=broken))
+        assert report == (
+            Violation(
+                "associativity-definedness",
+                key,
+                f"object tensor entry {key} -> {value} names no object",
+            ),
+        )
+
+
+@pytest.mark.parametrize("key", [(0, 99), (-1, 0), (0.5, 0), (0, 0, 0), (0,), 5, None, "ab"])
+def test_an_object_tensor_key_that_names_no_object_pair_is_one_violation(t1, key):
+    inst = extract_instance(t1)
+    broken = dict(inst.tensor_obj)
+    broken[key] = 0
+    report = check_partially_monoidal(dataclasses.replace(inst, tensor_obj=broken))
+    assert report == (
+        Violation(
+            "associativity-definedness", key, f"object tensor entry {key} -> 0 names no object"
+        ),
+    )

@@ -562,8 +562,8 @@ def test_processes_suite_draws_the_pairs_the_key_list_draws(t2, monkeypatch, sam
     compared = {compose_process: [], tensor_processes: []}
     per_pair_tables = emergent.checks._per_pair_tables
 
-    def recording(cat, combine, outputs_of):
-        table = per_pair_tables(cat, combine, outputs_of)
+    def recording(cat, typing_of, combine, outputs_of):
+        table = per_pair_tables(cat, typing_of, combine, outputs_of)
 
         def record(i, j):
             compared[combine].append((i, j))
@@ -599,6 +599,20 @@ def test_processes_suite_types_each_typing_pair_once(t2, monkeypatch, combine):
     assert emergent.checks.processes_suite(cat).violations == ()
     assert made
     assert len(made) == len(set(made))
+
+
+def test_processes_suite_numbers_each_class_typing_once(t2, monkeypatch):
+    # The compose and the tensor tables read one numbering of the typings.
+    cat = build_process_category(t2)
+    typed = []
+
+    def counting(process):
+        typed.append(process)
+        return emergent.processes.process_typing(process)
+
+    monkeypatch.setattr(emergent.checks, "process_typing", counting)
+    assert emergent.checks.processes_suite(cat).violations == ()
+    assert typed == [c.representative for c in cat.classes]
 
 
 @pytest.mark.parametrize("theory", ["t5", "t3", "t2"])
@@ -737,7 +751,10 @@ def test_each_pair_checks_its_product_against_the_total(t2):
     swapped = MorphismClass(c.dom, c.cod, c.table, f._replace(transform=v))
     classes = cat.classes[:fi] + (swapped,) + cat.classes[fi + 1 :]
     table = emergent.checks._per_pair_tables(
-        _replaced(cat, classes=classes), compose_process, emergent.checks._restricted_outputs
+        _replaced(cat, classes=classes),
+        [typing.index(t) for t in typing],
+        compose_process,
+        emergent.checks._restricted_outputs,
     )
     table(gi, first)
     with pytest.raises(ElementNotInGroup, match="does not belong to the composite"):
