@@ -40,16 +40,21 @@ from .processes import (
     verify_generation,
 )
 from .states import (
+    LocalState,
     _stabilizer_splits,
     act_local,
     is_product_state,
     iterated_restrict,
+    local_row,
     pure_local_states,
     pure_stabilizer,
+    require_in_owner,
+    require_nested,
     restrict,
     state_key,
 )
 from .systems import (
+    System,
     are_compatible,
     enumerate_systems,
     tensor_pure_states,
@@ -355,7 +360,16 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
 
 
 def systems_suite(theory: GlobalTheory) -> SuiteResult:
-    """System composition: units, symmetry, state tensors, associativity."""
+    """System composition: units, symmetry, state tensors, associativity.
+
+    Moving the factors of a compatible pair's first state pair (rho, sigma)
+    by every (h, k) must agree with moving their composite tau by h k.
+    ``_moves_agree`` decides that with one comparison per moved pair
+    (h0 rho, k0 sigma), h0 and k0 the first members that reach it, once it
+    has seen that the stabilizer of sigma fixes tau (C1) and the stabilizer
+    of rho fixes each k0 tau (C2).  When C1, C2 or a comparison fails, the
+    loop over every (h, k) runs and reports as it always has.
+    """
     violations: list[str] = []
     notices: list[str] = []
     systems = enumerate_systems(theory)
@@ -449,6 +463,8 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
         # first pair the loop tensors: computing tau first raises no earlier.
         rho, sigma = a.pure_orbit[0], b.pure_orbit[0]
         tau = tensor_pure_states(theory, a, b, rho, sigma)
+        if _moves_agree(theory, a, b, rho, sigma, tau):
+            continue
         moved_sigmas = [act_local(theory, k, sigma) for k in b.transf.members]
         for h in a.transf.members:
             moved_rho = act_local(theory, h, rho)
@@ -492,6 +508,59 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     if index.get(unit) is None:
         violations.append("systems: the trivial system is missing")
     return SuiteResult("systems", tuple(violations), tuple(notices))
+
+
+def _moves_agree(
+    theory: GlobalTheory,
+    a: System,
+    b: System,
+    rho: LocalState,
+    sigma: LocalState,
+    tau: LocalState,
+) -> bool:
+    """Whether tensoring (h rho, k sigma) gives (h k) tau for all h in A, k in B.
+
+    ``act_local`` is a group action, so each h with h rho = h0 rho is h0 s
+    for an s fixing rho, and each k with k sigma = k0 sigma is k0 t for a t
+    fixing sigma.  If every such t fixes tau (C1) and every such s fixes
+    each k0 tau (C2), then (h k) tau = h0 (s (k0 (t tau))) = (h0 k0) tau,
+    while the tensor of the moved factors is that of (h0 rho, k0 sigma).
+    So one comparison per moved pair decides, with h0 and k0 the first
+    members, in member order, that reach it.  False when C1, C2 or a
+    comparison fails, or the engine raises: the member loop then reports,
+    or raises, in its own order.
+    """
+    try:
+        h_first, rho_fixers = _first_movers(theory, a.transf.members, rho)
+        k_first, sigma_fixers = _first_movers(theory, b.transf.members, sigma)
+        if any(act_local(theory, t, tau) != tau for t in sigma_fixers):
+            return False
+        for k in k_first.values():
+            k_tau = act_local(theory, k, tau)
+            if any(act_local(theory, s, k_tau) != k_tau for s in rho_fixers):
+                return False
+        return all(
+            tensor_pure_states(theory, a, b, h_rho, k_sigma)
+            == act_local(theory, h * k, tau)
+            for h_rho, h in h_first.items()
+            for k_sigma, k in k_first.items()
+        )
+    except TheoryError:
+        return False
+
+
+def _first_movers(
+    theory: GlobalTheory, members: Iterable[Perm], state: LocalState
+) -> tuple[dict[LocalState, Perm], list[Perm]]:
+    """The first member reaching each image of ``state``, and the members fixing it."""
+    first: dict[LocalState, Perm] = {}
+    fixers = []
+    for g in members:
+        moved = act_local(theory, g, state)
+        first.setdefault(moved, g)
+        if moved == state:
+            fixers.append(g)
+    return first, fixers
 
 
 def processes_suite(cat: ProcessCategory) -> SuiteResult:
@@ -633,22 +702,37 @@ def _restricted_outputs(theory: GlobalTheory, proc: Process) -> Callable[[Perm],
 
 
 def _purified_outputs(theory: GlobalTheory, proc: Process) -> Callable[[Perm], Iterable]:
-    """Outputs through purifications, as ``process_action`` finds them.
+    """Outputs through purifications, read at the least image of each joint.
 
-    Each input state's purification is joined with the preparation once;
-    each transformation then acts on every joint state, and the acted state
-    is restricted to the output system.
+    Each input state's purification is joined with the preparation once.
+    The joint states share one owner, the composite of the domain's pair
+    and the ancilla; ``act_local`` would map one by ``u`` to the image of
+    its points, and ``iterated_restrict`` restrict that at its least point.
+    So each output is the local state the output system sees at the least
+    image of the joint's points, with the owner test on every call and
+    the nesting test on the first, raising as those two functions raise.
+    The build reads ``u`` at one stored point of each joint state; this
+    route takes the images of all of them.
     """
     composite = pair_composite(theory, proc.domain)
+    ancilla, prep = proc.ancilla, proc.prep
     joints = [
-        tensor_pure_states(theory, composite, proc.ancilla, s.purification, proc.prep)
+        tuple(tensor_pure_states(theory, composite, ancilla, s.purification, prep).points)
         for s in pair_states(theory, proc.domain)
     ]
+    owner = tensor_systems(theory, composite, ancilla).transf
     out = proc.codomain_system.transf
-    return lambda u: (
-        state_key(iterated_restrict(theory, out, act_local(theory, u, joint)))
-        for joint in joints
-    )
+    row: tuple[LocalState, ...] = ()
+
+    def outputs(u: Perm) -> list[tuple[int, ...]]:
+        nonlocal row
+        require_in_owner(owner, u)
+        if not row:
+            require_nested(theory, out, owner)
+            row = local_row(theory, out)
+        return [state_key(row[min(map(u.__getitem__, points))]) for points in joints]
+
+    return outputs
 
 
 def _effect_violations(cat: ProcessCategory) -> list[str]:

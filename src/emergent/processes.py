@@ -29,9 +29,7 @@ from typing import NamedTuple
 
 from .errors import (
     ElementNotInGroup,
-    ElementNotInOwner,
     IncompatibleSystems,
-    NotNested,
     ResourceLimit,
     StateNotInPair,
     StateNotInSystem,
@@ -44,7 +42,6 @@ from .perms import (
     Subgroup,
     _tuple_getter,
     close,
-    require_subgroup,
     theory_memo,
 )
 from .states import (
@@ -53,6 +50,8 @@ from .states import (
     iterated_restrict,
     local_row,
     pure_local_states,
+    require_in_owner,
+    require_nested,
     state_key,
 )
 from .systems import (
@@ -305,9 +304,7 @@ def _restriction(
 
     Checks what ``iterated_restrict`` checks, once for every state.
     """
-    require_subgroup(theory, sub)
-    if not sub.is_subset_of(owner):
-        raise NotNested("can only restrict a state to a subgroup of its owner")
+    require_nested(theory, sub, owner)
     return tuple(map(state_key, local_row(theory, sub)))
 
 
@@ -346,8 +343,7 @@ def _output_route(
     joint_points = _tuple_getter(_joint_points(theory, domain, ancilla, prep))
 
     def acted(u: Sequence[int]) -> tuple[int, ...]:
-        if u not in owner:
-            raise ElementNotInOwner(f"{u!r} does not belong to the state's owner")
+        require_in_owner(owner, u)
         return joint_points(u)
 
     return restricted, acted

@@ -18,6 +18,7 @@ not once per point.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -106,9 +107,14 @@ def act_local(theory: GlobalTheory, h: Perm, state: LocalState) -> LocalState:
     Well defined because the owner commutes with the commutant orbit that
     defines the state.
     """
-    if h not in state.owner:
-        raise ElementNotInOwner(f"{h!r} does not belong to the state's owner")
+    require_in_owner(state.owner, h)
     return LocalState(state.owner, frozenset(h[p] for p in state.points))
+
+
+def require_in_owner(owner: Subgroup, h: Sequence[int]) -> None:
+    """Raise ``act_local``'s error unless ``h`` belongs to ``owner``."""
+    if h not in owner:
+        raise ElementNotInOwner(f"{h!r} does not belong to the state's owner")
 
 
 def iterated_restrict(theory: GlobalTheory, sub: Subgroup, state: LocalState) -> LocalState:
@@ -117,10 +123,15 @@ def iterated_restrict(theory: GlobalTheory, sub: Subgroup, state: LocalState) ->
     Restricting via any global representative gives the same answer, so
     the minimum point of the state is used.
     """
-    require_subgroup(theory, sub)
-    if not sub.is_subset_of(state.owner):
-        raise NotNested("can only restrict a state to a subgroup of its owner")
+    require_nested(theory, sub, state.owner)
     return restrict(theory, sub, state.representative)
+
+
+def require_nested(theory: GlobalTheory, sub: Subgroup, owner: Subgroup) -> None:
+    """Raise ``iterated_restrict``'s error unless ``sub`` lies in ``owner``."""
+    require_subgroup(theory, sub)
+    if not sub.is_subset_of(owner):
+        raise NotNested("can only restrict a state to a subgroup of its owner")
 
 
 def _orbits_meet_once(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:

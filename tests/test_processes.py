@@ -15,6 +15,7 @@ from emergent import (
     GenerationReport,
     IncompatibleSystems,
     MorphismClass,
+    NotNested,
     PairState,
     Perm,
     Process,
@@ -43,6 +44,7 @@ from emergent import (
     restrict,
     subgroup_closure,
     tensor_processes,
+    tensor_pure_states,
     tensor_systems,
     trivial_system,
     validate_global_theory,
@@ -687,6 +689,57 @@ def test_the_tensor_check_catches_a_fault_shared_with_the_build(t1, monkeypatch)
         "disagrees with the registered class"
         for ci, cj in wrong
     ]
+
+
+@pytest.mark.parametrize("theory", ["t1", "t2"])
+def test_the_point_route_reads_what_acting_and_restricting_read(request, theory):
+    # Every tensorable pair: the least image of a joint state's points gives
+    # the state that acting on the joint state and restricting it gives.
+    theory = request.getfixturevalue(theory)
+    cat = build_process_category(theory)
+    reps = [c.representative for c in cat.classes]
+    for ci, cj in cat.tensor_mor:
+        proc = tensor_processes(theory, reps[ci], reps[cj])
+        composite = pair_composite(theory, proc.domain)
+        out = proc.codomain_system.transf
+        u = proc.transform
+        expected = [
+            state_key(
+                iterated_restrict(
+                    theory,
+                    out,
+                    act_local(
+                        theory,
+                        u,
+                        tensor_pure_states(
+                            theory, composite, proc.ancilla, s.purification, proc.prep
+                        ),
+                    ),
+                )
+            )
+            for s in pair_states(theory, proc.domain)
+        ]
+        assert list(emergent.checks._purified_outputs(theory, proc)(u)) == expected
+
+
+def test_the_point_route_raises_what_acting_and_restricting_raise(t2):
+    rows, cols = _rows_cols(t2)
+    unit = trivial_system(t2)
+    pair = make_pair(t2, rows, unit)
+    proc = Process(pair, unit, unit.pure_orbit[0], COL_SWAP_12, rows, unit)
+    joint = rows.pure_orbit[0]
+    with pytest.raises(ElementNotInOwner) as acting:
+        act_local(t2, COL_SWAP_12, joint)
+    with pytest.raises(ElementNotInOwner) as reading:
+        emergent.checks._purified_outputs(t2, proc)(COL_SWAP_12)
+    assert str(reading.value) == str(acting.value)
+    # An output system outside the joint owner, with a transformation inside.
+    outside = proc._replace(transform=ROW_SWAP_01, codomain_system=cols)
+    with pytest.raises(NotNested) as restricting:
+        iterated_restrict(t2, cols.transf, joint)
+    with pytest.raises(NotNested) as reading:
+        emergent.checks._purified_outputs(t2, outside)(ROW_SWAP_01)
+    assert str(reading.value) == str(restricting.value)
 
 
 def test_the_compose_check_reads_each_pairs_dynamics(t2):

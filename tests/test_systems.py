@@ -10,6 +10,7 @@ import pytest
 import oracles
 from emergent import checks
 from emergent import systems as systems_module
+from emergent.states import local_row
 from emergent import (
     IncompatibleSystems,
     LocalState,
@@ -296,6 +297,115 @@ def test_planted_moving_fault_is_counted_once_per_failing_h(t2, monkeypatch):
     assert rows.transf.order == cols.transf.order == 6
     assert moving(r, c) == len(ignored)
     assert moving(c, r) == cols.transf.order
+
+
+def _moving(found, i, j):
+    message = (
+        f"systems: moving the factors of {i}, {j} disagrees with moving the composite"
+    )
+    return found.violations.count(message)
+
+
+def test_a_planted_fault_at_a_later_state_pair_fails_a_representative(t2, monkeypatch):
+    # The composite of (rho1, sigma0) is wrong; tau, from the first pair,
+    # is not.  So C1 and C2 hold, the representative comparison that
+    # reaches (rho1, sigma0) fails, and the member loop then reports once
+    # per h that moves rho0 to rho1.
+    rows, cols = _rows_cols(t2)
+    rho0, rho1 = rows.pure_orbit[:2]
+    sigma0 = cols.pure_orbit[0]
+    wrong = tensor_pure_states(t2, rows, cols, rho0, sigma0)
+    assert wrong != tensor_pure_states(t2, rows, cols, rho1, sigma0)
+
+    def bad_tensor_pure_states(theory, a, b, rho, sigma):
+        if (a, b, rho, sigma) == (rows, cols, rho1, sigma0):
+            return wrong
+        return tensor_pure_states(theory, a, b, rho, sigma)
+
+    monkeypatch.setattr(checks, "tensor_pure_states", bad_tensor_pure_states)
+    monkeypatch.setattr(oracles, "tensor_pure_states", bad_tensor_pure_states)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    systems = enumerate_systems(t2)
+    reaching = [h for h in rows.transf.members if act_local(t2, h, rho0) == rho1]
+    assert _moving(found, systems.index(rows), systems.index(cols)) == len(reaching) == 2
+
+
+def _first_movers(theory, members, state):
+    first = {}
+    for g in members:
+        first.setdefault(act_local(theory, g, state), g)
+    return first
+
+
+def test_a_planted_fault_at_the_first_state_pair_fails_c1_or_c2(t2, monkeypatch):
+    # The first pair's composite is another pure state of the composite,
+    # and every other pair's is moved from it by the first members that
+    # move the factors there.  So each representative comparison holds,
+    # and only C1 or C2 sends the suite to the member loop.
+    rows, cols = _rows_cols(t2)
+    rho0, sigma0 = rows.pure_orbit[0], cols.pure_orbit[0]
+    tau = tensor_pure_states(t2, rows, cols, rho0, sigma0)
+    wrong = next(
+        state for state in tensor_systems(t2, rows, cols).pure_orbit if state != tau
+    )
+    h_first = _first_movers(t2, rows.transf.members, rho0)
+    k_first = _first_movers(t2, cols.transf.members, sigma0)
+
+    def bad_tensor_pure_states(theory, a, b, rho, sigma):
+        if (a, b) == (rows, cols):
+            return act_local(theory, h_first[rho] * k_first[sigma], wrong)
+        return tensor_pure_states(theory, a, b, rho, sigma)
+
+    rho_fixers = [h for h in rows.transf.members if act_local(t2, h, rho0) == rho0]
+    sigma_fixers = [k for k in cols.transf.members if act_local(t2, k, sigma0) == sigma0]
+    c1 = all(act_local(t2, t, wrong) == wrong for t in sigma_fixers)
+    c2 = all(
+        act_local(t2, s, act_local(t2, k, wrong)) == act_local(t2, k, wrong)
+        for s in rho_fixers
+        for k in k_first.values()
+    )
+    assert not (c1 and c2)
+
+    monkeypatch.setattr(checks, "tensor_pure_states", bad_tensor_pure_states)
+    monkeypatch.setattr(oracles, "tensor_pure_states", bad_tensor_pure_states)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    systems = enumerate_systems(t2)
+    assert _moving(found, systems.index(rows), systems.index(cols)) > 0
+
+
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "t4"])
+def test_clean_theories_never_enter_the_member_loop(request, theory, monkeypatch):
+    # The member loop runs only where the representative test is false.
+    theory = request.getfixturevalue(theory)
+    moves_agree = checks._moves_agree
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(moves_agree(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(checks, "_moves_agree", spy)
+    found = checks.systems_suite(theory)
+    assert not found.violations
+    pairs = sum(
+        are_compatible(theory, a, b) is not None
+        for a, b in itertools.product(enumerate_systems(theory), repeat=2)
+    )
+    assert verdicts == [True] * pairs
+
+
+def test_act_local_is_a_group_action(t2):
+    # The premise of the representative test: moving by g h is moving by h,
+    # then by g, on every local state of every system, pure or not, for
+    # every pair of its members.
+    for system in enumerate_systems(t2):
+        members = system.transf.members
+        for state in set(local_row(t2, system.transf)):
+            moved = {h: act_local(t2, h, state) for h in members}
+            for g, h in itertools.product(members, repeat=2):
+                assert act_local(t2, g * h, state) == act_local(t2, g, moved[h])
 
 
 def test_planted_tensor_fault_gives_the_triple_loop_result(t2, monkeypatch):
