@@ -55,7 +55,7 @@ from .states import (
 )
 from .systems import (
     System,
-    are_compatible,
+    compatibility_rows,
     enumerate_systems,
     tensor_pure_states,
     tensor_state_candidates,
@@ -408,10 +408,13 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     compatible_pairs = []
     # tensor[i][j] indexes the composite of systems i and j, in ascending j.
     tensor: list[dict[int, int]] = [{} for _ in systems]
+    # Each side of the symmetry test is found from its own first factor's
+    # commutant.
+    rows = compatibility_rows(theory, systems)
     for i, a in enumerate(systems):
         for j, b in enumerate(systems):
-            forward = are_compatible(theory, a, b)
-            backward = are_compatible(theory, b, a)
+            forward = rows[i].get(j)
+            backward = rows[j].get(i)
             if (forward is None) != (backward is None):
                 violations.append(f"systems: compatibility of {i}, {j} is not symmetric")
             if forward is not None:
@@ -426,6 +429,8 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                     continue
                 tensor[i][j] = index[composite]
 
+    # _first_movers of each system's first pure state, filled by _moves_agree.
+    movers: _Movers = {}
     for i, j in compatible_pairs:
         a, b = systems[i], systems[j]
         composite = tensor_systems(theory, a, b)
@@ -463,7 +468,7 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
         # first pair the loop tensors: computing tau first raises no earlier.
         rho, sigma = a.pure_orbit[0], b.pure_orbit[0]
         tau = tensor_pure_states(theory, a, b, rho, sigma)
-        if _moves_agree(theory, a, b, rho, sigma, tau):
+        if _moves_agree(theory, a, b, tau, movers):
             continue
         moved_sigmas = [act_local(theory, k, sigma) for k in b.transf.members]
         for h in a.transf.members:
@@ -510,15 +515,23 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     return SuiteResult("systems", tuple(violations), tuple(notices))
 
 
+# Each system's first member reaching each image of its first pure state,
+# and the members fixing that state (see _first_movers).
+_Movers = dict[System, tuple[dict[LocalState, Perm], list[Perm]]]
+
+
 def _moves_agree(
     theory: GlobalTheory,
     a: System,
     b: System,
-    rho: LocalState,
-    sigma: LocalState,
     tau: LocalState,
+    movers: _Movers,
 ) -> bool:
     """Whether tensoring (h rho, k sigma) gives (h k) tau for all h in A, k in B.
+
+    ``rho`` and ``sigma`` are the first pure states of ``a`` and ``b``, and
+    ``movers`` keeps each system's ``_first_movers`` of its first state,
+    which depends on the system alone.
 
     ``act_local`` is a group action, so each h with h rho = h0 rho is h0 s
     for an s fixing rho, and each k with k sigma = k0 sigma is k0 t for a t
@@ -531,8 +544,8 @@ def _moves_agree(
     or raises, in its own order.
     """
     try:
-        h_first, rho_fixers = _first_movers(theory, a.transf.members, rho)
-        k_first, sigma_fixers = _first_movers(theory, b.transf.members, sigma)
+        h_first, rho_fixers = _system_movers(theory, a, movers)
+        k_first, sigma_fixers = _system_movers(theory, b, movers)
         if any(act_local(theory, t, tau) != tau for t in sigma_fixers):
             return False
         for k in k_first.values():
@@ -547,6 +560,20 @@ def _moves_agree(
         )
     except TheoryError:
         return False
+
+
+def _system_movers(
+    theory: GlobalTheory,
+    system: System,
+    movers: _Movers,
+) -> tuple[dict[LocalState, Perm], list[Perm]]:
+    """``_first_movers`` of ``system``'s first pure state, kept in ``movers``."""
+    found = movers.get(system)
+    if found is None:
+        found = movers[system] = _first_movers(
+            theory, system.transf.members, system.pure_orbit[0]
+        )
+    return found
 
 
 def _first_movers(

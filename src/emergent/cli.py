@@ -34,7 +34,7 @@ from .sectors import (
     system_count,
 )
 from .states import purity_row
-from .systems import are_compatible, enumerate_systems
+from .systems import compatibility_rows, enumerate_systems
 
 
 
@@ -106,9 +106,8 @@ def cmd_systems(args) -> int:
         ],
         "compatible": [
             [i, j, witness]
-            for i, a in enumerate(systems)
-            for j, b in enumerate(systems)
-            if (witness := are_compatible(theory, a, b)) is not None
+            for i, row in enumerate(compatibility_rows(theory, systems))
+            for j, witness in row.items()
         ],
     }
     sys.stdout.write(_dump(payload))

@@ -55,11 +55,14 @@ def enumerate_self_bicommutant(
     is an intersection of single-element centralizers, so
     ``perms.close`` enumerates the lattice exactly by intersecting each node
     with every centralizer, under ``max_nodes``.  The full group and the
-    trivial subgroup appear as centralizer(identity) and the centre.
+    trivial subgroup appear as centralizer(identity) and the centre.  The
+    centralizers come from ``GroupIndex.element_centralizers``: elements
+    generating one cyclic subgroup share a centralizer, so it makes one
+    commutation test per pair of cyclic subgroups, not per pair of elements.
     """
     group = theory.group
     index = group.index
-    seeds = tuple({index.element_centralizer(i) for i in range(group.order)})
+    seeds = tuple(set(index.element_centralizers()))
     nodes = set(seeds)
     message = f"lattice exceeds cap of {max_nodes} subgroups"
     close(nodes, lambda a: (a & b for b in seeds), max_nodes, message)
@@ -194,13 +197,20 @@ def is_orthocomplemented(theory: GlobalTheory, sub: Subgroup) -> bool:
 
 
 def is_orthocomplementary(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> bool:
-    """Whether each input is the other's complement inside their join."""
+    """Whether each input is the other's complement inside their join.
+
+    Read on masks: with ``C`` the centralizer, the join is
+    ``C(C(a) & C(b))``, and the complement of ``a`` in it is ``C(a) & join``.
+    The inputs must be self-bicommutant, as for ``join``.
+    """
     if not is_orthogonal(theory, a, b):
         return False
-    j = join(theory, a, b)
-    if meet(theory, commutant(theory, a), j) != b:
-        return False
-    return meet(theory, commutant(theory, b), j) == a
+    require_self_bicommutant(theory, a)
+    require_self_bicommutant(theory, b)
+    centralizer = theory.group.index.centralizer
+    comm_a, comm_b = centralizer(a.mask), centralizer(b.mask)
+    j = centralizer(comm_a & comm_b)
+    return comm_a & j == b.mask and comm_b & j == a.mask
 
 
 @theory_memo

@@ -43,6 +43,7 @@ and dies with it, and an equal but distinct theory computes its own.
 from __future__ import annotations
 
 from functools import cached_property, partial, wraps
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -187,8 +188,10 @@ class GroupIndex:
     ``position[g]`` is the number of element ``g`` and ``right[i](h)`` is
     the product ``h * elements[i]`` as a plain tuple.  Inverses, point
     images, the base, products read on the base and single-element
-    centralizer masks are computed on first use; only the centralizers
-    asked for are computed, so a centre check costs one per generator.
+    centralizer masks are computed on first use.  ``element_centralizer``
+    computes one mask, so a centre check costs one per generator;
+    ``element_centralizers`` computes every element's at once, one test
+    per pair of cyclic subgroups.
     """
 
     def __init__(self, elements: tuple[Perm, ...]) -> None:
@@ -279,6 +282,58 @@ class GroupIndex:
             )
             self._centralizers[i] = mask
         return mask
+
+    def element_centralizers(self) -> tuple[int, ...]:
+        """Every element's centralizer mask, in element order.
+
+        ``x`` commutes with ``g`` exactly when every power of ``x`` commutes
+        with every power of ``g``, so all generators of one cyclic subgroup
+        share one centralizer, and a pair of cyclic subgroups either
+        commutes elementwise or not at all.  Each unordered pair is tested
+        once, through its least generators, on the base; a commuting pair
+        adds each subgroup's generators to the other's centralizer.  Fills
+        the masks ``element_centralizer`` reads.
+        """
+        if None in self._centralizers:
+            elements = self.elements
+            on_base = self.right_on_base
+            identity = elements[0]
+            cyclic = [-1] * len(elements)  # element -> its cyclic subgroup
+            leads: list[Perm] = []  # each cyclic subgroup's least generator
+            leads_on_base: list[Callable[[Sequence], tuple]] = []
+            generators: list[int] = []  # the mask of each one's generators
+            for i, g in enumerate(elements):
+                if cyclic[i] >= 0:
+                    continue
+                # Elements come in ascending order, so the first one not yet
+                # placed is the least generator of its cyclic subgroup.
+                powers = [identity]
+                times_g = self.right[i]
+                power = times_g(identity)
+                while power != identity:
+                    powers.append(power)
+                    power = times_g(power)
+                order = len(powers)
+                own = [
+                    self.position[powers[k]] for k in range(1, order) if gcd(k, order) == 1
+                ] or [0]
+                for j in own:
+                    cyclic[j] = len(leads)
+                leads.append(g)
+                leads_on_base.append(on_base[i])
+                generators.append(self.pack(own))
+            masks = [0] * len(leads)
+            for c, (g, times_g) in enumerate(zip(leads, leads_on_base)):
+                mask, bits = masks[c], generators[c]
+                for d, x, times_x in zip(
+                    range(c, len(leads)), leads[c:], leads_on_base[c:]
+                ):
+                    if times_g(x) == times_x(g):
+                        mask |= generators[d]
+                        masks[d] |= bits
+                masks[c] = mask
+            self._centralizers = [masks[c] for c in cyclic]
+        return tuple(self._centralizers)
 
     def centralizer(self, mask: int) -> int:
         """The mask of the elements commuting with every element of ``mask``.

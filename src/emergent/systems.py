@@ -122,6 +122,34 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
     return None
 
 
+def compatibility_rows(
+    theory: GlobalTheory, systems: tuple[System, ...]
+) -> list[dict[int, int]]:
+    """``rows[i][j]`` is the witness of every compatible ordered pair, in ascending ``j``.
+
+    ``systems`` are systems of ``theory``.  Compatibility needs ``b`` inside
+    the commutant of ``a`` first, so a pair whose mask leaves that
+    commutant is incompatible without a call; a unit factor never leaves
+    it, since the identity commutes with everything and the unit's
+    commutant is the whole group.  Every other pair goes to
+    ``are_compatible``.
+    """
+    centralizer = theory.group.index.centralizer
+    masks = [s.transf.mask for s in systems]
+    rows = []
+    for a in systems:
+        outside = ~centralizer(a.transf.mask)
+        row = {}
+        for j, mask in enumerate(masks):
+            if mask & outside:
+                continue
+            witness = are_compatible(theory, a, systems[j])
+            if witness is not None:
+                row[j] = witness
+        rows.append(row)
+    return rows
+
+
 @theory_memo
 def tensor_systems(theory: GlobalTheory, a: System, b: System) -> System:
     """The composite system of a compatible pair; unit factors vanish."""

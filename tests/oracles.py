@@ -707,6 +707,16 @@ TRIPLE_LIMIT = 300_000
 TRIPLE_SAMPLE = 10_000
 
 
+def is_orthocomplementary(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> bool:
+    """Each input is the other's complement inside their join, by join and meet."""
+    if not is_orthogonal(theory, a, b):
+        return False
+    j = join(theory, a, b)
+    if meet(theory, commutant(theory, a), j) != b:
+        return False
+    return meet(theory, commutant(theory, b), j) == a
+
+
 def check_orthomodular(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> bool:
     """Test the orthomodular identity a v (a' ^ b) == b for nested a <= b."""
     require_self_bicommutant(theory, a)

@@ -22,6 +22,7 @@ from emergent import (
     meet,
     subgroup_closure,
 )
+from emergent.perms import GroupIndex
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SMALL = ("s3.json", "s4.json", "s3_diagonal.json", "s3x3.json")
@@ -84,14 +85,29 @@ def test_point_images_match_elements(name):
         assert [images[p][i] for p in range(group.degree)] == list(g)
 
 
-@pytest.mark.parametrize("name", VALID + GENERATED)
+@pytest.mark.parametrize("name", VALID + GENERATED + ("degree-one",))
 def test_element_centralizer_masks_match_oracle(request, name):
+    # One mask at a time and all at once, each on a fresh index.
     group = _group(request, name)
-    index = group.index
+    single = GroupIndex(group.elements)
+    masks = GroupIndex(group.elements).element_centralizers()
+    assert len(masks) == group.order
+    assert masks[0] == single.full
     raw = [tuple(g) for g in group.elements]
     for i, g in enumerate(raw):
-        got = {raw[j] for j in index.indices(index.element_centralizer(i))}
+        got = {raw[j] for j in single.indices(single.element_centralizer(i))}
         assert got == oracles.centralizer_in(raw, {g})
+        assert masks[i] == single.element_centralizer(i)
+        cyclic = single.pack(single.position[h] for h in oracles.mulclose({g}))
+        assert cyclic & ~masks[i] == 0
+
+
+def test_all_element_centralizers_of_s6_match_one_at_a_time():
+    group = generate_group(6, [Perm([1, 0, 2, 3, 4, 5]), Perm([1, 2, 3, 4, 5, 0])])
+    assert group.order == 720
+    masks = GroupIndex(group.elements).element_centralizers()
+    single = GroupIndex(group.elements)
+    assert masks == tuple(single.element_centralizer(i) for i in range(group.order))
 
 
 @pytest.mark.parametrize("name", VALID)
@@ -153,6 +169,19 @@ def _generating_sets(draw):
     degree = draw(st.integers(min_value=1, max_value=6))
     points = list(range(degree))
     return draw(st.lists(st.permutations(points), min_size=1, max_size=3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=2, max_size=2)
+    )
+)
+def test_all_element_centralizers_match_one_at_a_time_on_random_groups(gens):
+    group = generate_group(len(gens[0]), [Perm(g) for g in gens])
+    masks = GroupIndex(group.elements).element_centralizers()
+    single = GroupIndex(group.elements)
+    assert masks == tuple(single.element_centralizer(i) for i in range(group.order))
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from emergent import (
     ResourceLimit,
     SbcLattice,
     Subgroup,
+    SubgroupNotInTheory,
     commutant,
     enumerate_self_bicommutant,
     generate_group,
@@ -220,6 +222,33 @@ def test_orthocomplementary_pairs(t1, t2):
     assert is_orthocomplementary(t1, a3, a3)
     swap = _sub(t1, (1, 0, 2))
     assert is_orthocomplementary(t1, swap, swap)
+
+
+@pytest.mark.parametrize("theory", ["t1", "t3", "t5", "t2", "t4"])
+def test_orthocomplementary_on_masks_equals_the_join_and_meet_formula(request, theory):
+    # Every node pair, but a sample of the 46 656 on the 27-point theory.
+    theory = request.getfixturevalue(theory)
+    nodes = enumerate_self_bicommutant(theory).nodes
+    pairs = [(a, b) for a in nodes for b in nodes]
+    if len(pairs) > 2_000:
+        pairs = random.Random(len(nodes)).sample(pairs, 2_000)
+    verdicts = [is_orthocomplementary(theory, a, b) for a, b in pairs]
+    assert verdicts == [oracles.is_orthocomplementary(theory, a, b) for a, b in pairs]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_orthocomplementary_refuses_what_join_refuses(t1, t5):
+    # A transposition commutes with the trivial subgroup but is not its own
+    # double commutant in S4; a subgroup of S3 is not one of S4.
+    swap = _sub(t5, (1, 0, 2, 3))
+    trivial = t5.group.trivial_subgroup()
+    for a, b in ((swap, trivial), (trivial, swap)):
+        with pytest.raises(NotSelfBicommutant):
+            is_orthocomplementary(t5, a, b)
+    foreign = _alternating(t1)
+    for a, b in ((foreign, trivial), (trivial, foreign)):
+        with pytest.raises(SubgroupNotInTheory):
+            is_orthocomplementary(t5, a, b)
 
 
 def test_orthomodular_check(t1):

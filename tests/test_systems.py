@@ -118,6 +118,25 @@ def test_compatible_pair_counts(t1, t3):
         assert count == expected
 
 
+@pytest.mark.parametrize(
+    "theory", ["t1", "t5", "t3", "t2", "t4", "d5", "f20", "a4", "s5", "s3_regular"]
+)
+def test_compatibility_rows_equal_the_pair_loop(request, theory):
+    theory = request.getfixturevalue(theory)
+    systems = enumerate_systems(theory)
+    expected = [
+        {
+            j: witness
+            for j, b in enumerate(systems)
+            if (witness := are_compatible(theory, a, b)) is not None
+        }
+        for a in systems
+    ]
+    rows = systems_module.compatibility_rows(theory, systems)
+    assert rows == expected
+    assert all(list(row) == sorted(row) for row in rows)
+
+
 def test_tensor_unit_laws(t2):
     unit = trivial_system(t2)
     for system in enumerate_systems(t2):
@@ -394,6 +413,42 @@ def test_clean_theories_never_enter_the_member_loop(request, theory, monkeypatch
         for a, b in itertools.product(enumerate_systems(theory), repeat=2)
     )
     assert verdicts == [True] * pairs
+
+
+def test_one_sided_compatibility_row_is_reported_both_ways(t2, monkeypatch):
+    rows, cols = _rows_cols(t2)
+    systems = enumerate_systems(t2)
+    r, c = systems.index(rows), systems.index(cols)
+
+    def one_sided(theory, listed):
+        found = systems_module.compatibility_rows(theory, listed)
+        del found[r][c]
+        return found
+
+    monkeypatch.setattr(checks, "compatibility_rows", one_sided)
+    violations = checks.systems_suite(t2).violations
+    assert [v for v in violations if "symmetric" in v] == [
+        f"systems: compatibility of {i}, {j} is not symmetric"
+        for i, j in sorted([(r, c), (c, r)])
+    ]
+
+
+@pytest.mark.parametrize("theory", ["t2", "t4"])
+def test_first_movers_run_once_per_system(request, theory, monkeypatch):
+    theory = request.getfixturevalue(theory)
+    first_movers = checks._first_movers
+    calls = []
+
+    def spy(theory, members, state):
+        calls.append((members, state))
+        return first_movers(theory, members, state)
+
+    monkeypatch.setattr(checks, "_first_movers", spy)
+    for _ in range(2):
+        calls.clear()
+        assert not checks.systems_suite(theory).violations
+        assert calls
+        assert len(calls) == len(set(calls)) <= len(enumerate_systems(theory))
 
 
 def test_act_local_is_a_group_action(t2):
