@@ -429,8 +429,9 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                     continue
                 tensor[i][j] = index[composite]
 
-    # _first_movers of each system's first pure state, filled by _moves_agree.
-    movers: _Movers = {}
+    # movers[i] is _first_movers of system i's first pure state, found on
+    # first use.
+    movers: list[tuple[dict[LocalState, Perm], list[Perm]] | None] = [None] * len(systems)
     for i, j in compatible_pairs:
         a, b = systems[i], systems[j]
         composite = tensor_systems(theory, a, b)
@@ -468,7 +469,17 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
         # first pair the loop tensors: computing tau first raises no earlier.
         rho, sigma = a.pure_orbit[0], b.pure_orbit[0]
         tau = tensor_pure_states(theory, a, b, rho, sigma)
-        if _moves_agree(theory, a, b, tau, movers):
+        try:
+            for s in (i, j):
+                if movers[s] is None:
+                    movers[s] = _first_movers(
+                        theory, systems[s].transf.members, systems[s].pure_orbit[0]
+                    )
+            agree = _moves_agree(theory, a, b, tau, movers[i], movers[j])
+        except TheoryError:
+            # The member loop then reports, or raises, in its own order.
+            agree = False
+        if agree:
             continue
         moved_sigmas = [act_local(theory, k, sigma) for k in b.transf.members]
         for h in a.transf.members:
@@ -515,23 +526,18 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     return SuiteResult("systems", tuple(violations), tuple(notices))
 
 
-# Each system's first member reaching each image of its first pure state,
-# and the members fixing that state (see _first_movers).
-_Movers = dict[System, tuple[dict[LocalState, Perm], list[Perm]]]
-
-
 def _moves_agree(
     theory: GlobalTheory,
     a: System,
     b: System,
     tau: LocalState,
-    movers: _Movers,
+    a_movers: tuple[dict[LocalState, Perm], list[Perm]],
+    b_movers: tuple[dict[LocalState, Perm], list[Perm]],
 ) -> bool:
     """Whether tensoring (h rho, k sigma) gives (h k) tau for all h in A, k in B.
 
     ``rho`` and ``sigma`` are the first pure states of ``a`` and ``b``, and
-    ``movers`` keeps each system's ``_first_movers`` of its first state,
-    which depends on the system alone.
+    ``a_movers`` and ``b_movers`` their ``_first_movers``.
 
     ``act_local`` is a group action, so each h with h rho = h0 rho is h0 s
     for an s fixing rho, and each k with k sigma = k0 sigma is k0 t for a t
@@ -540,40 +546,22 @@ def _moves_agree(
     while the tensor of the moved factors is that of (h0 rho, k0 sigma).
     So one comparison per moved pair decides, with h0 and k0 the first
     members, in member order, that reach it.  False when C1, C2 or a
-    comparison fails, or the engine raises: the member loop then reports,
-    or raises, in its own order.
+    comparison fails; what the engine raises propagates.
     """
-    try:
-        h_first, rho_fixers = _system_movers(theory, a, movers)
-        k_first, sigma_fixers = _system_movers(theory, b, movers)
-        if any(act_local(theory, t, tau) != tau for t in sigma_fixers):
-            return False
-        for k in k_first.values():
-            k_tau = act_local(theory, k, tau)
-            if any(act_local(theory, s, k_tau) != k_tau for s in rho_fixers):
-                return False
-        return all(
-            tensor_pure_states(theory, a, b, h_rho, k_sigma)
-            == act_local(theory, h * k, tau)
-            for h_rho, h in h_first.items()
-            for k_sigma, k in k_first.items()
-        )
-    except TheoryError:
+    h_first, rho_fixers = a_movers
+    k_first, sigma_fixers = b_movers
+    if any(act_local(theory, t, tau) != tau for t in sigma_fixers):
         return False
-
-
-def _system_movers(
-    theory: GlobalTheory,
-    system: System,
-    movers: _Movers,
-) -> tuple[dict[LocalState, Perm], list[Perm]]:
-    """``_first_movers`` of ``system``'s first pure state, kept in ``movers``."""
-    found = movers.get(system)
-    if found is None:
-        found = movers[system] = _first_movers(
-            theory, system.transf.members, system.pure_orbit[0]
-        )
-    return found
+    for k in k_first.values():
+        k_tau = act_local(theory, k, tau)
+        if any(act_local(theory, s, k_tau) != k_tau for s in rho_fixers):
+            return False
+    return all(
+        tensor_pure_states(theory, a, b, h_rho, k_sigma)
+        == act_local(theory, h * k, tau)
+        for h_rho, h in h_first.items()
+        for k_sigma, k in k_first.items()
+    )
 
 
 def _first_movers(

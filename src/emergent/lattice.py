@@ -186,9 +186,13 @@ def join(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def is_orthogonal(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> bool:
-    """Whether every element of ``a`` commutes with every element of ``b``."""
+    """Whether every element of ``a`` commutes with every element of ``b``.
+
+    Read on masks: ``b`` lies inside the centralizer of ``a``.
+    """
     require_subgroup(theory, b)
-    return b.is_subset_of(commutant(theory, a))
+    require_subgroup(theory, a)
+    return not b.mask & ~theory.group.index.centralizer(a.mask)
 
 
 def is_orthocomplemented(theory: GlobalTheory, sub: Subgroup) -> bool:

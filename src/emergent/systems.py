@@ -128,10 +128,11 @@ def compatibility_rows(
     """``rows[i][j]`` is the witness of every compatible ordered pair, in ascending ``j``.
 
     ``systems`` are systems of ``theory``.  Compatibility needs ``b`` inside
-    the commutant of ``a`` first, so a pair whose mask leaves that
-    commutant is incompatible without a call; a unit factor never leaves
-    it, since the identity commutes with everything and the unit's
-    commutant is the whole group.  Every other pair goes to
+    the commutant of ``a`` first (``is_orthogonal``'s mask test, here with
+    the centralizer of ``a`` found once per row), so a pair whose mask
+    leaves that commutant is incompatible without a call; a unit factor
+    never leaves it, since the identity commutes with everything and the
+    unit's commutant is the whole group.  Every other pair goes to
     ``are_compatible``.
     """
     centralizer = theory.group.index.centralizer

@@ -189,6 +189,11 @@ def test_orthogonality(t1, t2):
         for node in enumerate_self_bicommutant(theory).nodes:
             assert is_orthogonal(theory, node, commutant(theory, node))
     assert not is_orthogonal(t1, _sub(t1, (1, 0, 2)), _sub(t1, (2, 1, 0)))
+    # Either side from another theory is refused.
+    trivial = t2.group.trivial_subgroup()
+    for a, b in ((_full(t1), trivial), (trivial, _full(t1))):
+        with pytest.raises(SubgroupNotInTheory):
+            is_orthogonal(t2, a, b)
 
 
 def test_factor_subgroups_are_orthogonal(t2):
@@ -324,7 +329,9 @@ def test_orthogonality_is_symmetric_on_every_node_pair(t1, t2, t3, t5):
         nodes = enumerate_self_bicommutant(theory).nodes
         for a in nodes:
             for b in nodes:
-                assert is_orthogonal(theory, a, b) == is_orthogonal(theory, b, a)
+                found = is_orthogonal(theory, a, b)
+                assert found == is_orthogonal(theory, b, a)
+                assert found == all(h * k == k * h for h in a.members for k in b.members)
 
 
 def test_product_set_of_commuting_nodes_is_a_subgroup(t1, t2, t3, t5):
