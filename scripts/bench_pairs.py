@@ -1,21 +1,23 @@
 """Compare the benchmark on two checkouts in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py --parent ../parent --workload cli-27 \
-        --pairs 10 --seconds 30 --seed-base 1
+        --seed-base 1
 
-Pair ``k`` runs ``perfbench/run.py --workload W --seed (seed-base + k)
---seconds S --trace 0`` once in the parent checkout and once in this one,
-the parent first in even pairs and this checkout first in odd ones, each
-from the root of its checkout, and reads each run's last stdout line (one
-JSON object: correct, attempted, failed, metrics).
+It runs ten pairs.  Pair ``k`` runs ``perfbench/run.py --workload W --seed
+(seed-base + k) --seconds S --trace 0``, with ``S`` the ``run_seconds`` of
+this checkout's ``BENCHMARK.json``, once in the parent checkout and once
+in this one, the parent first in even pairs and this checkout first in
+odd ones, each from the root of its checkout, and reads each run's last
+stdout line (one JSON object: correct, attempted, failed, metrics).
 
 For every metric both sides report, it prints each side's median and
 quartiles and the number of pairs the change wins, ties counting for
 neither side, in the direction ``BENCHMARK.json`` gives (lower when it
-names none).  A gain is claimed only when the change wins at least nine
-tenths of the pairs and the medians differ, in the change's favour, by
-more than the distance between the parent's quartiles.  Failed
-operations are printed per side.  Standard library only.
+names none).  A gain is claimed only when at least ten pairs ran, the
+change wins at least nine tenths of them, the medians differ, in the
+change's favour, by more than the distance between the parent's
+quartiles, and the change fails no larger share of its operations than
+the parent.  Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -39,8 +42,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(parent: list[float], change: list[float], lower_is_better: bool = True) -> dict:
-    """Wins and the gain rule for one metric over pairs ``(parent[k], change[k])``."""
+def verdict(
+    parent: list[float],
+    change: list[float],
+    lower_is_better: bool = True,
+    parent_failed: float = 0.0,
+    change_failed: float = 0.0,
+) -> dict:
+    """Wins and the gain rule for one metric over pairs ``(parent[k], change[k])``.
+
+    ``parent_failed`` and ``change_failed`` are the shares of each side's
+    operations that failed over all its runs.
+    """
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
     sign = 1 if lower_is_better else -1
@@ -56,7 +69,10 @@ def verdict(parent: list[float], change: list[float], lower_is_better: bool = Tr
         "change": change_q,
         "spread": spread,
         "gain": gain,
-        "holds": 10 * wins >= 9 * len(parent) and gain > spread,
+        "holds": len(parent) >= PAIRS
+        and 10 * wins >= 9 * len(parent)
+        and gain > spread
+        and change_failed <= parent_failed,
     }
 
 
@@ -83,10 +99,14 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def directions() -> dict[str, bool]:
-    """Whether lower is better, per end-to-end metric of this checkout's BENCHMARK.json."""
+def benchmark() -> tuple[float, dict[str, bool]]:
+    """The run length, and whether lower is better per end-to-end metric.
+
+    Both are read from this checkout's ``BENCHMARK.json``.
+    """
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m.get("better", "lower") == "lower" for m in spec["end_to_end"]}
+    lower = {m["name"]: m.get("better", "lower") == "lower" for m in spec["end_to_end"]}
+    return spec["run_seconds"], lower
 
 
 def main(argv=None) -> int:
@@ -95,25 +115,26 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--parent", type=Path, required=True, help="the parent checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed-base", type=int, default=1)
     args = parser.parse_args(argv)
+    seconds, lower = benchmark()
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         seed = args.seed_base + k
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result = run_once(sides[side], args.workload, seed, seconds)
             results[side].append(result)
             values = {name: m["value"] for name, m in result["metrics"].items()}
             print(f"# pair {k} seed {seed} {side}: {json.dumps(values, sort_keys=True)}", flush=True)
+    failed_share = {}
     for side, runs in results.items():
         failed = sum(r["failed"] for r in runs)
         attempted = sum(r["attempted"] for r in runs)
+        # A side that attempted nothing counts as failing everything.
+        failed_share[side] = failed / attempted if attempted else 1.0
         print(f"{side}: {failed} of {attempted} operations failed")
-    lower = directions()
     names = [
         name
         for name in results["parent"][0]["metrics"]
@@ -122,7 +143,13 @@ def main(argv=None) -> int:
     for name in names:
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
-        v = verdict(parent, change, lower.get(name, True))
+        v = verdict(
+            parent,
+            change,
+            lower.get(name, True),
+            failed_share["parent"],
+            failed_share["change"],
+        )
         print(
             f"{name}: parent {v['parent'][1]:.6g} (q1 {v['parent'][0]:.6g}, q3 {v['parent'][2]:.6g}); "
             f"change {v['change'][1]:.6g} (q1 {v['change'][0]:.6g}, q3 {v['change'][2]:.6g}); "

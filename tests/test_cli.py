@@ -577,38 +577,6 @@ def test_cli_matrix_covers_every_fixture_and_command():
     assert exits == ["0", "0", "0", "2"]
 
 
-def _bench_pairs():
-    path = FIXTURES.parent / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_bench_pairs_verdict_on_fixed_numbers():
-    verdict = _bench_pairs().verdict
-    parent = [float(x) for x in range(1, 11)]  # quartiles 2.75 and 8.25
-    found = verdict(parent, [p - 6 for p in parent])
-    assert found["wins"] == found["pairs"] == 10
-    assert found["parent"] == (2.75, 5.5, 8.25)
-    assert found["spread"] == 5.5 and found["gain"] == 6
-    assert found["holds"]
-    # Every pair won, but the medians differ by less than the parent's spread.
-    assert not verdict(parent, [p - 5 for p in parent])["holds"]
-    # A tie counts for neither side: nine wins of ten still hold, eight do not.
-    flat = [10.0] * 10
-    nine = verdict(flat, [9.0] * 9 + [10.0])
-    assert (nine["wins"], nine["spread"], nine["holds"]) == (9, 0.0, True)
-    eight = verdict(flat, [9.0] * 8 + [10.0, 11.0])
-    assert (eight["wins"], eight["gain"], eight["holds"]) == (8, 1.0, False)
-    # Where higher is better, the same numbers read the other way.
-    higher = [p + 6 for p in parent]
-    assert verdict(parent, higher, lower_is_better=False)["holds"]
-    assert verdict(parent, higher)["wins"] == 0
-    with pytest.raises(ValueError):
-        verdict(parent, parent[:-1])
-
-
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
