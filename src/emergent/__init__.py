@@ -33,7 +33,6 @@ from .perms import (
     centre,
     generate_group,
     subgroup_closure,
-    theory_violations,
     validate_global_theory,
 )
 from .lattice import (

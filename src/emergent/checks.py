@@ -41,16 +41,16 @@ from .processes import (
 )
 from .states import (
     LocalState,
-    _stabilizer_splits,
+    _orbits,
+    _splits_row,
     act_local,
-    is_product_state,
     iterated_restrict,
     local_row,
     pure_local_states,
     pure_stabilizer,
+    purity_row,
     require_in_owner,
     require_nested,
-    restrict,
     state_key,
 )
 from .systems import (
@@ -256,16 +256,17 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
     acts once on each distinct state of the node, and every point showing
     that state reads the result.  Only a node
     whose generators fail is tested member by member, which gives the same
-    violations as testing every member of every node.
+    violations as testing every member of every node.  Each node's rows
+    are read once: its ``local_row`` and ``purity_row``, its commutant's
+    ``purity_row`` and ``_orbits``, and the pair's ``_splits_row``.
     """
     violations: list[str] = []
     notices: list[str] = []
     lattice = enumerate_self_bicommutant(theory)
     nodes = lattice.nodes
-    images = theory.group.index.images
     divergences = 0
     # local[i][p] is the state node i sees at point p.
-    local = [tuple(restrict(theory, sub, p) for p in theory.points) for sub in nodes]
+    local = [local_row(theory, sub) for sub in nodes]
 
     for i, sub in enumerate(nodes):
         comm = commutant(theory, sub)
@@ -275,7 +276,10 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
         gens = reduce_generators(sub.members, theory.degree)
         row = local[i]
         # pure[p] says whether point p is a product state over node i.
-        pure = [is_product_state(theory, sub, p).pure for p in theory.points]
+        pure = purity_row(theory, sub)
+        pure_comm = purity_row(theory, comm)
+        comm_orbits = _orbits(theory, comm)
+        splits = _splits_row(theory, sub, comm)
         distinct = dict.fromkeys(row)
         local_matches_global = True
         for h in gens:
@@ -289,8 +293,7 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
         }
         for point in theory.points:
             state = row[point]
-            image = images[point]
-            comm_orbit = {image[k] for k in comm.indices}
+            comm_orbit = comm_orbits[point]
             for q in comm_orbit:
                 if row[q] != state:
                     violations.append(
@@ -311,7 +314,7 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
                     f"states: a central transformation of node {i} moves "
                     f"the local state at point {point}"
                 )
-            if pure[point] != is_product_state(theory, comm, point).pure:
+            if pure[point] != pure_comm[point]:
                 violations.append(
                     f"states: the product-state test on node {i} is not "
                     f"symmetric in the pair at point {point}"
@@ -323,7 +326,7 @@ def states_suite(theory: GlobalTheory) -> SuiteResult:
                         f"commutant orbit of point {point}"
                     )
                     break
-            if pure[point] != _stabilizer_splits(theory, sub, comm, point):
+            if pure[point] != splits[point]:
                 divergences += 1
             if pure[point]:
                 local_stab, fixed_stab = pure_stabilizer(theory, state)
@@ -368,7 +371,9 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     (h0 rho, k0 sigma), h0 and k0 the first members that reach it, once it
     has seen that the stabilizer of sigma fixes tau (C1) and the stabilizer
     of rho fixes each k0 tau (C2).  When C1, C2 or a comparison fails, the
-    loop over every (h, k) runs and reports as it always has.
+    loop over every (h, k) runs and reports as it always has.  Purity is
+    read from each system's ``purity_row``, and a pair's candidate points
+    are restricted through the composite's ``local_row``.
     """
     violations: list[str] = []
     notices: list[str] = []
@@ -386,10 +391,9 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
             for g in reduce_generators(system.transf.members, theory.degree)
             for state in system.pure_orbit
         )
+        pure = purity_row(theory, system.transf)
         for state in system.pure_orbit:
-            if not is_product_state(
-                theory, system.transf, state.representative
-            ).pure:
+            if not pure[state.representative]:
                 violations.append(f"systems: a listed state of system {i} is not pure")
             if closed:
                 continue
@@ -436,6 +440,7 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
         a, b = systems[i], systems[j]
         composite = tensor_systems(theory, a, b)
         composite_orbit = composite.pure_set
+        composite_row = local_row(theory, composite.transf)
         for rho in a.pure_orbit:
             for sigma in b.pure_orbit:
                 try:
@@ -446,7 +451,7 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                     )
                     continue
                 candidates = tensor_state_candidates(theory, a, b, rho, sigma)
-                if len({restrict(theory, composite.transf, p) for p in candidates}) != 1:
+                if len({composite_row[p] for p in candidates}) != 1:
                     violations.append(
                         f"systems: a state pair of {i}, {j} has more than one "
                         "composite state"

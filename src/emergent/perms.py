@@ -607,11 +607,6 @@ def _failed_conditions(group: FiniteGroup) -> list[tuple[type[InvalidTheory], st
     return failed
 
 
-def theory_violations(group: FiniteGroup) -> tuple[str, ...]:
-    """Human-readable reasons why ``group`` fails the global-theory conditions."""
-    return tuple(message for _, message in _failed_conditions(group))
-
-
 def validate_global_theory(group: FiniteGroup) -> GlobalTheory:
     """Check the global-theory conditions, raising the first failure's error."""
     failed = _failed_conditions(group)

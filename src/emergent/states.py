@@ -8,12 +8,13 @@ a direct product of the marginal stabilizers, that is, when its H-orbit
 and its commutant orbit meet only in the state itself.
 
 Both facts are kept per lattice node as rows indexed by point, read from
-the orbit partition of each subgroup and kept in the theory's memo:
-``local_row`` holds one shared ``LocalState`` per commutant orbit, and
-``purity_row`` the product-state verdict at each point.  ``restrict``,
-``is_product_state`` and ``pure_local_states`` check their arguments and
-read these rows, so a node's states are built once per commutant orbit,
-not once per point.
+the orbit partition of each subgroup (``_orbits``) and kept in the
+theory's memo: ``local_row`` holds one shared ``LocalState`` per commutant
+orbit, and ``purity_row`` the product-state verdict at each point.  A
+node's states are built once per commutant orbit, not once per point.
+``restrict`` and ``is_product_state`` are unmemoised conveniences that
+check their arguments and index these rows; code that reads many points
+of one node reads the row.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ def local_row(theory: GlobalTheory, sub: Subgroup) -> tuple[LocalState, ...]:
     return tuple(map(states.__getitem__, orbits))
 
 
-@theory_memo
 def restrict(theory: GlobalTheory, sub: Subgroup, point: int) -> LocalState:
     """The local state ``sub`` sees at the global state ``point``."""
     require_subgroup(theory, sub)
@@ -134,19 +134,9 @@ def require_nested(theory: GlobalTheory, sub: Subgroup, owner: Subgroup) -> None
         raise NotNested("can only restrict a state to a subgroup of its owner")
 
 
-def _orbits_meet_once(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:
-    """Whether the A-orbit and the B-orbit of ``point`` meet only in it."""
-    return len(_orbits(theory, a)[point] & _orbits(theory, b)[point]) == 1
-
-
-def _stabilizer_splits(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bool:
-    """Whether the stabilizer of ``point`` in AB is the product A_p B_p."""
-    return _splits_row(theory, a, b)[point]
-
-
 @theory_memo
 def _splits_row(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> tuple[bool, ...]:
-    """``_stabilizer_splits`` at every point.
+    """Whether the stabilizer of each point p in AB is the product A_p B_p.
 
     A_p B_p lies in (AB)_p, so the two are equal exactly when
     |AB|/|ABp| = |A_p|·|B_p|/|(A∩B)_p|.  Here |AB| = |A|·|B|/|A∩B| and
@@ -201,7 +191,6 @@ def purity_row(theory: GlobalTheory, sub: Subgroup) -> tuple[bool, ...]:
     )
 
 
-@theory_memo
 def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityVerdict:
     """Test whether a global state splits over ``sub`` and its commutant.
 
@@ -218,7 +207,7 @@ def factorizes(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bo
     if not is_orthogonal(theory, a, b):
         raise NotOrthogonal("the factorization test requires commuting subgroups")
     require_point(theory, point)
-    return _orbits_meet_once(theory, a, b, point)
+    return len(_orbits(theory, a)[point] & _orbits(theory, b)[point]) == 1
 
 
 @theory_memo

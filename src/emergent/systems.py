@@ -21,7 +21,7 @@ from .lattice import (
 from .perms import GlobalTheory, Subgroup, theory_memo
 from .states import (
     LocalState,
-    factorizes,
+    _orbits,
     local_row,
     pure_local_states,
     purity_row,
@@ -99,7 +99,9 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
     The trivial system is compatible with everything.  Otherwise the two
     transformation subgroups must be mutual complements inside their join
     and some global state must restrict to a pure state of each factor
-    while splitting over the pair and over the join.
+    while splitting over the pair and over the join.  Orthocomplementary
+    subgroups commute, so the pair splits at a point exactly when its two
+    orbits, read from the factors' ``_orbits`` rows, meet only there.
     """
     if a.is_trivial:
         return b.pure_orbit[0].representative
@@ -110,6 +112,8 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
     row_a = local_row(theory, a.transf)
     row_b = local_row(theory, b.transf)
     pure_j = purity_row(theory, join(theory, a.transf, b.transf))
+    orbits_a = _orbits(theory, a.transf)
+    orbits_b = _orbits(theory, b.transf)
     for point in theory.points:
         if row_a[point] not in a.pure_set:
             continue
@@ -117,7 +121,7 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
             continue
         if not pure_j[point]:
             continue
-        if factorizes(theory, a.transf, b.transf, point):
+        if len(orbits_a[point] & orbits_b[point]) == 1:
             return point
     return None
 
@@ -180,11 +184,13 @@ def tensor_state_candidates(
     if a.is_trivial or b.is_trivial:
         return tuple(sorted(rho.points & sigma.points))
     pure_j = purity_row(theory, join(theory, a.transf, b.transf))
+    orbits_a = _orbits(theory, a.transf)
+    orbits_b = _orbits(theory, b.transf)
     found = []
     for point in sorted(rho.points & sigma.points):
         if not pure_j[point]:
             continue
-        if factorizes(theory, a.transf, b.transf, point):
+        if len(orbits_a[point] & orbits_b[point]) == 1:
             found.append(point)
     return tuple(found)
 

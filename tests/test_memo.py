@@ -18,6 +18,7 @@ from emergent import (
 from emergent.checks import SUITES, lattice_suite, processes_suite, run_suites
 from emergent.perms import theory_memo
 from emergent.processes import process_table
+from emergent.states import _orbits, is_product_state, local_row, purity_row, restrict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -119,3 +120,13 @@ def test_neither_process_tables_nor_state_maps_are_memoised():
     processes_suite(build_process_category(theory))
     assert process_table not in theory._memo
     assert not any("state_map" in fn.__name__ for fn in theory._memo)
+
+
+def test_per_point_state_readers_are_not_memoised():
+    # restrict and is_product_state check their arguments and index a
+    # memoised row, so a memo of their own would hold each fact twice.
+    theory, _ = load_theory(FIXTURES / "s3x3.json")
+    run_suites(theory, tuple(SUITES))
+    assert restrict not in theory._memo
+    assert is_product_state not in theory._memo
+    assert all(row in theory._memo for row in (local_row, purity_row, _orbits))

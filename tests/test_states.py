@@ -226,10 +226,11 @@ def test_split_stabilizer_is_weaker_than_purity(t1):
     fix0 = _sub(t1, [(0, 2, 1)])
     comm = commutant(t1, fix0)
     verdict = is_product_state(t1, fix0, 0)
-    assert verdict.pure and states._stabilizer_splits(t1, fix0, comm, 0)
+    splits = states._splits_row(t1, fix0, comm)
+    assert verdict.pure and splits[0]
     mixed = is_product_state(t1, fix0, 1)
     assert not mixed.pure
-    assert states._stabilizer_splits(t1, fix0, comm, 1)
+    assert splits[1]
 
 
 def test_factorizes_requires_a_commuting_pair(t1):
@@ -295,8 +296,8 @@ def test_orbit_census_matches_the_pair_enumeration(t1, t5, t3, t2):
                 joint, stab_a, stab_b, split = oracles._joint_split(theory, a, b, p)
                 expected = (joint == stab_a.order * stab_b.order, split)
                 found = (
-                    states._orbits_meet_once(theory, a, b, p),
-                    states._stabilizer_splits(theory, a, b, p),
+                    factorizes(theory, a, b, p),
+                    states._splits_row(theory, a, b)[p],
                 )
                 assert found == expected
                 outcomes.add(expected)
@@ -327,9 +328,20 @@ def test_planted_faults_give_the_member_loops_violations(t2, monkeypatch, fault)
             return LocalState(rows, frozenset({4}))
         return restrict(theory, sub, point)
 
-    replacement = bad_act_local if fault == "act_local" else bad_restrict
-    monkeypatch.setattr(checks, fault, replacement)
-    monkeypatch.setattr(oracles, fault, replacement)
+    def bad_local_row(theory, sub):
+        row = states.local_row(theory, sub)
+        if sub == rows:
+            return row[:4] + (LocalState(rows, frozenset({4})),) + row[5:]
+        return row
+
+    # The suite reads each node's states from its row, and the oracle
+    # restricts point by point: both see the faulty state at point 4.
+    if fault == "act_local":
+        monkeypatch.setattr(checks, "act_local", bad_act_local)
+        monkeypatch.setattr(oracles, "act_local", bad_act_local)
+    else:
+        monkeypatch.setattr(checks, "local_row", bad_local_row)
+        monkeypatch.setattr(oracles, "restrict", bad_restrict)
     # The suite restricts a state of a larger node by restricting its
     # representative, which is what iterated_restrict does; the oracle's
     # iterated_restrict must restrict through the same, faulty, function.
@@ -388,7 +400,14 @@ def test_planted_purity_fault_gives_the_member_loops_violations(t2, monkeypatch)
             return verdict._replace(pure=False)
         return verdict
 
-    monkeypatch.setattr(checks, "is_product_state", bad_is_product_state)
+    def bad_purity_row(theory, sub):
+        row = states.purity_row(theory, sub)
+        if sub == rows:
+            return row[:4] + (False,) + row[5:]
+        return row
+
+    # The suite reads purity by rows, the oracle point by point.
+    monkeypatch.setattr(checks, "purity_row", bad_purity_row)
     monkeypatch.setattr(oracles, "is_product_state", bad_is_product_state)
     found = checks.states_suite(t2)
     assert found == oracles.states_suite(t2)
