@@ -8,14 +8,17 @@ Subcommands:
     check       run verification suites; nonzero exit on violations
     quantum     closed-form composability facts for a sector decomposition
 
-Exit codes: 0 success, 1 property violation, 2 bad input, 3 resource cap.
+Exit codes: 0 success, 1 property violation, 2 bad input, 3 resource cap,
+141 stdout closed before the output was written (as a shell reports a tool
+that SIGPIPE ends).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .catalog import load_theory
 from .checks import SUITES, SuiteResult, run_suites
@@ -36,10 +39,57 @@ from .sectors import (
 from .states import purity_row
 from .systems import compatibility_rows, enumerate_systems
 
+# The exit code a shell reports for a tool that SIGPIPE ends.
+BROKEN_PIPE = 141
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, by joins.
+
+    Takes None, bools, ints, strings, lists, tuples and dicts with string
+    keys; anything else raises ``TypeError``.  Each distinct int list is
+    written once per call: lattice nodes repeat the group's elements.
+    """
+    return _encode(payload, "\n", {}) + "\n"
+
+
+def _encode(value, newline: str, memo: dict) -> str:
+    """``value``'s JSON text, where ``newline`` starts each of its lines."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # Only exact ints: True == 1 and 1.0 == 1 would share a memo entry.
+        if all(type(x) is int for x in value):
+            key = (newline, tuple(value))
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = f"[{inner}{(',' + inner).join(map(str, value))}{newline}]"
+            return text
+        items = [_encode(x, inner, memo) for x in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [
+            f"{encode_basestring_ascii(key)}: {_encode(value[key], inner, memo)}"
+            for key in sorted(value)
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def lattice_json(theory: GlobalTheory, lattice: SbcLattice) -> dict:
@@ -49,7 +99,7 @@ def lattice_json(theory: GlobalTheory, lattice: SbcLattice) -> dict:
             {
                 "index": i,
                 "order": node.order,
-                "members": [list(p) for p in node.members],
+                "members": node.members,
                 "commutant": lattice.commutant_index[i],
                 "self_commutant": lattice.commutant_index[i] == i,
             }
@@ -248,7 +298,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send the interpreter's final flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -793,17 +793,75 @@ def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
     return span
 
 
+def _factorises(
+    cat: ProcessCategory,
+    object_index: dict[SystemEnvironmentPair, int],
+    transf_of: dict[tuple[int, Perm], int],
+    prep_of: dict[tuple[System, LocalState], int],
+    discard_of: list[int],
+) -> bool:
+    """Whether the tables show every class as prepare, then act, then discard.
+
+    A class with representative ``((S, E), A, prep, u, out, disc)`` acts
+    on ``T = S x A``; it is ``D . (U . P)`` with
+
+    - ``P = id_(S, E) x prep(A, prep)``, or ``id_(S, E)`` when ``A`` is trivial,
+    - ``U = u on (T, unit) x id_(unit, E)``,
+    - ``D = id_(out, E) x discard(disc, unit)``.
+
+    Each of P, U and D is a tensor of two generators (identities are
+    transformation generators), so when the tables say so, the class lies
+    in the span.  ``P``, ``D`` and ``id_(unit, E)`` depend on the typing
+    alone, so they are looked up once per typing; a missing entry means
+    the argument does not apply.
+    """
+    compose, tensor, identity = cat.compose, cat.tensor_mor, cat.identity
+    unit = cat.objects[cat.unit].system
+    typed: dict[tuple, tuple[int, int, int, int]] = {}
+    try:
+        for ci, c in enumerate(cat.classes):
+            proc = c.representative
+            typing = (c.dom, proc.ancilla, proc.prep, proc.codomain_system, proc.discarded)
+            if typing not in typed:
+                env = proc.domain.environment
+                prep = identity[c.dom]
+                if not proc.ancilla.is_trivial:
+                    prep = tensor[(prep, prep_of[(proc.ancilla, proc.prep)])]
+                total = cat.objects[cat.classes[prep].cod].system
+                discard = tensor[
+                    (
+                        identity[object_index[(proc.codomain_system, env)]],
+                        discard_of[object_index[(proc.discarded, unit)]],
+                    )
+                ]
+                typed[typing] = (
+                    prep,
+                    object_index[(total, unit)],
+                    identity[object_index[(unit, env)]],
+                    discard,
+                )
+            prep, total, env_id, discard = typed[typing]
+            act = tensor[(transf_of[(total, proc.transform)], env_id)]
+            if compose[(discard, compose[(act, prep)])] != ci:
+                return False
+    except (KeyError, IndexError):
+        return False
+    return True
+
+
 def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationReport:
     """Check that reversible dynamics, preparations, and discards span the theory.
 
     Each generator is built as a ``Process`` and found by its ends and its
-    ``process_table``, the state tables the build reads.  The pure span is
-    the full span's pure part, so one closure serves both.  A class's
-    codomain environment is its domain environment with its discard, so a
-    composite between trivial environments has factors between trivial
-    environments, and a tensor has a trivial environment only when both
-    factors do.  The one discard between trivial environments, the unit
-    object's, is the unit identity.
+    ``process_table``, the state tables the build reads.  When every class
+    factors as its preparation, dynamics and discard (``_factorises``), the
+    span is every class; otherwise the closure over the tables decides.
+    The pure span is the full span's pure part, so one span serves both.  A
+    class's codomain environment is its domain environment with its
+    discard, so a composite between trivial environments has factors
+    between trivial environments, and a tensor has a trivial environment
+    only when both factors do.  The one discard between trivial
+    environments, the unit object's, is the unit identity.
     """
     object_index = {obj: i for i, obj in enumerate(cat.objects)}
     class_index = {(c.dom, c.cod, c.table): i for i, c in enumerate(cat.classes)}
@@ -821,21 +879,29 @@ def verify_generation(theory: GlobalTheory, cat: ProcessCategory) -> GenerationR
 
     unit = trivial_system(theory)
     identity = theory.group.identity
-    transf_gens: set[int] = set(cat.identity)
-    prep_gens: set[int] = set()
+    # Each generator's class, by its object and dynamics, by its prepared
+    # system and state, and by the object it discards.
+    transf_of: dict[tuple[int, Perm], int] = {}
+    prep_of: dict[tuple[System, LocalState], int] = {}
     for oi in env_trivial:
         obj = cat.objects[oi]
         system = obj.system
         for u in system.transf.members:
-            transf_gens.add(class_of(Process(obj, unit, unit.pure_orbit[0], u, system, unit)))
+            transf_of[(oi, u)] = class_of(Process(obj, unit, unit.pure_orbit[0], u, system, unit))
         if not system.is_trivial:
             for prep in system.pure_orbit:
-                prep_gens.add(
-                    class_of(Process(cat.objects[cat.unit], system, prep, identity, system, unit))
+                prep_of[(system, prep)] = class_of(
+                    Process(cat.objects[cat.unit], system, prep, identity, system, unit)
                 )
-    discard_gens = {class_of(discard_process(theory, obj)) for obj in cat.objects}
+    discard_of = [class_of(discard_process(theory, obj)) for obj in cat.objects]
+    transf_gens = {*cat.identity, *transf_of.values()}
+    prep_gens = set(prep_of.values())
+    discard_gens = set(discard_of)
 
-    full_span = _closure(cat, transf_gens | prep_gens | discard_gens)
+    if _factorises(cat, object_index, transf_of, prep_of, discard_of):
+        full_span = set(range(len(cat.classes)))
+    else:
+        full_span = _closure(cat, transf_gens | prep_gens | discard_gens)
     pure_span = full_span & pure_ids
     return GenerationReport(
         pure_total=len(pure_ids),

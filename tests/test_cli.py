@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emergent import cli
 from emergent.checks import SuiteResult
 from emergent.cli import main, render_check_report
 
@@ -426,6 +427,119 @@ def test_output_unchanged_under_optimize_flag(argv):
     optimized = _subprocess_run(argv, 0, flags=("-O",))
     assert plain[1]
     assert optimized == plain
+
+
+@pytest.mark.parametrize("fixture", ["s3", "s3x3x3"])
+def test_closed_stdout_exits_141_without_traceback(fixture):
+    # The reader has gone before the first byte: a shell reports 141 for a
+    # tool that SIGPIPE ends, and the interpreter's last flush stays quiet.
+    # Buffered, the s3 lattice fails at the flush and the s3x3x3 lattice at
+    # the write.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "emergent.cli", "lattice", "--input", f"fixtures/{fixture}.json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            cwd=str(FIXTURES.parent),
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
+
+
+def test_output_that_fits_the_pipe_exits_0_before_it_is_read():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "emergent.cli", "lattice", "--input", "fixtures/s3.json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(FIXTURES.parent),
+    )
+    code = proc.wait(timeout=60)
+    out, err = proc.communicate()
+    assert code == 0
+    assert err == b""
+    assert json.loads(out)["node_count"] == 6
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.text(),
+    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x1F)),
+    st.text(alphabet=st.characters(categories=["Cs"])),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(-3, 3), max_size=4),
+        st.lists(st.integers(-3, 3), max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_JSON_VALUES)
+def test_dump_writes_what_json_dumps_writes(payload):
+    assert cli._dump(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"a": {}}],
+        [True, 1, False, 0],
+        (1, True),
+        [[1, 2], [True, 2], [0, 1], [False, True]],
+        {"b": [1, 2], "a": {"c": [1, 2]}, "": "é\x00\ud800"},
+    ],
+)
+def test_dump_edge_cases(payload):
+    assert cli._dump(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, [1, 2.0], {1, 2}, {"a": {2, 3}}, {1: "a"}, {"a": 1, None: 2}, [[1, 2], [1.0, 2]]],
+)
+def test_dump_refuses_what_the_cli_never_writes(payload):
+    with pytest.raises(TypeError):
+        cli._dump(payload)
+
+
+def test_dump_memo_lives_for_one_call(monkeypatch):
+    memos = []
+    encode = cli._encode
+
+    def spy(value, newline, memo):
+        memos.append(memo)
+        return encode(value, newline, memo)
+
+    monkeypatch.setattr(cli, "_encode", spy)
+    module = dict(vars(cli))
+    sizes = {name: len(v) for name, v in module.items() if isinstance(v, (dict, list, set))}
+    payload = {"a": [[1, 2], [1, 2]], "b": [1, 2]}
+    first = cli._dump(payload)
+    calls = len(memos)
+    assert cli._dump(payload) == first
+    assert all(m is memos[0] for m in memos[:calls])
+    assert all(m is memos[calls] for m in memos[calls:])
+    assert memos[0] is not memos[calls]
+    # The module gains no name and none of its tables grows.
+    assert vars(cli) == module
+    assert {name: len(vars(cli)[name]) for name in sizes} == sizes
 
 
 def test_library_has_no_assert_statements():

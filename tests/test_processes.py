@@ -1127,3 +1127,70 @@ def test_process_reprs_name_the_parent_group_instead_of_printing_it(t4):
     assert len(repr(Subgroup(group, group.elements))) < 200
     cat = build_process_category(t4)
     assert max(len(repr(c.representative)) for c in cat.classes) < 16_000
+
+
+GENERATION_THEORIES = ["t4", "d5", "f20", "a4", "s5", "s3_regular"]
+
+
+@pytest.mark.parametrize("name", [*GENERATION_CATEGORIES, *GENERATION_THEORIES])
+def test_generation_by_factorisation_is_the_closures_report(request, monkeypatch, name):
+    # Every class of a valid category is its preparation, then its dynamics,
+    # then its discard, so the closure is not walked; with the argument
+    # switched off, the closure gives the same report.
+    cat = _generation_category(request, name)
+    walked = []
+    closure = emergent.processes._closure
+
+    def spy(*args):
+        walked.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(emergent.processes, "_closure", spy)
+    report = verify_generation(cat.theory, cat)
+    assert walked == []
+    monkeypatch.setattr(emergent.processes, "_factorises", lambda *args: False)
+    assert verify_generation(cat.theory, cat) == report
+    assert len(walked) == 1
+
+
+class _RecordingDict(dict):
+    """A dict that lists the keys it is asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def __getitem__(self, key):
+        self.asked.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", ["t1-full", "t5"])
+def test_a_planted_factorisation_fault_falls_back_to_the_closure(request, monkeypatch, name):
+    cat = _generation_category(request, name)
+    recorded = _replaced(cat, compose=_RecordingDict(cat.compose))
+    assert verify_generation(cat.theory, recorded) == verify_generation(cat.theory, cat)
+    # Two composites per class, in class order: U . P, then D . (U . P).
+    asked = recorded.compose.asked
+    assert len(asked) == 2 * len(cat.classes)
+    # The last class that shares its ends with another, from a domain with
+    # a nontrivial environment where there is one.
+    ends = [(c.dom, c.cod) for c in cat.classes]
+    ci, other = max(
+        ((i, j) for i, e in enumerate(ends) for j, f in enumerate(ends) if i != j and e == f),
+        key=lambda pair: (not cat.objects[ends[pair[0]][0]].environment.is_trivial, pair),
+    )
+    key = asked[2 * ci + 1]
+    compose = dict(cat.compose)
+    compose[key] = other
+    planted = _replaced(cat, compose=compose)
+    walked = []
+    closure = emergent.processes._closure
+
+    def spy(*args):
+        walked.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(emergent.processes, "_closure", spy)
+    assert verify_generation(cat.theory, planted) == _two_closure_generation(cat.theory, planted)
+    assert len(walked) == 1
