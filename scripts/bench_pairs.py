@@ -17,13 +17,17 @@ names none).  A gain is claimed only when at least ten pairs ran, the
 change wins at least nine tenths of them, the medians differ, in the
 change's favour, by more than the distance between the parent's
 quartiles, and the change fails no larger share of its operations than
-the parent.  Standard library only.
+the parent.  It also says whether the change's median is worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a
+share of the parent's median in the metric's better direction: a change
+that does so regresses.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -48,11 +52,14 @@ def verdict(
     lower_is_better: bool = True,
     parent_failed: float = 0.0,
     change_failed: float = 0.0,
+    bound: float = 0.0,
 ) -> dict:
-    """Wins and the gain rule for one metric over pairs ``(parent[k], change[k])``.
+    """Wins, the gain rule and the bound for one metric over pairs ``(parent[k], change[k])``.
 
     ``parent_failed`` and ``change_failed`` are the shares of each side's
-    operations that failed over all its runs.
+    operations that failed over all its runs.  ``worse`` is how much worse
+    the change's median is than the parent's, as a share of the parent's;
+    the change regresses when that exceeds ``bound``.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
@@ -62,6 +69,7 @@ def verdict(
     change_q = quartiles(change)
     spread = parent_q[2] - parent_q[0]
     gain = sign * (parent_q[1] - change_q[1])
+    worse = -gain / abs(parent_q[1]) if parent_q[1] else (math.inf if gain < 0 else 0.0)
     return {
         "pairs": len(parent),
         "wins": wins,
@@ -73,6 +81,9 @@ def verdict(
         and 10 * wins >= 9 * len(parent)
         and gain > spread
         and change_failed <= parent_failed,
+        "bound": bound,
+        "worse": worse,
+        "regresses": worse > bound,
     }
 
 
@@ -99,14 +110,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def benchmark() -> tuple[float, dict[str, bool]]:
-    """The run length, and whether lower is better per end-to-end metric.
+def benchmark() -> tuple[float, dict[str, bool], dict[str, float]]:
+    """The run length, and per end-to-end metric whether lower is better and its bound.
 
-    Both are read from this checkout's ``BENCHMARK.json``.
+    All are read from this checkout's ``BENCHMARK.json``.
     """
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower = {m["name"]: m.get("better", "lower") == "lower" for m in spec["end_to_end"]}
-    return spec["run_seconds"], lower
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
+    return spec["run_seconds"], lower, bounds
 
 
 def main(argv=None) -> int:
@@ -117,7 +129,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed-base", type=int, default=1)
     args = parser.parse_args(argv)
-    seconds, lower = benchmark()
+    seconds, lower, bounds = benchmark()
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(PAIRS):
@@ -149,12 +161,15 @@ def main(argv=None) -> int:
             lower.get(name, True),
             failed_share["parent"],
             failed_share["change"],
+            bounds.get(name, 0.0),
         )
         print(
             f"{name}: parent {v['parent'][1]:.6g} (q1 {v['parent'][0]:.6g}, q3 {v['parent'][2]:.6g}); "
             f"change {v['change'][1]:.6g} (q1 {v['change'][0]:.6g}, q3 {v['change'][2]:.6g}); "
             f"change wins {v['wins']} of {v['pairs']}; median gain {v['gain']:.6g} "
-            f"against parent spread {v['spread']:.6g}; gain rule {'holds' if v['holds'] else 'fails'}"
+            f"against parent spread {v['spread']:.6g}; gain rule {'holds' if v['holds'] else 'fails'}; "
+            f"worse by {v['worse']:.2%} against bound {v['bound']:.0%}: "
+            f"{'regresses' if v['regresses'] else 'within bound'}"
         )
     return 0
 

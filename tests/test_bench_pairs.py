@@ -62,8 +62,26 @@ def test_bench_pairs_claims_nothing_when_more_operations_fail():
 
 def test_bench_pairs_takes_run_length_and_pair_count_from_no_option():
     module = _bench_pairs()
-    seconds, lower = module.benchmark()
+    seconds, lower, bounds = module.benchmark()
     assert seconds > 0 and lower["wall_s"]
+    assert set(bounds) == set(lower) and bounds["wall_s"] > 0
     for option in ("--pairs", "--seconds"):
         with pytest.raises(SystemExit):
             module.main(["--parent", ".", "--workload", "cli-27", option, "3"])
+
+
+def test_bench_pairs_bound_on_fixed_numbers():
+    verdict = _bench_pairs().verdict
+    parent = [float(x) for x in range(1, 11)]  # median 5.5
+    # 10 % worse in the median, within a 25 % bound.
+    within = verdict(parent, [p + 0.55 for p in parent], bound=0.25)
+    assert within["bound"] == 0.25
+    assert within["worse"] == pytest.approx(0.1)
+    assert not within["regresses"] and not within["holds"]
+    # 30 % worse is beyond it.
+    beyond = verdict(parent, [p + 1.65 for p in parent], bound=0.25)
+    assert beyond["worse"] == pytest.approx(0.3) and beyond["regresses"]
+    # A gain is never a regression, and where higher is better a fall is.
+    assert not verdict(parent, [p - 6 for p in parent], bound=0.0)["regresses"]
+    assert verdict(parent, [p - 2 for p in parent], lower_is_better=False, bound=0.25)["regresses"]
+    assert not verdict(parent, [p + 2 for p in parent], lower_is_better=False, bound=0.0)["regresses"]
