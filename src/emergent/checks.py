@@ -55,10 +55,10 @@ from .states import (
 )
 from .systems import (
     System,
+    _product_points,
     compatibility_rows,
     enumerate_systems,
     tensor_pure_states,
-    tensor_state_candidates,
     tensor_systems,
     trivial_system,
 )
@@ -372,8 +372,9 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     has seen that the stabilizer of sigma fixes tau (C1) and the stabilizer
     of rho fixes each k0 tau (C2).  When C1, C2 or a comparison fails, the
     loop over every (h, k) runs and reports as it always has.  Purity is
-    read from each system's ``purity_row``, and a pair's candidate points
-    are restricted through the composite's ``local_row``.
+    read from each system's ``purity_row``.  A state pair's composites are
+    the pair's product points (one ``_product_points`` row per pair) that
+    lie in both states, restricted through the composite's ``local_row``.
     """
     violations: list[str] = []
     notices: list[str] = []
@@ -441,6 +442,7 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
         composite = tensor_systems(theory, a, b)
         composite_orbit = composite.pure_set
         composite_row = local_row(theory, composite.transf)
+        product_points = _product_points(theory, a, b)
         for rho in a.pure_orbit:
             for sigma in b.pure_orbit:
                 try:
@@ -450,8 +452,12 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                         f"systems: no composite state for a state pair of {i}, {j}"
                     )
                     continue
-                candidates = tensor_state_candidates(theory, a, b, rho, sigma)
-                if len({composite_row[p] for p in candidates}) != 1:
+                composites = {
+                    composite_row[p]
+                    for p in product_points
+                    if p in rho.points and p in sigma.points
+                }
+                if len(composites) != 1:
                     violations.append(
                         f"systems: a state pair of {i}, {j} has more than one "
                         "composite state"

@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p_check)
     p_check.add_argument(
         "--suite",
-        choices=("lattice", "states", "systems", "processes", "pmcat", "all"),
+        choices=(*SUITES, "all"),
         default="all",
         help="which suite to run",
     )

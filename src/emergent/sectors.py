@@ -18,7 +18,12 @@ MULTIPLICATIVE = "purely_multiplicative"
 ADDITIVE = "purely_additive"
 GENERAL = "general"
 
-_SECTOR = re.compile(r"^\s*(\d+)\s*x\s*(\d+)\s*$")
+_SECTOR = re.compile(r"^\s*([0-9]+)\s*x\s*([0-9]+)\s*$")
+# No number in a decomposition's report may have more digits than this,
+# CPython's default cap on int-str conversion.  The parser checks it
+# itself, so Python versions with and without the cap refuse alike.
+MAX_DIGITS = 4300
+_TOO_LARGE = 10**MAX_DIGITS
 
 
 class SectorDecomposition(NamedTuple):
@@ -56,7 +61,11 @@ def make_decomposition(pairs) -> SectorDecomposition:
 
 
 def parse_decomposition(text: str) -> SectorDecomposition:
-    """Parse ``"a x b + a x b + ..."`` with optional whitespace."""
+    """Parse ``"a x b + a x b + ..."`` with optional whitespace.
+
+    Numbers are ASCII digits.  A number, or a total or group dimension,
+    of more than ``MAX_DIGITS`` digits is a ``ParseError``.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty decomposition")
     pairs = []
@@ -64,8 +73,15 @@ def parse_decomposition(text: str) -> SectorDecomposition:
         m = _SECTOR.match(chunk)
         if m is None:
             raise ParseError(f"cannot parse sector {chunk.strip()!r}")
+        if max(len(m.group(1)), len(m.group(2))) > MAX_DIGITS:
+            raise ParseError(f"a sector number has more than {MAX_DIGITS} digits")
         pairs.append((int(m.group(1)), int(m.group(2))))
-    return make_decomposition(pairs)
+    decomp = make_decomposition(pairs)
+    if max(decomp.total_dimension, group_dimension(decomp)) >= _TOO_LARGE:
+        raise ParseError(
+            f"the decomposition's dimensions have more than {MAX_DIGITS} digits"
+        )
+    return decomp
 
 
 def commutant_decomp(decomp: SectorDecomposition) -> SectorDecomposition:

@@ -93,15 +93,31 @@ def enumerate_systems(theory: GlobalTheory) -> tuple[System, ...]:
 
 
 @theory_memo
+def _product_points(theory: GlobalTheory, a: System, b: System) -> tuple[int, ...]:
+    """The pair's product points, ascending: the one composability rule.
+
+    A product point is pure over the join, and the factors' orbits meet
+    only in it.  A unit factor needs no case: its join with ``b`` is ``b``
+    and its orbits are single points.
+    """
+    pure_j = purity_row(theory, join(theory, a.transf, b.transf))
+    orbits_a = _orbits(theory, a.transf)
+    orbits_b = _orbits(theory, b.transf)
+    return tuple(
+        point
+        for point in theory.points
+        if pure_j[point] and len(orbits_a[point] & orbits_b[point]) == 1
+    )
+
+
+@theory_memo
 def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
     """Witness global state if the two systems compose, else None.
 
     The trivial system is compatible with everything.  Otherwise the two
-    transformation subgroups must be mutual complements inside their join
-    and some global state must restrict to a pure state of each factor
-    while splitting over the pair and over the join.  Orthocomplementary
-    subgroups commute, so the pair splits at a point exactly when its two
-    orbits, read from the factors' ``_orbits`` rows, meet only there.
+    transformation subgroups must be mutual complements inside their join,
+    and the witness is the first product point whose two factor states are
+    pure.
     """
     if a.is_trivial:
         return b.pure_orbit[0].representative
@@ -111,17 +127,8 @@ def are_compatible(theory: GlobalTheory, a: System, b: System) -> int | None:
         return None
     row_a = local_row(theory, a.transf)
     row_b = local_row(theory, b.transf)
-    pure_j = purity_row(theory, join(theory, a.transf, b.transf))
-    orbits_a = _orbits(theory, a.transf)
-    orbits_b = _orbits(theory, b.transf)
-    for point in theory.points:
-        if row_a[point] not in a.pure_set:
-            continue
-        if row_b[point] not in b.pure_set:
-            continue
-        if not pure_j[point]:
-            continue
-        if len(orbits_a[point] & orbits_b[point]) == 1:
+    for point in _product_points(theory, a, b):
+        if row_a[point] in a.pure_set and row_b[point] in b.pure_set:
             return point
     return None
 
@@ -158,16 +165,12 @@ def compatibility_rows(
 @theory_memo
 def tensor_systems(theory: GlobalTheory, a: System, b: System) -> System:
     """The composite system of a compatible pair; unit factors vanish."""
-    if a.is_trivial:
-        return b
-    if b.is_trivial:
-        return a
     if are_compatible(theory, a, b) is None:
         raise IncompatibleSystems(
             "the systems are not mutual complements with a joint product state"
         )
     # The witness is a product state of the join, so it needs no second
-    # proof; the memo returns the listed system.
+    # proof; the memo returns the listed system, the other one for a unit.
     return make_system(theory, join(theory, a.transf, b.transf))
 
 
@@ -181,18 +184,8 @@ def tensor_state_candidates(
         raise StateNotInSystem("second state does not belong to the second system")
     if are_compatible(theory, a, b) is None:
         raise IncompatibleSystems("cannot tensor states of incompatible systems")
-    if a.is_trivial or b.is_trivial:
-        return tuple(sorted(rho.points & sigma.points))
-    pure_j = purity_row(theory, join(theory, a.transf, b.transf))
-    orbits_a = _orbits(theory, a.transf)
-    orbits_b = _orbits(theory, b.transf)
-    found = []
-    for point in sorted(rho.points & sigma.points):
-        if not pure_j[point]:
-            continue
-        if len(orbits_a[point] & orbits_b[point]) == 1:
-            found.append(point)
-    return tuple(found)
+    both = rho.points & sigma.points
+    return tuple(point for point in _product_points(theory, a, b) if point in both)
 
 
 @theory_memo
@@ -201,13 +194,9 @@ def tensor_pure_states(
 ) -> LocalState:
     """The unique composite pure state restricting to the given factors."""
     candidates = tensor_state_candidates(theory, a, b, rho, sigma)
-    if a.is_trivial:
-        return sigma
-    if b.is_trivial:
-        return rho
     if not candidates:
         raise IncompatibleSystems(
             "no joint global state realizes the given pair of pure states"
         )
-    composite = tensor_systems(theory, a, b)
-    return restrict(theory, composite.transf, candidates[0])
+    # The composite's transformations are the join, unit factors included.
+    return restrict(theory, join(theory, a.transf, b.transf), candidates[0])

@@ -54,14 +54,13 @@ from emergent.states import (
 )
 from emergent.systems import (
     System,
-    are_compatible,
     enumerate_systems,
     system_key,
     tensor_pure_states,
-    tensor_state_candidates,
     tensor_systems,
     trivial_system,
 )
+from emergent.systems import are_compatible as engine_are_compatible
 
 
 def compose(g, h):
@@ -184,6 +183,65 @@ def is_product_point(elements, sub, point):
     comm = centralizer_in(elements, sub)
     joint = orbit_of(product_elements(sub, comm), point)
     return len(joint) == len(orbit_of(sub, point)) * len(orbit_of(comm, point))
+
+
+# -- composability ---------------------------------------------------------
+#
+# The rule by which two systems compose, on raw tuples: ``a`` and ``b`` are
+# the members of two systems' subgroups as image tuples, ``elements`` the
+# whole group's, and a state is its set of points.
+
+
+def join_of(elements, a, b):
+    """The double commutant of ``a`` and ``b`` together."""
+    return centralizer_in(elements, centralizer_in(elements, a | b))
+
+
+def product_points(elements, a, b):
+    """Points pure over the join whose ``a``- and ``b``-orbits meet only in the point."""
+    joined = join_of(elements, a, b)
+    degree = len(next(iter(elements)))
+    return tuple(
+        p
+        for p in range(degree)
+        if orbit_of(a, p) & orbit_of(b, p) == {p} and is_product_point(elements, joined, p)
+    )
+
+
+def are_compatible(elements, a, b):
+    """The least product point where both factors are pure, if the two compose.
+
+    The trivial subgroup composes with everything; any other pair must be
+    each other's commutant inside their join.
+    """
+    if len(a) > 1 and len(b) > 1:
+        # Commuting is implied by the complement test; it is the cheap exit.
+        if centralizer_in(b, a) != b:
+            return None
+        joined = join_of(elements, a, b)
+        if centralizer_in(joined, a) != b or centralizer_in(joined, b) != a:
+            return None
+    return next(
+        (
+            p
+            for p in product_points(elements, a, b)
+            if is_product_point(elements, a, p) and is_product_point(elements, b, p)
+        ),
+        None,
+    )
+
+
+def tensor_state_candidates(elements, a, b, rho, sigma):
+    """The product points of ``a`` and ``b`` that lie in both states."""
+    return tuple(p for p in product_points(elements, a, b) if p in rho and p in sigma)
+
+
+def raw_elements(theory: GlobalTheory) -> frozenset:
+    return frozenset(map(tuple, theory.group.elements))
+
+
+def raw_members(system: System) -> frozenset:
+    return frozenset(map(tuple, system.transf.members))
 
 
 # -- pmcat -----------------------------------------------------------------
@@ -519,7 +577,7 @@ def _decompositions(
     options: dict[System, list[System]] = {}
     for k in universe:
         for m in universe:
-            if are_compatible(theory, k, m) is None:
+            if engine_are_compatible(theory, k, m) is None:
                 continue
             if tensor_systems(theory, k, m) == total:
                 options.setdefault(k, []).append(m)
@@ -539,7 +597,7 @@ def build_process_category(
     objects = []
     for a in universe:
         for b in universe:
-            if are_compatible(theory, a, b) is not None:
+            if engine_are_compatible(theory, a, b) is not None:
                 objects.append(make_pair(theory, a, b))
     objects.sort(key=lambda p: (system_key(p.system), system_key(p.environment)))
     objects = tuple(objects)
@@ -1055,8 +1113,8 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     compatible_pairs = []
     for i, a in enumerate(systems):
         for j, b in enumerate(systems):
-            forward = are_compatible(theory, a, b)
-            backward = are_compatible(theory, b, a)
+            forward = engine_are_compatible(theory, a, b)
+            backward = engine_are_compatible(theory, b, a)
             if (forward is None) != (backward is None):
                 violations.append(f"systems: compatibility of {i}, {j} is not symmetric")
             if forward is not None:
@@ -1066,10 +1124,12 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                         f"systems: the composite of {i}, {j} depends on the order"
                     )
 
+    elements = raw_elements(theory)
     for i, j in compatible_pairs:
         a, b = systems[i], systems[j]
         composite = tensor_systems(theory, a, b)
         composite_orbit = set(composite.pure_orbit)
+        points = product_points(elements, raw_members(a), raw_members(b))
         for rho in a.pure_orbit:
             for sigma in b.pure_orbit:
                 try:
@@ -1079,7 +1139,7 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                         f"systems: no composite state for a state pair of {i}, {j}"
                     )
                     continue
-                candidates = tensor_state_candidates(theory, a, b, rho, sigma)
+                candidates = [p for p in points if p in rho.points and p in sigma.points]
                 if len({restrict(theory, composite.transf, p) for p in candidates}) != 1:
                     violations.append(
                         f"systems: a state pair of {i}, {j} has more than one "

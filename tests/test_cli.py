@@ -203,6 +203,35 @@ def test_quantum_bad_input(capsys, text):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["1x" + "9" * 5000, "9" * 3000 + "x" + "9" * 3000, "9" * 4300 + "x1", "\u0663x2"],
+    ids=["long-number", "long-total", "long-group-dimension", "arabic-indic-digit"],
+)
+def test_quantum_refuses_numbers_it_cannot_write(capsys, text):
+    # Past the digit cap an int cannot be read or written on CPython 3.11+,
+    # so the parser refuses first, the same on every version.
+    code, out, err = run_cli(capsys, ["quantum", "--decomposition", text])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_quantum_writes_numbers_up_to_the_cap(capsys):
+    code, out, _ = run_cli(capsys, ["quantum", "--decomposition", "1x" + "9" * 4300])
+    assert code == 0
+    assert json.loads(out)["total_dimension"] == 10**4300 - 1
+
+
+def test_check_takes_each_suite_and_all(capsys):
+    parser = cli.build_parser()
+    for name in (*cli.SUITES, "all"):
+        assert parser.parse_args(["check", "--suite", name, "--input", "x"]).suite == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["check", "--help"])
+    assert "{lattice,states,systems,processes,pmcat,all}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "fixture",
     [
         "bad_syntax.json",
@@ -689,6 +718,8 @@ def test_cli_matrix_covers_every_fixture_and_command():
     # Every decomposition but the last parses; the last exits with code 2.
     exits = [matrix.run_case(argv).split("\t")[1] for argv in quantum]
     assert exits == ["0", "0", "0", "2"]
+    slowest = ("check", "--suite", "all", "--input", "fixtures/s3x3x3.json")
+    assert matrix.run_case(slowest, timeout=0.01) == " ".join(slowest) + "\ttimeout"
 
 
 _JUNK = st.one_of(
@@ -759,3 +790,31 @@ def test_cli_exit_codes_on_arbitrary_bytes(data, command):
             code = main([*command, "--input", str(path)])
     assert code in (0, 1, 2, 3)
     assert err.getvalue().startswith("error: ") == (code >= 2)
+
+
+_NUMBER = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.integers(4290, 4310).map(lambda n: "9" * n),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.lists(
+            st.tuples(_NUMBER, st.sampled_from(["x", " x ", "X", "\u0663"]), _NUMBER).map(
+                "".join
+            ),
+            min_size=1,
+            max_size=3,
+        ).map("+".join),
+    )
+)
+def test_quantum_exit_codes_on_arbitrary_decompositions(text):
+    # Any decomposition text exits 0 or 2, with an error line exactly on 2.
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(["quantum", f"--decomposition={text}"])
+    assert code in (0, 2)
+    assert err.getvalue().startswith("error: ") == (code == 2)
+    assert (out.getvalue() == "") == (code == 2)

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from emergent import checks
 from emergent import systems as systems_module
+from emergent.perms import theory_memo
 from emergent.states import local_row
 from emergent import (
     IncompatibleSystems,
@@ -135,6 +136,31 @@ def test_compatibility_rows_equal_the_pair_loop(request, theory):
     rows = systems_module.compatibility_rows(theory, systems)
     assert rows == expected
     assert all(list(row) == sorted(row) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "theory", ["t1", "t2", "t3", "t5", "d5", "f20", "a4", "s5", "s3_regular"]
+)
+def test_composability_equals_the_raw_tuple_oracles(request, theory):
+    theory = request.getfixturevalue(theory)
+    elements = oracles.raw_elements(theory)
+    systems = enumerate_systems(theory)
+    raw = {s: oracles.raw_members(s) for s in systems}
+    for a, b in itertools.product(systems, repeat=2):
+        witness = oracles.are_compatible(elements, raw[a], raw[b])
+        assert are_compatible(theory, a, b) == witness
+        if witness is None:
+            with pytest.raises(IncompatibleSystems):
+                tensor_state_candidates(theory, a, b, a.pure_orbit[0], b.pure_orbit[0])
+            continue
+        points = oracles.product_points(elements, raw[a], raw[b])
+        assert systems_module._product_points(theory, a, b) == points
+        for rho, sigma in itertools.product(a.pure_orbit, b.pure_orbit):
+            assert tensor_state_candidates(
+                theory, a, b, rho, sigma
+            ) == oracles.tensor_state_candidates(
+                elements, raw[a], raw[b], rho.points, sigma.points
+            )
 
 
 def test_tensor_unit_laws(t2):
@@ -467,8 +493,8 @@ def test_planted_tensor_fault_gives_the_triple_loop_result(t2, monkeypatch):
     # Tensoring system 19 with the unit, in either order, gives system 2.
     # Its triples differ in an order that any other loop nesting would
     # change, and one is defined only on the left, one only on the right.
-    # tensor_pure_states returns before tensoring a unit factor, so no
-    # cached function keeps a result of the patch.
+    # tensor_pure_states restricts to the join, not to tensor_systems, so
+    # no cached function keeps a result of the patch.
     systems = enumerate_systems(t2)
     unit, big, small = systems[0], systems[19], systems[2]
     assert unit == trivial_system(t2)
@@ -520,3 +546,35 @@ def test_composites_are_the_enumerated_systems(fixture):
         if are_compatible(theory, a, b) is not None:
             composite = tensor_systems(theory, a, b)
             assert any(composite is s for s in systems)
+
+
+def test_systems_suite_builds_one_product_point_row_per_compatible_pair(monkeypatch):
+    # A freshly loaded theory, so the memo holds no row yet.  Every orbit
+    # meet of two factors is in the row build, so counting the factors'
+    # orbit reads in the systems layer counts every such scan.
+    theory, _ = load_theory(FIXTURES / "s3x3.json")
+    build = systems_module._product_points.__wrapped__
+    orbits = systems_module._orbits
+    rows, orbit_reads = [], []
+
+    def spy_build(theory, a, b):
+        rows.append((a, b))
+        return build(theory, a, b)
+
+    def spy_orbits(theory, sub):
+        orbit_reads.append(sub)
+        return orbits(theory, sub)
+
+    product_points = theory_memo(spy_build)
+    monkeypatch.setattr(systems_module, "_product_points", product_points)
+    monkeypatch.setattr(checks, "_product_points", product_points)
+    monkeypatch.setattr(systems_module, "_orbits", spy_orbits)
+    assert not checks.systems_suite(theory).violations
+    compatible = [
+        (a, b)
+        for a, b in itertools.product(enumerate_systems(theory), repeat=2)
+        if are_compatible(theory, a, b) is not None
+    ]
+    assert len(rows) == len(set(rows)) == len(compatible) == 78
+    assert set(rows) == set(compatible)
+    assert len(orbit_reads) == 2 * len(rows)
