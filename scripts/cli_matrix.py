@@ -2,10 +2,13 @@
 
 Runs ``lattice``, ``lattice --format dot``, ``systems``, ``scan-mixed`` and
 ``check --suite S`` for each of the six suite choices, on each of the ten
-fixtures and on a missing file, and ``quantum`` on three decompositions
-and on a malformed one: 114 cases.  Each case runs in a fresh interpreter
-from the root of the checkout under test, with ``PYTHONHASHSEED=0`` and
-with that checkout's ``src`` as the whole ``PYTHONPATH``.  One line per
+fixtures and on a missing file; ``quantum`` on three decompositions and on
+a malformed one; and argparse's own output: ``--help`` for the program and
+for each subcommand, and the usage error of ``check --suite bogus``.  That
+is 121 cases.  Each case runs in a fresh interpreter from the root of the
+checkout under test, with ``PYTHONHASHSEED=0``, with ``COLUMNS=80`` (help
+text wraps at the terminal's width) and with that checkout's ``src`` as
+the whole ``PYTHONPATH``.  One line per
 case gives the argv, the exit code, and the SHA-256 of stdout and of
 stderr, tab-separated.  A case still running after ``CASE_TIMEOUT``
 seconds is killed, and its line gives the argv and ``timeout``.
@@ -61,16 +64,26 @@ COMMANDS = (
 # The decompositions the benchmark's check-small workload runs, and one
 # that does not parse (exit code 2).
 DECOMPOSITIONS = ("2x2+1x3", "1x6", "3x1+2x1", "2x")
-CASES = tuple(
-    (*command, "--input", path) for path in INPUTS for command in COMMANDS
-) + tuple(("quantum", "--decomposition", text) for text in DECOMPOSITIONS)
+SUBCOMMANDS = ("lattice", "systems", "scan-mixed", "check", "quantum")
+# The parser's own bytes: every help text (exit code 0) and a usage error
+# (exit code 2).
+PARSER_CASES = (
+    ("--help",),
+    *((command, "--help") for command in SUBCOMMANDS),
+    ("check", "--suite", "bogus", "--input", "fixtures/s3.json"),
+)
+CASES = (
+    tuple((*command, "--input", path) for path in INPUTS for command in COMMANDS)
+    + tuple(("quantum", "--decomposition", text) for text in DECOMPOSITIONS)
+    + PARSER_CASES
+)
 
 
 def run_case(
     argv: tuple[str, ...], root: Path = ROOT, timeout: float = CASE_TIMEOUT
 ) -> str:
     """One output line: argv, exit code, and the digests of both streams."""
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, COLUMNS="80", PYTHONHASHSEED="0", PYTHONPATH=str(root / "src"))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "emergent.cli", *argv],

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from itertools import islice
-from typing import NamedTuple
 
 from .errors import IncompatibleSystems, ResourceLimit, TheoryError
 from .lattice import (
@@ -67,12 +67,10 @@ SAMPLE_SEED = 20240801
 COMPOSE_SAMPLE = 2_000
 
 
-class SuiteResult(NamedTuple):
-    """Outcome of one verification suite."""
+class SuiteResult(namedtuple("SuiteResult", "name violations notices")):
+    """Outcome of one verification suite: its name, and tuples of strings."""
 
-    name: str
-    violations: tuple[str, ...]
-    notices: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -784,9 +782,9 @@ def _effect_violations(cat: ProcessCategory) -> list[str]:
 
 def pmcat_suite(cat: ProcessCategory) -> SuiteResult:
     """Partially-monoidal category axioms on the process category."""
-    from .pmcat import check_partially_monoidal, instance_from_category
+    from .pmcat import category_tables, check_partially_monoidal
 
-    inst = instance_from_category(cat)
+    inst = category_tables(cat)
     found = check_partially_monoidal(inst)
     violations = tuple(
         f"{v.kind}: {v.message} (witness {v.witness})" for v in found

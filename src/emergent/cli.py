@@ -11,6 +11,10 @@ Subcommands:
 Exit codes: 0 success, 1 property violation, 2 bad input, 3 resource cap,
 141 stdout closed before the output was written (as a shell reports a tool
 that SIGPIPE ends).
+
+Each handler imports the layers it runs, so a subcommand loads no layer
+above its own, ``quantum`` loads no group code, and ``check`` loads the
+suites only once its input has loaded as a valid theory.
 """
 
 from __future__ import annotations
@@ -20,27 +24,20 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .catalog import load_theory
-from .checks import SUITES, SuiteResult, run_suites
-from .errors import ResourceLimit, TheoryError
-from .lattice import SbcLattice, enumerate_self_bicommutant
-from .perms import GlobalTheory
-from .sectors import (
-    GENERAL,
-    SpecialPairReport,
-    centre_rank,
-    check_special_pair_claims,
-    classify,
-    commutant_decomp,
-    group_dimension,
-    parse_decomposition,
-    system_count,
-)
-from .states import purity_row
-from .systems import compatibility_rows, enumerate_systems
+from .errors import ParseError, ResourceLimit, TheoryError
+
+# Names read only in annotations: each handler imports the layers it runs.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .checks import SuiteResult
+    from .lattice import SbcLattice
+    from .perms import GlobalTheory
 
 # The exit code a shell reports for a tool that SIGPIPE ends.
 BROKEN_PIPE = 141
+# ``checks.SUITES``' names, in order, so that the parser need not import
+# the suites.
+SUITES = ("lattice", "states", "systems", "processes", "pmcat")
 
 
 def _dump(payload) -> str:
@@ -130,6 +127,9 @@ def lattice_dot(theory: GlobalTheory, lattice: SbcLattice) -> str:
 
 
 def cmd_lattice(args) -> int:
+    from .catalog import load_theory
+    from .lattice import enumerate_self_bicommutant
+
     theory, _ = load_theory(args.input, args.max_order)
     lattice = enumerate_self_bicommutant(theory)
     if args.format == "dot":
@@ -140,6 +140,10 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_systems(args) -> int:
+    from .catalog import load_theory
+    from .lattice import enumerate_self_bicommutant
+    from .systems import compatibility_rows, enumerate_systems
+
     theory, _ = load_theory(args.input, args.max_order)
     lattice = enumerate_self_bicommutant(theory)
     systems = enumerate_systems(theory)
@@ -165,6 +169,10 @@ def cmd_systems(args) -> int:
 
 
 def cmd_scan_mixed(args) -> int:
+    from .catalog import load_theory
+    from .lattice import enumerate_self_bicommutant
+    from .states import purity_row
+
     theory, _ = load_theory(args.input, args.max_order)
     lattice = enumerate_self_bicommutant(theory)
     nodes = []
@@ -196,8 +204,13 @@ def render_check_report(results: tuple[SuiteResult, ...]) -> tuple[str, int]:
 
 
 def cmd_check(args) -> int:
+    from .catalog import load_theory
+
     theory, _ = load_theory(args.input, args.max_order)
-    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    # Only now: input that fails to load loads no suite.
+    from .checks import run_suites
+
+    names = SUITES if args.suite == "all" else (args.suite,)
     results = run_suites(theory, names)
     text, code = render_check_report(results)
     sys.stdout.write(text)
@@ -205,6 +218,17 @@ def cmd_check(args) -> int:
 
 
 def quantum_report(text: str) -> dict:
+    from .sectors import (
+        GENERAL,
+        centre_rank,
+        check_special_pair_claims,
+        classify,
+        commutant_decomp,
+        group_dimension,
+        parse_decomposition,
+        system_count,
+    )
+
     decomp = parse_decomposition(text)
     kind = classify(decomp)
     payload = {
@@ -223,7 +247,7 @@ def quantum_report(text: str) -> dict:
             "multiplicative and purely additive shapes"
         )
     else:
-        report: SpecialPairReport = check_special_pair_claims(decomp)
+        report = check_special_pair_claims(decomp)
         payload["claims"] = {
             "orthogonal": report.orthogonal,
             "orthocomplementary": report.orthocomplementary,
@@ -234,7 +258,15 @@ def quantum_report(text: str) -> dict:
 
 
 def cmd_quantum(args) -> int:
-    sys.stdout.write(_dump(quantum_report(args.decomposition)))
+    try:
+        text = _dump(quantum_report(args.decomposition))
+    except ValueError:
+        # Only writing an int raises it here: the interpreter's own cap on
+        # int-str conversion may be below ``sectors.MAX_DIGITS``.
+        raise ParseError(
+            "the decomposition's dimensions have more digits than this interpreter writes"
+        ) from None
+    sys.stdout.write(text)
     return 0
 
 

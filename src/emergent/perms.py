@@ -42,10 +42,10 @@ and dies with it, and an equal but distinct theory computes its own.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial, wraps
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeMismatch,

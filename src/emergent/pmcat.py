@@ -24,49 +24,57 @@ checked for nothing else.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import chain, compress
 from operator import eq, itemgetter
-from typing import NamedTuple
 
 from .lattice import enumerate_self_bicommutant
 from .perms import _tuple_getter
 from .processes import DEFAULT_OBJECT_CAP, CompositionRows, build_process_category
 
 
-class Violation(NamedTuple):
-    """A single failed axiom with a witness locating it."""
-
-    kind: str
-    witness: tuple
-    message: str
+Violation = namedtuple("Violation", "kind witness message")
+Violation.__doc__ = "A single failed axiom with a witness locating it."
 
 
-@dataclass
-class FiniteCategoryInstance:
+class CategoryTables:
     """A finite category with a partial tensor, given by explicit tables.
 
     ``compose`` maps (g, f) to g after f and must cover every composable
     pair; ``tensor_obj`` and ``tensor_mor`` are partial.  The checker only
-    reads the tables, so an instance made from a built category shares
-    that category's tables, and its composition is the category's
-    read-only rows: ``dict(...)`` a table before planting a change in
-    it.  ``extract_instance`` holds its composition as a dict instead.
-    A dataclass, so that ``dataclasses.replace`` copies an instance with
-    a planted table.
+    reads the tables, so tables made from a built category share that
+    category's tables, and their composition is the category's read-only
+    rows.  ``hom_sets``, ``by_dom`` and ``isomorphic_pairs`` are indexes
+    derived from the tables on first use.
+
+    A plain class, so that checking a category does not import
+    ``dataclasses``; ``instance.FiniteCategoryInstance`` is its dataclass
+    form, for callers that copy an instance with a planted table.
     """
 
-    objects: tuple[str, ...]
-    morphisms: tuple[str, ...]
-    dom: tuple[int, ...]
-    cod: tuple[int, ...]
-    identity: tuple[int, ...]
-    compose: Mapping[tuple[int, int], int]
-    tensor_obj: dict[tuple[int, int], int]
-    tensor_mor: dict[tuple[int, int], int]
-    unit: int
+    def __init__(
+        self,
+        objects: tuple[str, ...],
+        morphisms: tuple[str, ...],
+        dom: tuple[int, ...],
+        cod: tuple[int, ...],
+        identity: tuple[int, ...],
+        compose: Mapping[tuple[int, int], int],
+        tensor_obj: dict[tuple[int, int], int],
+        tensor_mor: dict[tuple[int, int], int],
+        unit: int,
+    ) -> None:
+        self.objects = objects
+        self.morphisms = morphisms
+        self.dom = dom
+        self.cod = cod
+        self.identity = identity
+        self.compose = compose
+        self.tensor_obj = tensor_obj
+        self.tensor_mor = tensor_mor
+        self.unit = unit
 
     @cached_property
     def hom_sets(self) -> dict[tuple[int, int], list[int]]:
@@ -107,28 +115,28 @@ class FiniteCategoryInstance:
         return frozenset(pairs)
 
 
-class _Rows(NamedTuple):
-    """Row tables over one instance's composition and tensors.
-
-    A built category's rows are read in place, a dict table's built for
-    the call; ``lookup`` reads the table itself.  Entries whose key or
-    value names no morphism or object are kept out and listed in
-    ``bad_compose``, ``bad_tensor`` and ``bad_tensor_obj``; the
-    definedness checks still see the keys that name a pair, the checks
-    on values skip them.
-    """
-
-    succ: list  # succ[f]: the g composable after f, ascending
-    rank: list[int] | dict[int, int]  # rank[g]: g's position among the morphisms leaving dom g
-    row: list[tuple]  # row[f][rank[g]] == g after f, or None
-    lookup: Callable[[int, int], int | None]  # lookup(g, f) == g after f, or None
-    tens: list[dict[int, int]]  # tens[f][g] == f x g, ascending g
-    tensor_entries: list[tuple[int, int, int]]  # (f, g, f x g) in table order
-    tensor_obj: Mapping[tuple[int, int], int]  # the object tensor's well-formed entries
-    obj_defined: Mapping[tuple[int, int], object]  # every entry keyed by a pair of objects
-    bad_compose: list[tuple[tuple, object]]
-    bad_tensor: list[tuple[tuple, object]]
-    bad_tensor_obj: list[tuple[tuple, object]]
+# Row tables over one instance's composition and tensors.
+#
+# A built category's rows are read in place, a dict table's built for the
+# call; ``lookup`` reads the table itself.  Entries whose key or value
+# names no morphism or object are kept out and listed in ``bad_compose``,
+# ``bad_tensor`` and ``bad_tensor_obj``; the definedness checks still see
+# the keys that name a pair, the checks on values skip them.
+#
+#   succ[f]            the g composable after f, ascending
+#   rank[g]            g's position among the morphisms leaving dom g (list or dict)
+#   row[f][rank[g]]    g after f, or None
+#   lookup(g, f)       g after f, or None
+#   tens[f][g]         f x g, ascending g
+#   tensor_entries     (f, g, f x g) in table order
+#   tensor_obj         the object tensor's well-formed entries
+#   obj_defined        every object-tensor entry keyed by a pair of objects
+#   bad_compose, bad_tensor, bad_tensor_obj   (key, value) of malformed entries
+_Rows = namedtuple(
+    "_Rows",
+    "succ rank row lookup tens tensor_entries tensor_obj obj_defined"
+    " bad_compose bad_tensor bad_tensor_obj",
+)
 
 
 def _names(named: tuple[int, ...], x) -> bool:
@@ -149,7 +157,7 @@ def _names_pair(named: tuple[int, ...], key) -> bool:
     return _names(named, a) and _names(named, b)
 
 
-def _rows(inst: FiniteCategoryInstance) -> _Rows:
+def _rows(inst: CategoryTables) -> _Rows:
     dom, cod, compose = inst.dom, inst.cod, inst.compose
     # named[x] == x exactly when x is a morphism number (see ``_names``);
     # the hot loops below test it inline.
@@ -224,7 +232,7 @@ def _malformed(
     ]
 
 
-def _check_endpoint_tables(inst: FiniteCategoryInstance) -> list[Violation]:
+def _check_endpoint_tables(inst: CategoryTables) -> list[Violation]:
     """A violation for each ``dom``, ``cod`` or ``identity`` entry naming nothing.
 
     A table of the wrong length is one violation, at the first position
@@ -252,7 +260,7 @@ def _check_endpoint_tables(inst: FiniteCategoryInstance) -> list[Violation]:
     return out
 
 
-def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _check_category(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     out = _malformed("category-composition", "composition", rows.bad_compose)
     n_mor = len(inst.morphisms)
     dom, cod = inst.dom, inst.cod
@@ -313,7 +321,7 @@ def _check_category(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
     return out
 
 
-def _generating_set(inst: FiniteCategoryInstance, rows: _Rows) -> list[int]:
+def _generating_set(inst: CategoryTables, rows: _Rows) -> list[int]:
     """The morphisms, in order, that the earlier ones do not compose to.
 
     Each morphism joins the span once, when it is composed with every
@@ -351,7 +359,7 @@ def _generating_set(inst: FiniteCategoryInstance, rows: _Rows) -> list[int]:
     return generators
 
 
-def _light_test(inst: FiniteCategoryInstance, rows: _Rows) -> bool:
+def _light_test(inst: CategoryTables, rows: _Rows) -> bool:
     """Whether composition is associative, by Light's test on ``_generating_set``.
 
     Call ``a`` middle-associative when h (a f) == (h a) f for every
@@ -380,7 +388,7 @@ def _light_test(inst: FiniteCategoryInstance, rows: _Rows) -> bool:
     return True
 
 
-def _row_search(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _row_search(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     """Every composable triple (h, g, f) on which composition is not associative.
 
     row[g][i] is h g for the i-th h after g, so h (g f) and (h g) f agree
@@ -432,7 +440,7 @@ def _row_search(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
     return out
 
 
-def _check_fullness(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _check_fullness(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     found: list[tuple[int, int, str]] = []
     dom, cod = inst.dom, inst.cod
     tensor_obj, tensor_mor = rows.obj_defined, inst.tensor_mor
@@ -475,7 +483,7 @@ def _check_fullness(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
     ]
 
 
-def _check_functoriality(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _check_functoriality(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     out = _malformed("functoriality", "morphism tensor", rows.bad_tensor)
     dom, cod = inst.dom, inst.cod
     rank, row, lookup, tens = rows.rank, rows.row, rows.lookup, rows.tens
@@ -541,7 +549,7 @@ def _check_functoriality(inst: FiniteCategoryInstance, rows: _Rows) -> list[Viol
     return out
 
 
-def _check_repleteness(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _check_repleteness(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     out: list[Violation] = []
     seen: set[frozenset[int]] = set()
     iso = inst.isomorphic_pairs
@@ -568,7 +576,7 @@ def _check_repleteness(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violat
     return out
 
 
-def _check_associativity(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _check_associativity(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     out = _malformed("associativity-definedness", "object tensor", rows.bad_tensor_obj, "object")
     seen: set[tuple[int, int, int]] = set()
     n = len(inst.objects)
@@ -630,7 +638,7 @@ def _check_associativity(inst: FiniteCategoryInstance, rows: _Rows) -> list[Viol
     return out
 
 
-def _check_unit(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _check_unit(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     # An instance with no objects has nothing for the unit law to read.
     e = inst.unit
     if inst.objects and not _names(tuple(range(len(inst.objects))), e):
@@ -662,7 +670,7 @@ def _check_unit(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
     return out
 
 
-def _check_symmetry(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation]:
+def _check_symmetry(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     out: list[Violation] = []
     t, defined = rows.tensor_obj, rows.obj_defined
     for a, b in defined:
@@ -696,7 +704,7 @@ def _check_symmetry(inst: FiniteCategoryInstance, rows: _Rows) -> list[Violation
     return out
 
 
-def check_partially_monoidal(inst: FiniteCategoryInstance) -> tuple[Violation, ...]:
+def check_partially_monoidal(inst: CategoryTables) -> tuple[Violation, ...]:
     """Run every axiom check and return all violations found.
 
     Every check reads each morphism's endpoints and each object's
@@ -717,10 +725,8 @@ def check_partially_monoidal(inst: FiniteCategoryInstance) -> tuple[Violation, .
     return tuple(out)
 
 
-def extract_instance(
-    theory, systems=None, object_cap=DEFAULT_OBJECT_CAP
-) -> FiniteCategoryInstance:
-    """Build the process category of a theory as a standalone instance.
+def extract_instance(theory, systems=None, object_cap=DEFAULT_OBJECT_CAP):
+    """Build the process category of a theory as a ``FiniteCategoryInstance``.
 
     The category is dropped on return, and callers plant changes in
     copies of the instance's tables, so its composition is a plain dict:
@@ -734,8 +740,19 @@ def extract_instance(
     return inst
 
 
-def instance_from_category(cat) -> FiniteCategoryInstance:
-    """A built process category as a checkable instance."""
+def instance_from_category(cat):
+    """A built process category as a ``FiniteCategoryInstance``."""
+    from .instance import FiniteCategoryInstance
+
+    return _from_category(cat, FiniteCategoryInstance)
+
+
+def category_tables(cat) -> CategoryTables:
+    """A built process category's tables, for ``check_partially_monoidal``."""
+    return _from_category(cat, CategoryTables)
+
+
+def _from_category(cat, kind: type[CategoryTables]) -> CategoryTables:
     lattice = enumerate_self_bicommutant(cat.theory)
 
     def system_label(system) -> str:
@@ -748,7 +765,7 @@ def instance_from_category(cat) -> FiniteCategoryInstance:
     morphisms = tuple(
         f"m{i}:{objects[c.dom]}->{objects[c.cod]}" for i, c in enumerate(cat.classes)
     )
-    return FiniteCategoryInstance(
+    return kind(
         objects=objects,
         morphisms=morphisms,
         dom=tuple(c.dom for c in cat.classes),
@@ -759,3 +776,13 @@ def instance_from_category(cat) -> FiniteCategoryInstance:
         tensor_mor=cat.tensor_mor,
         unit=cat.unit,
     )
+
+
+def __getattr__(name: str):
+    # The dataclass is defined apart, so that importing the checker does
+    # not import ``dataclasses``.
+    if name == "FiniteCategoryInstance":
+        from .instance import FiniteCategoryInstance
+
+        return FiniteCategoryInstance
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,9 +23,9 @@ objects, and a larger one takes the same steps on tuple keys.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, ItemsView, Iterable, Mapping, Sequence
 from itertools import chain, repeat
-from typing import NamedTuple
 
 from .errors import (
     ElementNotInGroup,
@@ -71,11 +71,10 @@ DEFAULT_OBJECT_CAP = 64
 # Typed pairs and their states
 
 
-class SystemEnvironmentPair(NamedTuple):
-    """A system together with the environment it may later interact with."""
-
-    system: System
-    environment: System
+SystemEnvironmentPair = namedtuple("SystemEnvironmentPair", "system environment")
+SystemEnvironmentPair.__doc__ = (
+    "A system together with the environment it may later interact with."
+)
 
 
 @theory_memo
@@ -140,20 +139,18 @@ def pair_states(
 # Full processes
 
 
-class Process(NamedTuple):
-    """Ancilla preparation, joint reversible dynamics, then discarding.
+Process = namedtuple(
+    "Process", "domain ancilla prep transform codomain_system discarded"
+)
+Process.__doc__ = """Ancilla preparation, joint reversible dynamics, then discarding.
 
-    The composite of domain system and ancilla must re-factorize as the
-    codomain system with the discarded system; the environment is
-    untouched and simply absorbs what was discarded.
-    """
-
-    domain: SystemEnvironmentPair
-    ancilla: System
-    prep: LocalState
-    transform: Perm
-    codomain_system: System
-    discarded: System
+``domain`` is a ``SystemEnvironmentPair``, ``prep`` the ancilla's
+``LocalState``, ``transform`` a ``Perm``, and ``ancilla``,
+``codomain_system`` and ``discarded`` are ``System``s.  The composite of
+domain system and ancilla must re-factorize as the codomain system with
+the discarded system; the environment is untouched and simply absorbs
+what was discarded.
+"""
 
 
 def make_process(
@@ -496,22 +493,19 @@ class CompositionRows(Mapping):
         return _CompositionItems(self)
 
 
-class ProcessCategory(NamedTuple):
-    """A finite, tensor-closed fragment of the full process theory.
+ProcessCategory = namedtuple(
+    "ProcessCategory",
+    "theory universe objects classes identity compose tensor_obj tensor_mor unit",
+)
+ProcessCategory.__doc__ = """A finite, tensor-closed fragment of the full process theory.
 
-    Immutable, iterable and equal to the tuple of its fields.  ``compose``,
-    ``tensor_obj`` and ``tensor_mor`` are mappings, so it is unhashable.
-    """
-
-    theory: GlobalTheory
-    universe: tuple[System, ...]
-    objects: tuple[SystemEnvironmentPair, ...]
-    classes: tuple[MorphismClass, ...]
-    identity: tuple[int, ...]
-    compose: Mapping[tuple[int, int], int]
-    tensor_obj: dict[tuple[int, int], int]
-    tensor_mor: dict[tuple[int, int], int]
-    unit: int
+``universe`` is a tuple of ``System``s, ``objects`` one of
+``SystemEnvironmentPair``s and ``classes`` one of ``MorphismClass``es;
+``identity`` gives each object's identity class and ``unit`` the unit
+object.  ``compose`` (a ``CompositionRows``), ``tensor_obj`` and
+``tensor_mor`` map int pairs to ints.  Immutable, iterable and equal to
+the tuple of its fields; the mappings make it unhashable.
+"""
 
 
 def default_system_seeds(theory: GlobalTheory) -> tuple[System, ...]:
@@ -749,16 +743,19 @@ def build_process_category(
 # Generation of the full theory from its pure fragment
 
 
-class GenerationReport(NamedTuple):
-    """Whether transformations, preparations, and discards generate everything."""
+class GenerationReport(
+    namedtuple(
+        "GenerationReport",
+        "pure_total pure_generated full_total full_generated"
+        " transformation_generators preparation_generators discard_generators",
+    )
+):
+    """Whether transformations, preparations, and discards generate everything.
 
-    pure_total: int
-    pure_generated: int
-    full_total: int
-    full_generated: int
-    transformation_generators: int
-    preparation_generators: int
-    discard_generators: int
+    Every field is an int.
+    """
+
+    __slots__ = ()
 
     @property
     def pure_ok(self) -> bool:

@@ -10,7 +10,7 @@ questions have closed-form answers, which this module states and checks.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import GeneralCaseUnsupported, ParseError, ZeroDimension
 
@@ -26,10 +26,10 @@ MAX_DIGITS = 4300
 _TOO_LARGE = 10**MAX_DIGITS
 
 
-class SectorDecomposition(NamedTuple):
-    """Sector dimension pairs, sorted for a canonical form."""
+class SectorDecomposition(namedtuple("SectorDecomposition", "sectors")):
+    """Sector dimension pairs (a tuple of int pairs), sorted for a canonical form."""
 
-    sectors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def total_dimension(self) -> int:
@@ -64,7 +64,9 @@ def parse_decomposition(text: str) -> SectorDecomposition:
     """Parse ``"a x b + a x b + ..."`` with optional whitespace.
 
     Numbers are ASCII digits.  A number, or a total or group dimension,
-    of more than ``MAX_DIGITS`` digits is a ``ParseError``.
+    of more than ``MAX_DIGITS`` digits is a ``ParseError``, and so is a
+    number longer than the interpreter's own int-str cap, when that is
+    lower.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty decomposition")
@@ -75,7 +77,13 @@ def parse_decomposition(text: str) -> SectorDecomposition:
             raise ParseError(f"cannot parse sector {chunk.strip()!r}")
         if max(len(m.group(1)), len(m.group(2))) > MAX_DIGITS:
             raise ParseError(f"a sector number has more than {MAX_DIGITS} digits")
-        pairs.append((int(m.group(1)), int(m.group(2))))
+        try:
+            pairs.append((int(m.group(1)), int(m.group(2))))
+        except ValueError:
+            # The interpreter's own cap on int-str conversion is lower.
+            raise ParseError(
+                "a sector number has more digits than this interpreter reads"
+            ) from None
     decomp = make_decomposition(pairs)
     if max(decomp.total_dimension, group_dimension(decomp)) >= _TOO_LARGE:
         raise ParseError(
@@ -122,17 +130,15 @@ def classify(decomp: SectorDecomposition) -> str:
     return GENERAL
 
 
-class SpecialPairReport(NamedTuple):
-    """Closed-form composability facts for a special decomposition."""
+SpecialPairReport = namedtuple(
+    "SpecialPairReport",
+    "decomposition commutant kind orthogonal orthocomplementary centre_rank join join_full",
+)
+SpecialPairReport.__doc__ = """Closed-form composability facts for a special decomposition.
 
-    decomposition: SectorDecomposition
-    commutant: SectorDecomposition
-    kind: str
-    orthogonal: bool
-    orthocomplementary: bool
-    centre_rank: int
-    join: SectorDecomposition
-    join_full: bool
+``decomposition``, ``commutant`` and ``join`` are ``SectorDecomposition``s,
+``kind`` a string, ``centre_rank`` an int and the rest bools.
+"""
 
 
 def check_special_pair_claims(decomp: SectorDecomposition) -> SpecialPairReport:

@@ -19,9 +19,9 @@ of one node reads the row.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import ElementNotInOwner, NotNested, NotOrthogonal, NotPure
 from .lattice import commutant, is_orthogonal, require_self_bicommutant
@@ -162,11 +162,11 @@ def _splits_row(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> tuple[bool, .
     )
 
 
-class PurityVerdict(NamedTuple):
-    """Outcome of the product-state test at one global state."""
+PurityVerdict = namedtuple("PurityVerdict", "state pure")
+PurityVerdict.__doc__ = """Outcome of the product-state test at one global state.
 
-    state: LocalState
-    pure: bool
+``state`` is the ``LocalState`` tested and ``pure`` a bool.
+"""
 
 
 @theory_memo

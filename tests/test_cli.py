@@ -216,10 +216,38 @@ def test_quantum_refuses_numbers_it_cannot_write(capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1x" + "9" * 1000, "9" * 400 + "x" + "9" * 400, "9" * 400 + "x" + "9" * 400 + "+2x3+1x1"],
+    ids=["long-number", "long-join", "long-total"],
+)
+def test_quantum_refuses_numbers_past_the_interpreters_own_cap(text):
+    # Under a cap below sectors.MAX_DIGITS, int() cannot read a long
+    # number, str() cannot write the multiplicative join n x 1, and the
+    # writer cannot write a general shape's total.
+    proc = subprocess.run(
+        [sys.executable, "-m", "emergent.cli", "quantum", "--decomposition", text],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640", PYTHONPATH=str(FIXTURES.parent / "src")),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_quantum_writes_numbers_up_to_the_cap(capsys):
     code, out, _ = run_cli(capsys, ["quantum", "--decomposition", "1x" + "9" * 4300])
     assert code == 0
     assert json.loads(out)["total_dimension"] == 10**4300 - 1
+
+
+def test_cli_suite_names_are_the_checks_suites():
+    # The parser holds the names itself, so that it need not import checks.
+    from emergent import checks
+
+    assert cli.SUITES == tuple(checks.SUITES)
 
 
 def test_check_takes_each_suite_and_all(capsys):
@@ -631,8 +659,8 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
-    # Only pmcat's FiniteCategoryInstance is a dataclass, and ``emergent``
-    # loads pmcat on first use, so start-up does not import ``dataclasses``
+    # Only FiniteCategoryInstance is a dataclass, and ``emergent`` loads
+    # its module on first use, so start-up does not import ``dataclasses``
     # (nor ``inspect``, which it pulls in); the pmcat names still resolve.
     script = (
         "import sys\n"
@@ -654,9 +682,19 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
 
 
 def test_importing_the_cli_without_site_leaves_pathlib_unloaded():
-    # ``site`` may load pathlib itself (a .pth file can), so the check runs
-    # without it: the loader reads its file with ``open``, not ``pathlib``.
-    script = "import sys\nimport emergent.cli\nprint('pathlib' in sys.modules)\n"
+    # ``site`` may load pathlib and typing itself (a .pth file can), so the
+    # check runs without it: the loader reads its file with ``open``, not
+    # ``pathlib``, and the records are ``collections.namedtuple``s, so a
+    # whole ``check --suite all`` run imports no ``typing`` either.
+    script = (
+        "import io, sys\n"
+        "import emergent.cli\n"
+        "print('pathlib' in sys.modules)\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = emergent.cli.main(['check', '--suite', 'all', '--input', 'fixtures/s3.json'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(code, sorted({'pathlib', 'typing'} & set(sys.modules)))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True,
@@ -665,7 +703,124 @@ def test_importing_the_cli_without_site_leaves_pathlib_unloaded():
         env=dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src")),
     )
     assert proc.stderr == ""
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\n0 []\n"
+
+
+# Each subcommand imports only the layers it runs.  The script runs the CLI
+# in a fresh interpreter without ``site`` (a .pth file may import anything)
+# and prints the exit code and every loaded module, with the CLI's own
+# stdout sent to a buffer.
+_FOOTPRINT = (
+    "import io, sys\n"
+    "from emergent.cli import main\n"
+    "sys.stdout = io.StringIO()\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.__stdout__.write(' '.join([str(code), *sorted(sys.modules)]))\n"
+)
+_LAYERS = ("lattice", "states", "systems", "processes", "checks", "pmcat")
+
+
+def _footprint(*argv: str) -> tuple[int, set[str]]:
+    """The exit code of ``emergent argv`` and the modules it loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+        env=dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src")),
+    )
+    code, *modules = proc.stdout.split(" ")
+    return int(code), set(modules)
+
+
+def _engine(*names: str) -> set[str]:
+    return {f"emergent.{name}" for name in names}
+
+
+def test_quantum_loads_no_group_layer():
+    code, modules = _footprint("quantum", "--decomposition", "2x2+1x3")
+    assert code == 0
+    assert "emergent.sectors" in modules
+    assert modules & _engine(*_LAYERS, "perms", "catalog") == set()
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "bad_syntax.json",
+        "bad_permutation.json",
+        "not_transitive.json",
+        "not_centreless.json",
+        "missing.json",
+    ],
+)
+def test_check_on_invalid_input_loads_no_suite_layer(fixture):
+    # The theory is loaded, and refused, before the suites are imported.
+    code, modules = _footprint("check", "--input", f"fixtures/{fixture}")
+    assert code == 2
+    assert modules & _engine(*_LAYERS, "sectors") == set()
+
+
+def test_lattice_loads_no_layer_above_the_lattice():
+    code, modules = _footprint("lattice", "--input", "fixtures/s3.json")
+    assert code == 0
+    assert "emergent.lattice" in modules
+    assert modules & _engine("states", "systems", "processes", "checks", "sectors", "pmcat") == set()
+
+
+def test_check_all_loads_neither_dataclasses_nor_sectors():
+    # The axiom check reads ``pmcat.CategoryTables``; only the names that
+    # return a ``FiniteCategoryInstance`` load the dataclass.
+    code, modules = _footprint("check", "--suite", "all", "--input", "fixtures/s3.json")
+    assert code == 0
+    assert "emergent.pmcat" in modules
+    assert modules & {"dataclasses", "inspect", *_engine("sectors", "instance")} == set()
+
+
+# Every name ``emergent`` offered before its names were loaded lazily.
+_PUBLIC_NAMES = """
+    DegreeMismatch ElementNotInGroup ElementNotInOwner FiniteCategoryInstance
+    FiniteGroup GeneralCaseUnsupported GenerationReport GlobalTheory
+    IncompatibleSystems InvalidTheory LocalState MorphismClass NotCentreless
+    NotNested NotOrthogonal NotProductState NotPure NotSelfBicommutant
+    NotTransitive PairState ParseError Perm PointOutOfRange Process
+    ProcessCategory PurityVerdict ResourceLimit SbcLattice SectorDecomposition
+    SpecialPairReport StateNotInPair StateNotInSystem Subgroup
+    SubgroupNotInTheory SuiteResult System SystemEnvironmentPair TheoryError
+    TypeMismatch Violation ZeroDimension act_local are_compatible
+    build_process_category catalog centralizer centre centre_rank
+    check_partially_monoidal check_special_pair_claims checks classify
+    commutant commutant_decomp compose_process discard_process
+    enumerate_self_bicommutant enumerate_systems errors extract_instance
+    factorizes generate_group group_dimension instance_from_category
+    is_orthocomplementary is_orthocomplemented is_orthogonal is_product_state
+    is_self_bicommutant iterated_restrict join lattice load_theory
+    make_decomposition make_pair make_process make_system meet pair_composite
+    pair_states parse_decomposition perms pmcat process_codomain processes
+    product_set pure_local_states pure_stabilizer restrict run_suites sectors
+    states subgroup_closure symmetric_group system_count systems
+    tensor_processes tensor_pure_states tensor_state_candidates tensor_systems
+    theory_from_dict trivial_system validate_global_theory verify_generation
+""".split()
+
+
+def test_namespace_names_resolve_to_their_defining_modules():
+    import emergent
+
+    assert set(_PUBLIC_NAMES) <= set(emergent.__all__)
+    assert set(emergent.__all__) <= set(dir(emergent))
+    for name in emergent.__all__:
+        value = getattr(emergent, name)
+        if isinstance(value, type(emergent)):
+            assert value is sys.modules[f"emergent.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name), name
+    assert emergent.pmcat.FiniteCategoryInstance is emergent.FiniteCategoryInstance
+    with pytest.raises(AttributeError):
+        emergent.no_such_name  # noqa: B018
+    star: dict = {}
+    exec("from emergent import *", star)
+    assert all(star[name] is getattr(emergent, name) for name in emergent.__all__)
 
 
 def _resolves(module: str, name: str | None = None) -> bool:
@@ -706,7 +861,17 @@ def test_cli_matrix_covers_every_fixture_and_command():
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
     cases = matrix.CASES
-    assert len(cases) == len(set(cases)) == 114
+    assert len(cases) == len(set(cases)) == 121
+    parser_cases = [argv for argv in cases if argv in matrix.PARSER_CASES]
+    assert parser_cases == [
+        ("--help",),
+        *((command, "--help") for command in ("lattice", "systems", "scan-mixed", "check", "quantum")),
+        ("check", "--suite", "bogus", "--input", "fixtures/s3.json"),
+    ]
+    # Help exits with code 0 and a bad --suite choice with 2.
+    exits = [matrix.run_case(argv).split("\t")[1] for argv in parser_cases]
+    assert exits == ["0"] * 6 + ["2"]
+    cases = [argv for argv in cases if argv not in matrix.PARSER_CASES]
     on_files = [argv for argv in cases if "--input" in argv]
     inputs = {argv[argv.index("--input") + 1] for argv in on_files}
     fixtures = {f"fixtures/{p.name}" for p in FIXTURES.glob("*.json")}
