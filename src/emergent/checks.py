@@ -29,6 +29,8 @@ from .perms import GlobalTheory, GroupIndex, Perm, reduce_generators
 from .processes import (
     Process,
     ProcessCategory,
+    _names,
+    _names_pair,
     _output_route,
     build_process_category,
     compose_process,
@@ -595,6 +597,10 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
     composite.  In a built category they hold by construction, since an
     identity's output positions are ``range(n)``.
 
+    A sampled ``compose`` or ``tensor_mor`` entry whose key or value names
+    no class is reported and skipped.  Only a category made by hand has
+    one: the build numbers every entry it writes.
+
     Each sampled pair's composite or tensor is typed once per typing pair
     (see ``_per_pair_tables``): ``compose_process`` and ``tensor_processes``
     run, with every check ``make_process`` makes, for the first pair of
@@ -628,10 +634,15 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
         typing_ids.setdefault(process_typing(c.representative), len(typing_ids))
         for c in cat.classes
     ]
+    named = tuple(range(len(cat.classes)))
     composite_table = _per_pair_tables(cat, typing_of, compose_process, _restricted_outputs)
-    for gi, fi in composable:
-        table = composite_table(gi, fi)
-        if table != cat.classes[cat.compose[(gi, fi)]].table:
+    for key in composable:
+        out = cat.compose[key]
+        if not (_names_pair(named, key) and _names(named, out)):
+            violations.append(f"processes: composition entry {key!r} -> {out!r} names no class")
+            continue
+        gi, fi = key
+        if composite_table(gi, fi) != cat.classes[out].table:
             violations.append(
                 f"processes: composing representatives of {fi}, {gi} "
                 "disagrees with the composite class"
@@ -641,7 +652,11 @@ def processes_suite(cat: ProcessCategory) -> SuiteResult:
     if len(tensorable) > COMPOSE_SAMPLE:
         tensorable = rng.sample(tensorable, COMPOSE_SAMPLE)
     product_table = _per_pair_tables(cat, typing_of, tensor_processes, _purified_outputs)
-    for (ci, cj), out in tensorable:
+    for key, out in tensorable:
+        if not (_names_pair(named, key) and _names(named, out)):
+            violations.append(f"processes: tensor entry {key!r} -> {out!r} names no class")
+            continue
+        ci, cj = key
         c, d = cat.classes[ci], cat.classes[cj]
         h, k = c.representative.transform, d.representative.transform
         if h * k != k * h:

@@ -10,9 +10,10 @@ determinism from that order.  Every group is built by ``generate_group``
 from generators.  One routine, :func:`close`, grows every set the package
 closes breadth-first: groups (``generate_group``, ``subgroup_closure``,
 ``reduce_generators``), the lattice of subgroups equal to their double
-commutant (``lattice.enumerate_self_bicommutant``) and the system universe
-(``processes.system_universe``); its cap, with a message each caller
-gives, is the only cap on group order and on lattice size.
+commutant (``lattice.enumerate_self_bicommutant``), the system universe
+(``processes.system_universe``) and the span of the axiom checker's
+generating set (``pmcat._generating_set``); its cap, with a message each
+caller gives, is the only cap on group order and on lattice size.
 
 Element numbering: element ``i`` of a group is ``group.elements[i]``, so
 the numbers follow the sorted order and the identity is element 0.

@@ -11,28 +11,34 @@ Every check but composition's associativity is exhaustive: it visits
 every table entry, pair, triple or quadruple its law names.  The hot
 loops read one row of composites per morphism, a built category's own
 or built per call from a dict, and visit only the table entries that
-exist.  Associativity of composition is exact by Light's test: when
-every composable pair has a composite with the right endpoints, it
-holds exactly when it holds with each member of a generating set in
-the middle, and only then is the row search over every composable
-triple skipped.  A ``compose``, ``tensor_mor`` or ``tensor_obj`` entry
-whose key or value names no morphism or object, and a ``dom``, ``cod``
-or ``identity`` value that does, is itself a violation of its table's
-kind; an instance with a malformed ``dom``, ``cod`` or ``identity`` is
-checked for nothing else.
+exist.  Associativity of composition is one search for failing triples
+over a set of middle morphisms: a generating set, which by Light's test
+decides it exactly when every composable pair has a composite with the
+right endpoints, and otherwise, or on a failure, every morphism.  A
+``compose``, ``tensor_mor`` or ``tensor_obj`` entry whose key or value
+names no morphism or object, and a ``dom``, ``cod`` or ``identity``
+value that does, is itself a violation of its table's kind; an instance
+with a malformed ``dom``, ``cod`` or ``identity`` is checked for nothing
+else.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from itertools import chain, compress
-from operator import eq, itemgetter
+from itertools import compress
+from operator import itemgetter
 
 from .lattice import enumerate_self_bicommutant
-from .perms import _tuple_getter
-from .processes import DEFAULT_OBJECT_CAP, CompositionRows, build_process_category
+from .perms import _tuple_getter, close
+from .processes import (
+    DEFAULT_OBJECT_CAP,
+    CompositionRows,
+    _names,
+    _names_pair,
+    build_process_category,
+)
 
 
 Violation = namedtuple("Violation", "kind witness message")
@@ -124,6 +130,7 @@ class CategoryTables:
 # the keys that name a pair, the checks on values skip them.
 #
 #   succ[f]            the g composable after f, ascending
+#   into[x]            the f arriving at object x, ascending
 #   rank[g]            g's position among the morphisms leaving dom g (list or dict)
 #   row[f][rank[g]]    g after f, or None
 #   lookup(g, f)       g after f, or None
@@ -134,27 +141,9 @@ class CategoryTables:
 #   bad_compose, bad_tensor, bad_tensor_obj   (key, value) of malformed entries
 _Rows = namedtuple(
     "_Rows",
-    "succ rank row lookup tens tensor_entries tensor_obj obj_defined"
+    "succ into rank row lookup tens tensor_entries tensor_obj obj_defined"
     " bad_compose bad_tensor bad_tensor_obj",
 )
-
-
-def _names(named: tuple[int, ...], x) -> bool:
-    # named[x] == x exactly when x is one of the numbers named holds.
-    # Indexing raises on a number that is too large or not an integer,
-    # such as 1.0, and a negative one reads another entry.
-    try:
-        return named[x] == x
-    except (TypeError, IndexError):
-        return False
-
-
-def _names_pair(named: tuple[int, ...], key) -> bool:
-    try:
-        a, b = key
-    except (TypeError, ValueError):
-        return False
-    return _names(named, a) and _names(named, b)
 
 
 def _rows(inst: CategoryTables) -> _Rows:
@@ -183,6 +172,9 @@ def _rows(inst: CategoryTables) -> _Rows:
             bad_compose.append((key, h))
         row = list(map(tuple, row))
     succ = [leaving.get(c, ()) for c in cod]
+    into: list[list[int]] = [[] for _ in inst.objects]
+    for f, c in enumerate(cod):
+        into[c].append(f)
 
     def lookup(g: int, f: int) -> int | None:
         h = compose.get((g, f))
@@ -218,7 +210,7 @@ def _rows(inst: CategoryTables) -> _Rows:
         obj_defined = {key: ab for key, ab in tensor_obj.items() if _names_pair(objects, key)}
         tensor_obj = {key: ab for key, ab in obj_defined.items() if _names(objects, ab)}
     return _Rows(
-        succ, rank, row, lookup, tens, tensor_entries,
+        succ, into, rank, row, lookup, tens, tensor_entries,
         tensor_obj, obj_defined, bad_compose, bad_tensor, bad_tensor_obj,
     )
 
@@ -315,129 +307,93 @@ def _check_category(inst: CategoryTables, rows: _Rows) -> list[Violation]:
                     f"pre-composing {inst.morphisms[f]} with an identity changes it",
                 )
             )
-    # Light's test needs every composite present, with the right endpoints.
-    if not (sound and _light_test(inst, rows)):
-        out.extend(_row_search(inst, rows))
+    # Light's test (A. H. Clifford and G. B. Preston, *The Algebraic Theory
+    # of Semigroups*, vol. 1, 1961, section 1.2): if h (a f) == (h a) f and
+    # h (b f) == (h b) f for every composable h and f, then
+    # h ((a b) f) = h (a (b f)) = (h a) (b f) = ((h a) b) f = (h (a b)) f.
+    # So when every composite is present with the right endpoints, a
+    # generating set of middles decides associativity; only where that
+    # finds a failure, or does not apply, is every middle searched.
+    if not sound or _associativity_failures(inst, rows, _generating_set(inst, rows), True):
+        out.extend(
+            Violation("category-composition", t, "composition is not associative on this triple")
+            for t in _associativity_failures(inst, rows, range(n_mor))
+        )
     return out
 
 
 def _generating_set(inst: CategoryTables, rows: _Rows) -> list[int]:
     """The morphisms, in order, that the earlier ones do not compose to.
 
-    Each morphism joins the span once, when it is composed with every
-    spanned morphism on both sides, so the closure costs O(composable
-    pairs).  Reads only present composites: it assumes that every
-    composable pair has one.
+    ``perms.close`` composes each morphism that joins the span with every
+    spanned morphism on both sides, once, so the closure costs
+    O(composable pairs).  Reads only present composites: it assumes that
+    every composable pair has one.
     """
-    dom, succ, rank, row = inst.dom, rows.succ, rows.rank, rows.row
-    into: dict[int, list[int]] = {}
-    for f, c in enumerate(inst.cod):
-        into.setdefault(c, []).append(f)
-    spanned = bytearray(len(row))
-    is_spanned = spanned.__getitem__
+    dom, succ, rank, row, into = inst.dom, rows.succ, rows.rank, rows.row, rows.into
+    span: set[int] = set()
+    is_spanned = span.__contains__
+
+    def products(y: int) -> list[int]:
+        # s after y for each spanned s leaving cod y, then y after each
+        # spanned s arriving at dom y.
+        arriving = into[dom[y]]
+        before = map(row.__getitem__, compress(arriving, map(is_spanned, arriving)))
+        return [*compress(row[y], map(is_spanned, succ[y])), *map(itemgetter(rank[y]), before)]
+
     generators = []
     for m in range(len(row)):
-        if spanned[m]:
-            continue
-        generators.append(m)
-        spanned[m] = 1
-        stack = [m]
-        while stack:
-            y = stack.pop()
-            # s after y for each spanned s leaving cod y, then y after each
-            # spanned s arriving at dom y.
-            after = compress(row[y], map(is_spanned, succ[y]))
-            arriving = into.get(dom[y], ())
-            before = map(
-                itemgetter(rank[y]),
-                map(row.__getitem__, compress(arriving, map(is_spanned, arriving))),
-            )
-            for h in chain(after, before):
-                if not spanned[h]:
-                    spanned[h] = 1
-                    stack.append(h)
+        if m not in span:
+            generators.append(m)
+            span.add(m)
+            close(span, products, frontier=(m,))
     return generators
 
 
-def _light_test(inst: CategoryTables, rows: _Rows) -> bool:
-    """Whether composition is associative, by Light's test on ``_generating_set``.
+def _associativity_failures(
+    inst: CategoryTables, rows: _Rows, middles: Iterable[int], first: bool = False
+) -> list[tuple[int, int, int]]:
+    """Every triple (h, g, f) with g in ``middles`` where h (g f) != (h g) f.
 
-    Call ``a`` middle-associative when h (a f) == (h a) f for every
-    composable h and f.  If a and b are, so is a b:
-    h ((a b) f) = h (a (b f)) = (h a) (b f) = ((h a) b) f = (h (a b)) f.
-    So composition is associative when every member of a generating set
-    is (A. H. Clifford and G. B. Preston, *The Algebraic Theory of
-    Semigroups*, vol. 1, 1961, section 1.2).  It assumes that every
-    composable pair has a composite with the right endpoints.  For a
-    generator a and each f into dom a, row[a f] is h (a f) for each h
-    leaving cod a, and (h a) f for each of them is row[f] read at the
-    ranks of row[a].
+    The triples are ordered by f, then g, then h; with ``first``, the
+    search stops at the first pair (g, f) that has any.  row[g][i] is h g
+    for the i-th h after g, so h (g f) and (h g) f agree for every h
+    exactly when row[g f] equals row[g] composed after f -- provided g f
+    ends where g does, so that both rows run over the same h.  When every
+    h g is present and starts where g does, row[g] composed after f is
+    row[f] read at the ranks of row[g]: a whole-row compare, and a row
+    that differs is diffed cell by cell.  Any other row g is searched h
+    by h.
     """
-    dom, rank, row = inst.dom, rows.rank, rows.row
-    rows_into: dict[int, list[tuple]] = {}
-    for f, c in enumerate(inst.cod):
-        rows_into.setdefault(c, []).append(row[f])
-    for a in _generating_set(inst, rows):
-        row_a, rows_f = row[a], rows_into.get(dom[a])
-        if not row_a or not rows_f:
-            continue
-        composites = map(row.__getitem__, map(itemgetter(rank[a]), rows_f))
-        pick = _tuple_getter([rank[ha] for ha in row_a])
-        if not all(map(eq, composites, map(pick, rows_f))):
-            return False
-    return True
-
-
-def _row_search(inst: CategoryTables, rows: _Rows) -> list[Violation]:
-    """Every composable triple (h, g, f) on which composition is not associative.
-
-    row[g][i] is h g for the i-th h after g, so h (g f) and (h g) f agree
-    for every h exactly when row[g f] equals row[g] composed after f --
-    provided g f ends where g does, so that both rows run over the same
-    h.  When every h g is present and starts where g does, row[g]
-    composed after f is row[f] read at the ranks of row[g]: pick[g].  A
-    row that differs is then diffed cell by cell; any other row g is
-    searched h by h.
-    """
-    out: list[Violation] = []
     dom, cod = inst.dom, inst.cod
-    succ, rank, row, lookup = rows.succ, rows.rank, rows.row, rows.lookup
-    pick = [
-        _tuple_getter([rank[hg] for hg in row_g])
-        if None not in row_g and all(dom[hg] == dom[g] for hg in row_g)
-        else None
-        for g, row_g in enumerate(row)
-    ]
-
-    def report(h: int, g: int, f: int) -> None:
-        out.append(
-            Violation(
-                "category-composition",
-                (h, g, f),
-                "composition is not associative on this triple",
-            )
-        )
-
-    for f, row_f in enumerate(row):
-        for g, gf in zip(succ[f], row_f):
+    succ, rank, row, lookup, into = rows.succ, rows.rank, rows.row, rows.lookup, rows.into
+    found: list[tuple[int, int, int]] = []
+    for g in middles:
+        row_g, succ_g, rank_g = row[g], succ[g], rank[g]
+        if not row_g:
+            continue
+        pick = None
+        if None not in row_g and all(dom[hg] == dom[g] for hg in row_g):
+            pick = _tuple_getter([rank[hg] for hg in row_g])
+        for f in into[dom[g]]:
+            row_f = row[f]
+            gf = row_f[rank_g]
             if gf is None:
                 continue
-            pick_g = pick[g]
-            if pick_g is not None and cod[gf] == cod[g]:
-                row_gf, picked = row[gf], pick_g(row_f)
-                if row_gf != picked:
-                    for h, lhs, rhs in zip(succ[g], row_gf, picked):
-                        if lhs is not None and rhs is not None and lhs != rhs:
-                            report(h, g, f)
-                continue
-            for h, hg in zip(succ[g], row[g]):
-                if hg is None:
+            if pick is not None and cod[gf] == cod[g]:
+                row_gf, picked = row[gf], pick(row_f)
+                if row_gf == picked:
                     continue
-                lhs = lookup(h, gf)
-                rhs = lookup(hg, f)
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    report(h, g, f)
-    return out
+                terms = zip(succ_g, row_gf, picked)
+            else:
+                pairs = ((h, hg) for h, hg in zip(succ_g, row_g) if hg is not None)
+                terms = ((h, lookup(h, gf), lookup(hg, f)) for h, hg in pairs)
+            bad = [h for h, lhs, rhs in terms if lhs is not None and rhs is not None and lhs != rhs]
+            found += ((h, g, f) for h in bad)
+            if first and bad:
+                return found
+    found.sort(key=itemgetter(2, 1, 0))
+    return found
 
 
 def _check_fullness(inst: CategoryTables, rows: _Rows) -> list[Violation]:

@@ -447,6 +447,24 @@ class MorphismClass:
         return (self.dom, self.cod, self.table) == (other.dom, other.cod, other.table)
 
 
+def _names(named: tuple[int, ...], x) -> bool:
+    # named[x] == x exactly when x is one of the numbers named holds.
+    # Indexing raises on a number that is too large or not an integer,
+    # such as 1.0, and a negative one reads another entry.
+    try:
+        return named[x] == x
+    except (TypeError, IndexError):
+        return False
+
+
+def _names_pair(named: tuple[int, ...], key) -> bool:
+    try:
+        a, b = key
+    except (TypeError, ValueError):
+        return False
+    return _names(named, a) and _names(named, b)
+
+
 class _CompositionItems(ItemsView):
     __slots__ = ()
 
@@ -771,17 +789,23 @@ def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
 
     A fixpoint over the tables, not ``perms.close``: a worklist needs each
     class's composites and tensors, an index that a ``compose`` mapping
-    (tests plant faults in plain dicts) does not hold.  It stops as soon
-    as the span holds every class; on s3x3x3 that is within the first pass.
+    (tests plant faults in plain dicts) does not hold.  It adds classes
+    only: an entry whose key or value names no class is skipped.  It
+    stops as soon as the span holds every class; on s3x3x3 that is within
+    the first pass.
     """
+    named = tuple(range(len(cat.classes)))
     span = set(start)
-    missing = set(range(len(cat.classes))) - span
+    missing = set(named) - span
     changed = True
     while changed and missing:
         changed = False
         for table in (cat.compose, cat.tensor_mor):
-            for (a, b), out in table.items():
-                if a in span and b in span and out not in span:
+            for key, out in table.items():
+                if not _names(named, out) or out not in missing or not _names_pair(named, key):
+                    continue
+                a, b = key
+                if a in span and b in span:
                     span.add(out)
                     missing.discard(out)
                     if not missing:

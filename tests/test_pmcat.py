@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -444,8 +447,10 @@ AUDIT_CHANGES = (
 def test_some_generator_fails_exactly_when_the_row_search_finds_a_triple(
     request, monkeypatch, theory, per_change
 ):
-    # Light's test runs only where every composite is present with the
-    # right endpoints; there it must agree with the search over every triple.
+    # Light's test, the search with the generating set as its middles, runs
+    # only where every composite is present with the right endpoints; there
+    # it must agree with the search over every middle, and the triples of
+    # the first failing pair it stops at must be among that search's.
     clean = extract_instance(request.getfixturevalue(theory))
     rng = random.Random(20191)
     instances = [clean]
@@ -453,20 +458,45 @@ def test_some_generator_fails_exactly_when_the_row_search_finds_a_triple(
         instances += [_corrupted(clean, rng, first) for _ in range(per_change)]
     for change in AUDIT_CHANGES:
         instances += [_change(clean, rng, *change) for _ in range(per_change)]
-    light_test = emergent.pmcat._light_test
+    search = emergent.pmcat._associativity_failures
     outcomes = []
 
-    def spy(inst, rows):
-        passed = light_test(inst, rows)
-        outcomes.append(passed)
-        assert passed == (emergent.pmcat._row_search(inst, rows) == [])
-        return passed
+    def spy(inst, rows, middles, first=False):
+        found = search(inst, rows, middles, first)
+        if first:
+            outcomes.append(found == [])
+            every = search(inst, rows, range(len(inst.morphisms)))
+            assert (found == []) == (every == [])
+            assert set(found) <= set(every)
+        return found
 
-    monkeypatch.setattr(emergent.pmcat, "_light_test", spy)
+    monkeypatch.setattr(emergent.pmcat, "_associativity_failures", spy)
     for inst in instances:
         check_partially_monoidal(inst)
     assert set(outcomes) == {True, False}
     assert len(outcomes) < len(instances)
+
+
+def test_the_first_failing_pair_holds_triples_the_full_search_reports(t1):
+    # A reassigned composite: the search with ``first`` stops at one pair
+    # (g, f) and returns its triples, each one the full search reports too.
+    clean = extract_instance(t1)
+    key = max(clean.compose)
+    g, f = key
+    value = next(
+        m for m in clean.hom_sets[(clean.dom[f], clean.cod[g])] if m != clean.compose[key]
+    )
+    inst = dataclasses.replace(clean, compose={**clean.compose, key: value})
+    rows = emergent.pmcat._rows(inst)
+    search = emergent.pmcat._associativity_failures
+    every = range(len(inst.morphisms))
+    full = search(inst, rows, every)
+    found = search(inst, rows, every, first=True)
+    assert found and len({(g, f) for _, g, f in found}) == 1
+    assert set(found) <= set(full)
+    # Ordered by f, then g, then h, as the report lists them.
+    assert full == sorted(full, key=lambda t: t[::-1])
+    assert full == [v.witness for v in check_partially_monoidal(inst) if len(v.witness) == 3]
 
 
 @pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2"])
@@ -499,16 +529,18 @@ def test_the_greedy_generators_span_every_morphism(request, theory):
 @pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "d5", "f20", "a4", "s3_regular"])
 def test_a_clean_category_never_enters_the_row_search(request, monkeypatch, theory):
     cat = build_process_category(request.getfixturevalue(theory))
+    search = emergent.pmcat._associativity_failures
     searched = []
 
-    def spy(inst, rows):
-        searched.append(inst)
-        return []
+    def spy(inst, rows, middles, first=False):
+        searched.append(first)
+        return search(inst, rows, middles, first)
 
-    monkeypatch.setattr(emergent.pmcat, "_row_search", spy)
+    monkeypatch.setattr(emergent.pmcat, "_associativity_failures", spy)
     assert check_partially_monoidal(instance_from_category(cat)) == ()
     assert check_partially_monoidal(extract_instance(request.getfixturevalue(theory))) == ()
-    assert searched == []
+    # Only the generator search ran, once per check.
+    assert searched == [True, True]
 
 
 def test_a_fault_off_the_generators_is_still_reported(t1):
@@ -653,3 +685,23 @@ def test_an_object_tensor_key_that_names_no_object_pair_is_one_violation(t1, key
             "associativity-definedness", key, f"object tensor entry {key} -> 0 names no object"
         ),
     )
+
+
+def test_the_audit_matrix_fingerprints_every_planted_kind_at_each_seed():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "audit_matrix.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
+    rows = [line.split("\t") for line in run.stdout.splitlines()]
+    assert len(rows) == 111 and {len(row) for row in rows} == {6}
+    # The three clean instances, with empty reports.
+    assert [row[:3] + row[4:5] for row in rows[:3]] == [
+        ["-", name, "clean", "0"] for name in ("s4", "s3_diagonal", "s3x3")
+    ]
+    # Then, at each seed, three plants of each of four kinds in each
+    # instance, every one reported.
+    for seed, start in zip("123", range(3, 111, 36)):
+        block = rows[start : start + 36]
+        assert {row[0] for row in block} == {seed}
+        assert {row[2] for row in block} == {
+            "delete-compose", "reassign-compose", "delete-tensor_mor", "delete-tensor_obj",
+        }
+        assert "0" not in {row[4] for row in block}

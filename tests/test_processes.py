@@ -974,6 +974,70 @@ def test_identity_faults_are_reported_by_the_pmcat_suite(t1):
     )
 
 
+@pytest.mark.parametrize("table, noun", [("compose", "composition"), ("tensor_mor", "tensor")])
+def test_an_entry_naming_no_class_is_a_processes_violation(t1, table, noun):
+    # Only a hand-made category has one; the entry is reported and skipped,
+    # and the rest of the table is still checked.
+    cat = build_process_category(t1)
+    first = next(iter(getattr(cat, table)))
+    for key, value in ((first, 10**6), ((10**6, 0), 0), ((0, -1), 0), (first, 1.0)):
+        entries = dict(getattr(cat, table))
+        entries[key] = value
+        assert emergent.checks.processes_suite(_replaced(cat, **{table: entries})).violations == (
+            f"processes: {noun} entry {key!r} -> {value!r} names no class",
+        )
+    # Beside a composite that names the wrong class.
+    ci, other = next(
+        (ci, oi)
+        for ci, c in enumerate(cat.classes)
+        for oi, o in enumerate(cat.classes)
+        if ci not in cat.identity and oi != ci and (o.dom, o.cod) == (c.dom, c.cod)
+    )
+    ident = cat.identity[cat.classes[ci].dom]
+    compose = dict(cat.compose)
+    compose[(ci, ident)] = other
+    stray = dict(compose if table == "compose" else cat.tensor_mor)
+    stray[(10**6, 0)] = 0
+    changed = _replaced(cat, **{"compose": compose, table: stray})
+    assert set(emergent.checks.processes_suite(changed).violations) == {
+        f"processes: {noun} entry {(10**6, 0)!r} -> 0 names no class",
+        f"processes: composing representatives of {ident}, {ci} "
+        "disagrees with the composite class",
+    }
+    # A key that is not a pair, with composites missing, so that the
+    # generation check falls back to the closure over the tables.
+    compose = dict(list(cat.compose.items())[40:])
+    stray = dict(compose if table == "compose" else cat.tensor_mor)
+    stray[5] = 0
+    changed = _replaced(cat, **{"compose": compose, table: stray})
+    assert emergent.checks.processes_suite(changed).violations == (
+        f"processes: {noun} entry 5 -> 0 names no class",
+        "processes: adding discards generates only 12 of 13 classes",
+    )
+
+
+def test_generation_counts_only_table_values_that_name_a_class(t2):
+    # Composites set to numbers that name no class: the closure skips them,
+    # as if the entries were absent, and never counts more than every class.
+    cat = build_process_category(t2)
+    keys = list(cat.compose)[:50]
+    planted = dict(cat.compose)
+    planted.update((key, 10**6 + i) for i, key in enumerate(keys))
+    absent = {key: out for key, out in cat.compose.items() if key not in keys}
+    report = verify_generation(t2, _replaced(cat, compose=planted))
+    assert report.full_generated <= report.full_total
+    assert report == verify_generation(t2, _replaced(cat, compose=absent))
+
+
+def test_the_closure_skips_entries_that_name_no_class(t1):
+    # Only (0, 0) -> 4 names classes; 1.0 equals class 1 but is no class,
+    # and neither 5 nor "ab" is a pair of classes.
+    cat = build_process_category(t1)
+    stray = {(0, 0): 1.0, 5: 2, "ab": 3, (0, 10**6): 5, (0, 0.5): 6}
+    tables = _replaced(cat, compose=stray, tensor_mor={(0, 0): 4})
+    assert emergent.processes._closure(tables, {0}) == {0, 4}
+
+
 @pytest.mark.parametrize("theory", ["t1", "t2", "t3", "t4", "t5"])
 def test_default_seeds_are_the_orthocomplemented_systems(request, theory):
     # Orthocomplemented nodes meet their commutant only in the identity.
