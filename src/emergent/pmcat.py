@@ -7,14 +7,19 @@ tensor: fullness of the tensor on morphisms, invariance of definedness
 under isomorphism, associativity including definedness, a strict unit,
 and strict symmetry.
 
-Every check but composition's associativity is exhaustive: it visits
-every table entry, pair, triple or quadruple its law names.  The hot
-loops read one row of composites per morphism, a built category's own
-or built per call from a dict, and visit only the table entries that
-exist.  Associativity of composition is one search for failing triples
-over a set of middle morphisms: a generating set, which by Light's test
-decides it exactly when every composable pair has a composite with the
-right endpoints, and otherwise, or on a failure, every morphism.  A
+Every check but composition's associativity and the interchange law is
+exhaustive: it visits every table entry, pair, triple or quadruple its
+law names.  The hot loops read one row of composites per morphism, a
+built category's own or built per call from a dict, and visit only the
+table entries that exist.  Associativity of composition is one search
+for failing triples over a set of middle morphisms: a generating set,
+which by Light's test decides it exactly when every composable pair has
+a composite with the right endpoints, and otherwise, or on a failure,
+every morphism.  The interchange law is exact by the mirror argument:
+when the swap of every morphism tensor is an entry with the same value,
+as in every built category, the law at (g, f, q, p) and at its mirror
+(q, p, g, f) compares the same two morphisms, so each mirrored pair of
+cells is read once; otherwise every cell is read.  A
 ``compose``, ``tensor_mor`` or ``tensor_obj`` entry whose key or value
 names no morphism or object, and a ``dom``, ``cod`` or ``identity``
 value that does, is itself a violation of its table's kind; an instance
@@ -136,12 +141,14 @@ class CategoryTables:
 #   lookup(g, f)       g after f, or None
 #   tens[f][g]         f x g, ascending g
 #   tensor_entries     (f, g, f x g) in table order
+#   mirrored           every entry's swap (g, f) is an entry with the same
+#                      value, and every key is an exact int
 #   tensor_obj         the object tensor's well-formed entries
 #   obj_defined        every object-tensor entry keyed by a pair of objects
 #   bad_compose, bad_tensor, bad_tensor_obj   (key, value) of malformed entries
 _Rows = namedtuple(
     "_Rows",
-    "succ into rank row lookup tens tensor_entries tensor_obj obj_defined"
+    "succ into rank row lookup tens tensor_entries mirrored tensor_obj obj_defined"
     " bad_compose bad_tensor bad_tensor_obj",
 )
 
@@ -197,6 +204,11 @@ def _rows(inst: CategoryTables) -> _Rows:
     tens: list[dict[int, int]] = [{} for _ in named]
     for f, g, fg in sorted(tensor_entries):
         tens[f][g] = fg
+    # A bool key names a morphism too; it is left to the full reads, so that
+    # a witness read off a swapped entry is the tuple it stands for.
+    mirrored = all(
+        type(f) is int is type(g) and tens[g].get(f) == fg for f, g, fg in tensor_entries
+    )
 
     objects = tuple(range(len(inst.objects)))
     tensor_obj = obj_defined = inst.tensor_obj
@@ -210,7 +222,7 @@ def _rows(inst: CategoryTables) -> _Rows:
         obj_defined = {key: ab for key, ab in tensor_obj.items() if _names_pair(objects, key)}
         tensor_obj = {key: ab for key, ab in obj_defined.items() if _names(objects, ab)}
     return _Rows(
-        succ, into, rank, row, lookup, tens, tensor_entries,
+        succ, into, rank, row, lookup, tens, tensor_entries, mirrored,
         tensor_obj, obj_defined, bad_compose, bad_tensor, bad_tensor_obj,
     )
 
@@ -442,8 +454,7 @@ def _check_fullness(inst: CategoryTables, rows: _Rows) -> list[Violation]:
 def _check_functoriality(inst: CategoryTables, rows: _Rows) -> list[Violation]:
     out = _malformed("functoriality", "morphism tensor", rows.bad_tensor)
     dom, cod = inst.dom, inst.cod
-    rank, row, lookup, tens = rows.rank, rows.row, rows.lookup, rows.tens
-    tensor_obj = rows.tensor_obj
+    rank, tens, tensor_obj = rows.rank, rows.tens, rows.tensor_obj
     for f, g, m in rows.tensor_entries:
         doms = tensor_obj.get((dom[f], dom[g]))
         cods = tensor_obj.get((cod[f], cod[g]))
@@ -477,7 +488,49 @@ def _check_functoriality(inst: CategoryTables, rows: _Rows) -> list[Violation]:
             blocks.setdefault((dom[g], dom[q]), []).append(
                 (g, q, gq, rank[g], rank[q], dom[gq], rank[gq])
             )
-    for f, p, fp in rows.tensor_entries:
+    entries = rows.tensor_entries
+    if rows.mirrored:
+        # The swap of every tensor is the same morphism, so the law at the
+        # mirror (q, p, g, f) reads the same composites, g x q and f x p,
+        # and compares the same two morphisms as at (g, f, q, p) (Mac Lane,
+        # *Categories for the Working Mathematician*, section XI.1).  Each
+        # mirrored pair of cells is read once: the entries f < p with their
+        # whole block, the entries f == p with the cells g <= q.  The
+        # mirrors are then added and put in the order of a full read.
+        halves = {
+            key: [cell for cell in block if cell[0] <= cell[1]]
+            for key, block in blocks.items()
+            if key[0] == key[1]
+        }
+        found = _interchange_failures(inst, rows, [e for e in entries if e[0] < e[1]], blocks)
+        found += _interchange_failures(inst, rows, [e for e in entries if e[0] == e[1]], halves)
+        if found:
+            found += [(q, p, g, f) for g, f, q, p in found if (g, f) != (q, p)]
+            position = {(f, p): i for i, (f, p, _) in enumerate(entries)}
+            found.sort(key=lambda w: (position[w[1], w[3]], w[0], w[2]))
+    else:
+        found = _interchange_failures(inst, rows, entries, blocks)
+    out += (
+        Violation("functoriality", witness, "tensor does not commute with composition")
+        for witness in found
+    )
+    return out
+
+
+def _interchange_failures(
+    inst: CategoryTables,
+    rows: _Rows,
+    entries: list[tuple[int, int, int]],
+    blocks: dict[tuple[int, int], list[tuple[int, ...]]],
+) -> list[tuple[int, int, int, int]]:
+    """Every (g, f, q, p) where (g f) x (q p) != (g x q)(f x p), in read order.
+
+    f x p runs over ``entries`` and (g, q) over the block of
+    (cod f, cod p) in ``blocks``.
+    """
+    cod, row, lookup, tens = inst.cod, rows.row, rows.lookup, rows.tens
+    found = []
+    for f, p, fp in entries:
         block = blocks.get((cod[f], cod[p]))
         if block is None:
             continue
@@ -495,14 +548,8 @@ def _check_functoriality(inst: CategoryTables, rows: _Rows) -> list[Violation]:
                 continue
             stepwise = row_fp[rank_gq] if dom_gq == cod_fp else lookup(gq, fp)
             if stepwise is not None and stepwise != whole:
-                out.append(
-                    Violation(
-                        "functoriality",
-                        (g, f, q, p),
-                        "tensor does not commute with composition",
-                    )
-                )
-    return out
+                found.append((g, f, q, p))
+    return found
 
 
 def _check_repleteness(inst: CategoryTables, rows: _Rows) -> list[Violation]:
@@ -647,6 +694,8 @@ def _check_symmetry(inst: CategoryTables, rows: _Rows) -> list[Violation]:
                     "the tensor is not commutative on this object pair",
                 )
             )
+    if rows.mirrored:
+        return out
     for f, g, m in rows.tensor_entries:
         swapped = rows.tens[g].get(f)
         if swapped is not None and swapped != m:

@@ -833,11 +833,20 @@ def _factorises(
     Each of P, U and D is a tensor of two generators (identities are
     transformation generators), so when the tables say so, the class lies
     in the span.  ``P``, ``D`` and ``id_(unit, E)`` depend on the typing
-    alone, so they are looked up once per typing; a missing entry means
-    the argument does not apply.
+    alone, so they are looked up once per typing; a missing entry, or one
+    whose value names no class (``1.0`` is not class 1), means the
+    argument does not apply.
     """
     compose, tensor, identity = cat.compose, cat.tensor_mor, cat.identity
     unit = cat.objects[cat.unit].system
+    named = tuple(range(len(cat.classes)))
+
+    def read(table: Mapping, key: tuple[int, int]) -> int:
+        value = table[key]
+        if _names(named, value):
+            return value
+        raise KeyError(key)
+
     typed: dict[tuple, tuple[int, int, int, int]] = {}
     try:
         for ci, c in enumerate(cat.classes):
@@ -847,14 +856,15 @@ def _factorises(
                 env = proc.domain.environment
                 prep = identity[c.dom]
                 if not proc.ancilla.is_trivial:
-                    prep = tensor[(prep, prep_of[(proc.ancilla, proc.prep)])]
+                    prep = read(tensor, (prep, prep_of[(proc.ancilla, proc.prep)]))
                 total = cat.objects[cat.classes[prep].cod].system
-                discard = tensor[
+                discard = read(
+                    tensor,
                     (
                         identity[object_index[(proc.codomain_system, env)]],
                         discard_of[object_index[(proc.discarded, unit)]],
-                    )
-                ]
+                    ),
+                )
                 typed[typing] = (
                     prep,
                     object_index[(total, unit)],
@@ -862,8 +872,8 @@ def _factorises(
                     discard,
                 )
             prep, total, env_id, discard = typed[typing]
-            act = tensor[(transf_of[(total, proc.transform)], env_id)]
-            if compose[(discard, compose[(act, prep)])] != ci:
+            act = read(tensor, (transf_of[(total, proc.transform)], env_id))
+            if read(compose, (discard, read(compose, (act, prep)))) != ci:
                 return False
     except (KeyError, IndexError):
         return False

@@ -377,6 +377,51 @@ def test_violations_match_the_brute_force_oracle(request, theory, per_change):
     assert found > len(instances)
 
 
+@pytest.mark.parametrize("theory", ["t1", "t5"])
+def test_the_interchange_law_read_once_per_mirrored_pair_matches_the_oracle(request, theory):
+    # A tensor entry and its swap reassigned to one other morphism of their
+    # hom-set keep the table mirrored, so each mirrored pair of interchange
+    # cells is read once; one entry reassigned alone is not mirrored, and
+    # every cell is read.  The one diagonal entry, the unit identity's
+    # (u, u), is reassigned in the first case; in the second, a planted
+    # a u = b and a pair u x b = b x u = a break the law in its own block.
+    clean = extract_instance(request.getfixturevalue(theory))
+    tensor = clean.tensor_mor
+
+    def hom_of(m):
+        return clean.hom_sets[(clean.dom[m], clean.cod[m])]
+
+    rng = random.Random(34)
+    ((diagonal, u),) = ((key, m) for key, m in tensor.items() if key[0] == key[1])
+    movable = [key for key in sorted(tensor) if key[0] < key[1] and len(hom_of(tensor[key])) > 1]
+    pairs = []
+    for key in rng.sample(movable, 4):
+        value = rng.choice([m for m in hom_of(tensor[key]) if m != tensor[key]])
+        pairs.append({key: value, key[::-1]: value})
+    a, b = rng.sample([m for m in clean.by_dom[clean.unit] if m != u], 2)
+    other = rng.choice([m for m in range(len(clean.morphisms)) if m != u])
+    # (tensor change, composition change, mirrored)
+    cases = [
+        ({**pairs[0], diagonal: other}, {}, True),
+        ({(u, b): a, (b, u): a}, {(a, u): b}, True),
+        *((pair, {}, True) for pair in pairs[1:]),
+        *(({key: value}, {}, False) for pair in pairs[1:] for key, value in [min(pair.items())]),
+    ]
+    for tensor_change, compose_change, mirrored in cases:
+        inst = dataclasses.replace(
+            clean,
+            tensor_mor={**tensor, **tensor_change},
+            compose={**clean.compose, **compose_change},
+        )
+        assert emergent.pmcat._rows(inst).mirrored is mirrored
+        report = check_partially_monoidal(inst)
+        assert report == oracles.pmcat_violations(inst)
+        interchange = [v.witness for v in report if len(v.witness) == 4]
+        assert interchange
+        if compose_change:
+            assert (u, u, a, u) in interchange and (a, u, u, u) in interchange
+
+
 def test_a_composite_with_the_wrong_codomain_is_searched_term_by_term():
     # g f is recorded as k, which ends at D instead of C.  The rows of
     # h (g f) and (h g) f then run over different h and may look alike
@@ -543,6 +588,34 @@ def test_a_clean_category_never_enters_the_row_search(request, monkeypatch, theo
     assert searched == [True, True]
 
 
+@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "d5", "f20", "a4", "s3_regular"])
+def test_a_built_category_s_morphism_tensor_is_mirrored(request, theory):
+    # A composite system is the join of two commuting subgroups, so the
+    # tensor is strictly symmetric and the checker reads the interchange
+    # law once per mirrored pair of cells.
+    cat = build_process_category(request.getfixturevalue(theory))
+    assert emergent.pmcat._rows(emergent.pmcat.category_tables(cat)).mirrored
+
+
+def test_a_bool_tensor_key_is_read_cell_by_cell(t1):
+    # False names morphism 0 but prints otherwise, so a witness read off the
+    # swap of a key holding it would not be the tuple that a full read
+    # reports.  The entry (m, False) and its swap are reassigned together.
+    clean = extract_instance(t1)
+    key = max(k for k in clean.tensor_mor if k[1] == 0)
+    m = clean.tensor_mor[key]
+    value = min(x for x in clean.hom_sets[clean.dom[m], clean.cod[m]] if x != m)
+    tensor = {((k[0], False) if k == key else k): m for k, m in clean.tensor_mor.items()}
+    tensor[key] = tensor[key[::-1]] = value
+    inst = dataclasses.replace(clean, tensor_mor=tensor)
+    rows = emergent.pmcat._rows(inst)
+    assert not rows.mirrored
+    full = emergent.pmcat._check_functoriality(inst, rows._replace(mirrored=False))
+    report = check_partially_monoidal(inst)
+    assert any(type(x) is bool for v in full for x in v.witness)
+    assert repr([v for v in report if v.kind == "functoriality"]) == repr(full)
+
+
 def test_a_fault_off_the_generators_is_still_reported(t1):
     # A reassigned composite whose report holds a triple (h, g, f) with g
     # outside the corrupted instance's generating set: Light's test fails
@@ -691,17 +764,21 @@ def test_the_audit_matrix_fingerprints_every_planted_kind_at_each_seed():
     script = Path(__file__).resolve().parent.parent / "scripts" / "audit_matrix.py"
     run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
     rows = [line.split("\t") for line in run.stdout.splitlines()]
-    assert len(rows) == 111 and {len(row) for row in rows} == {6}
+    assert len(rows) == 129 and {len(row) for row in rows} == {6}
     # The three clean instances, with empty reports.
     assert [row[:3] + row[4:5] for row in rows[:3]] == [
         ["-", name, "clean", "0"] for name in ("s4", "s3_diagonal", "s3x3")
     ]
-    # Then, at each seed, three plants of each of four kinds in each
-    # instance, every one reported.
-    for seed, start in zip("123", range(3, 111, 36)):
-        block = rows[start : start + 36]
+    # Then, at each seed, three plants of each of the workload's four kinds
+    # in each instance, and the script's own pair and single tensor
+    # reassignment in each, every one reported.
+    for seed, start in zip("123", range(3, 129, 42)):
+        block = rows[start : start + 42]
         assert {row[0] for row in block} == {seed}
-        assert {row[2] for row in block} == {
+        assert [row[2] for row in block[36:]] == 3 * [
+            "reassign-tensor_mor-pair", "reassign-tensor_mor",
+        ]
+        assert {row[2] for row in block[:36]} == {
             "delete-compose", "reassign-compose", "delete-tensor_mor", "delete-tensor_obj",
         }
         assert "0" not in {row[4] for row in block}

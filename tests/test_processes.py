@@ -1258,3 +1258,23 @@ def test_a_planted_factorisation_fault_falls_back_to_the_closure(request, monkey
     monkeypatch.setattr(emergent.processes, "_closure", spy)
     assert verify_generation(cat.theory, planted) == _two_closure_generation(cat.theory, planted)
     assert len(walked) == 1
+
+
+def test_a_value_equal_to_a_class_but_not_naming_one_does_not_factorise(t1, monkeypatch):
+    # 1.0 == 1, so a dict lookup keyed by it finds class 1's entries; the
+    # argument reads each value through ``_names``, as the closure does.
+    cat = build_process_category(t1)
+    floats = _replaced(cat, compose={key: float(h) for key, h in cat.compose.items()})
+    factorises = emergent.processes._factorises
+    answers = []
+
+    def spy(*args):
+        answers.append(factorises(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(emergent.processes, "_factorises", spy)
+    report = verify_generation(t1, floats)
+    assert answers == [False]
+    assert report.full_generated < report.full_total == len(cat.classes)
+    monkeypatch.setattr(emergent.processes, "_factorises", lambda *args: False)
+    assert verify_generation(t1, floats) == report
