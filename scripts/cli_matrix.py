@@ -21,7 +21,8 @@ run this script's cases on both commits and compare:
     python3 scripts/cli_matrix.py > after.txt
     diff before.txt after.txt
 
-The s3x3x3 ``check --suite pmcat|all`` cases take about 0.7 s and 1.7–1.8 s.
+The s3x3x3 ``check --suite pmcat|all`` cases take 0.61–0.88 s and
+1.68–2.10 s (five runs each, 2-vCPU shared host, Python 3.11.7).
 """
 
 from __future__ import annotations

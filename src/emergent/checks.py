@@ -31,7 +31,7 @@ from .processes import (
     ProcessCategory,
     _names,
     _names_pair,
-    _output_route,
+    _restricted_outputs,
     build_process_category,
     compose_process,
     pair_composite,
@@ -730,14 +730,6 @@ def _per_pair_tables(
         return tuple(zip(keys, outputs(u)))
 
     return table
-
-
-def _restricted_outputs(theory: GlobalTheory, proc: Process) -> Callable[[Perm], Iterable]:
-    """Outputs by the build's route: the restriction at each acted joint point."""
-    restricted, acted = _output_route(
-        theory, proc.domain, proc.ancilla, proc.prep, proc.codomain_system
-    )
-    return lambda u: map(restricted.__getitem__, acted(u))
 
 
 def _purified_outputs(theory: GlobalTheory, proc: Process) -> Callable[[Perm], Iterable]:

@@ -11,8 +11,9 @@ from generators.  One routine, :func:`close`, grows every set the package
 closes breadth-first: groups (``generate_group``, ``subgroup_closure``,
 ``reduce_generators``), the lattice of subgroups equal to their double
 commutant (``lattice.enumerate_self_bicommutant``), the system universe
-(``processes.system_universe``) and the span of the axiom checker's
-generating set (``pmcat._generating_set``); its cap, with a message each
+(``processes.system_universe``), the generation span
+(``processes._closure``) and the span of the axiom checker's generating
+set (``pmcat._generating_set``); its cap, with a message each
 caller gives, is the only cap on group order and on lattice size.
 
 Element numbering: element ``i`` of a group is ``group.elements[i]``, so

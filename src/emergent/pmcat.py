@@ -139,16 +139,18 @@ class CategoryTables:
 #   rank[g]            g's position among the morphisms leaving dom g (list or dict)
 #   row[f][rank[g]]    g after f, or None
 #   lookup(g, f)       g after f, or None
-#   tens[f][g]         f x g, ascending g
+#   tens[f][g]         f x g, ascending g, keyed by the int g names
 #   tensor_entries     (f, g, f x g) in table order
-#   mirrored           every entry's swap (g, f) is an entry with the same
-#                      value, and every key is an exact int
+#   asymmetric         (f, g) of the entries whose swap (g, f) is an entry
+#                      with another value, in table order
+#   mirrored           no entry is asymmetric, every entry's swap is an
+#                      entry, and every key is an exact int
 #   tensor_obj         the object tensor's well-formed entries
 #   obj_defined        every object-tensor entry keyed by a pair of objects
 #   bad_compose, bad_tensor, bad_tensor_obj   (key, value) of malformed entries
 _Rows = namedtuple(
     "_Rows",
-    "succ into rank row lookup tens tensor_entries mirrored tensor_obj obj_defined"
+    "succ into rank row lookup tens tensor_entries asymmetric mirrored tensor_obj obj_defined"
     " bad_compose bad_tensor bad_tensor_obj",
 )
 
@@ -203,12 +205,20 @@ def _rows(inst: CategoryTables) -> _Rows:
         bad_tensor.append((key, fg))
     tens: list[dict[int, int]] = [{} for _ in named]
     for f, g, fg in sorted(tensor_entries):
-        tens[f][g] = fg
-    # A bool key names a morphism too; it is left to the full reads, so that
-    # a witness read off a swapped entry is the tuple it stands for.
-    mirrored = all(
-        type(f) is int is type(g) and tens[g].get(f) == fg for f, g, fg in tensor_entries
-    )
+        tens[f][named[g]] = fg
+    # Each entry's swap is looked up once.  A bool key names a morphism
+    # too; it is left to the full reads, so that a witness read off a
+    # swapped entry is the tuple it stands for.
+    asymmetric = []
+    mirrored = True
+    for f, g, fg in tensor_entries:
+        gf = tens[g].get(f)
+        if gf != fg:
+            mirrored = False
+            if gf is not None:
+                asymmetric.append((f, g))
+        elif type(f) is not int or type(g) is not int:
+            mirrored = False
 
     objects = tuple(range(len(inst.objects)))
     tensor_obj = obj_defined = inst.tensor_obj
@@ -222,7 +232,7 @@ def _rows(inst: CategoryTables) -> _Rows:
         obj_defined = {key: ab for key, ab in tensor_obj.items() if _names_pair(objects, key)}
         tensor_obj = {key: ab for key, ab in obj_defined.items() if _names(objects, ab)}
     return _Rows(
-        succ, into, rank, row, lookup, tens, tensor_entries, mirrored,
+        succ, into, rank, row, lookup, tens, tensor_entries, asymmetric, mirrored,
         tensor_obj, obj_defined, bad_compose, bad_tensor, bad_tensor_obj,
     )
 
@@ -426,9 +436,10 @@ def _check_fullness(inst: CategoryTables, rows: _Rows) -> list[Violation]:
                     for g in gs:
                         if (f, g) not in tensor_mor:
                             found.append((f, g, "is missing although both endpoint tensors exist"))
-    # Every present tensor of two morphisms with an undefined endpoint tensor;
-    # a key that names no pair of morphisms is the functoriality check's.
-    # Indexing dom and cod raises on a number too large or not an integer.
+    # Every present tensor of two morphisms with an undefined endpoint tensor,
+    # by the ints its key names; a key that names no pair of morphisms is the
+    # functoriality check's.  Indexing dom and cod raises on a number too
+    # large or not an integer.
     for key in tensor_mor:
         try:
             f, g = key
@@ -438,7 +449,7 @@ def _check_fullness(inst: CategoryTables, rows: _Rows) -> list[Violation]:
         except (TypeError, ValueError, IndexError):
             continue
         if not defined:
-            found.append((f, g, "is present although an endpoint tensor is undefined"))
+            found.append((int(f), int(g), "is present although an endpoint tensor is undefined"))
     # Each (f, g) is found at most once, so this is the ascending scan order.
     found.sort()
     return [
@@ -694,18 +705,10 @@ def _check_symmetry(inst: CategoryTables, rows: _Rows) -> list[Violation]:
                     "the tensor is not commutative on this object pair",
                 )
             )
-    if rows.mirrored:
-        return out
-    for f, g, m in rows.tensor_entries:
-        swapped = rows.tens[g].get(f)
-        if swapped is not None and swapped != m:
-            out.append(
-                Violation(
-                    "symmetry",
-                    (f, g),
-                    "the tensor is not commutative on this morphism pair",
-                )
-            )
+    out += (
+        Violation("symmetry", key, "the tensor is not commutative on this morphism pair")
+        for key in rows.asymmetric
+    )
     return out
 
 
@@ -730,7 +733,7 @@ def check_partially_monoidal(inst: CategoryTables) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def extract_instance(theory, systems=None, object_cap=DEFAULT_OBJECT_CAP):
+def extract_instance(theory, object_cap=DEFAULT_OBJECT_CAP):
     """Build the process category of a theory as a ``FiniteCategoryInstance``.
 
     The category is dropped on return, and callers plant changes in
@@ -739,7 +742,7 @@ def extract_instance(theory, systems=None, object_cap=DEFAULT_OBJECT_CAP):
     rows makes one per composable pair.
     """
     inst = instance_from_category(
-        build_process_category(theory, systems=systems, object_cap=object_cap)
+        build_process_category(theory, object_cap=object_cap)
     )
     inst.compose = dict(inst.compose.items())
     return inst

@@ -229,10 +229,7 @@ def process_table(theory: GlobalTheory, proc: Process) -> tuple:
     joint state gives it the same local state: the restriction at ``u[p]``.
     """
     keys = (state_key(s.value) for s in pair_states(theory, proc.domain))
-    restricted, acted = _output_route(
-        theory, proc.domain, proc.ancilla, proc.prep, proc.codomain_system
-    )
-    return tuple(zip(keys, map(restricted.__getitem__, acted(proc.transform))))
+    return tuple(zip(keys, _restricted_outputs(theory, proc)(proc.transform)))
 
 
 def compose_process(theory: GlobalTheory, after: Process, before: Process) -> Process:
@@ -344,6 +341,17 @@ def _output_route(
         return joint_points(u)
 
     return restricted, acted
+
+
+def _restricted_outputs(theory: GlobalTheory, proc: Process) -> Callable[[Sequence], Iterable]:
+    """``u`` -> the outputs of ``proc``'s typing, acted on by ``u``, in input order.
+
+    The one output map: the restriction at each acted joint point.
+    """
+    restricted, acted = _output_route(
+        theory, proc.domain, proc.ancilla, proc.prep, proc.codomain_system
+    )
+    return lambda u: map(restricted.__getitem__, acted(u))
 
 
 # ---------------------------------------------------------------------------
@@ -787,30 +795,22 @@ class GenerationReport(
 def _closure(cat: ProcessCategory, start: set[int]) -> set[int]:
     """The classes that composition and tensor generate from ``start``.
 
-    A fixpoint over the tables, not ``perms.close``: a worklist needs each
-    class's composites and tensors, an index that a ``compose`` mapping
-    (tests plant faults in plain dicts) does not hold.  It adds classes
-    only: an entry whose key or value names no class is skipped.  It
-    stops as soon as the span holds every class; on s3x3x3 that is within
-    the first pass.
+    ``perms.close`` expands each class that joins the span into the values
+    of the entries that pair it with a spanned class, so each entry is met
+    once both of its classes are spanned.  It adds classes only: an entry
+    whose key or value names no class is skipped.
     """
     named = tuple(range(len(cat.classes)))
-    span = set(start)
-    missing = set(named) - span
-    changed = True
-    while changed and missing:
-        changed = False
-        for table in (cat.compose, cat.tensor_mor):
-            for key, out in table.items():
-                if not _names(named, out) or out not in missing or not _names_pair(named, key):
-                    continue
+    # For each class, (other class, value) of every entry pairing the two.
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for table in (cat.compose, cat.tensor_mor):
+        for key, out in table.items():
+            if _names(named, out) and _names_pair(named, key):
                 a, b = key
-                if a in span and b in span:
-                    span.add(out)
-                    missing.discard(out)
-                    if not missing:
-                        return span
-                    changed = True
+                pairs.setdefault(a, []).append((b, out))
+                pairs.setdefault(b, []).append((a, out))
+    span = set(start)
+    close(span, lambda x: [out for other, out in pairs.get(x, ()) if other in span])
     return span
 
 

@@ -10,8 +10,8 @@ and its commutant orbit meet only in the state itself.
 Both facts are kept per lattice node as rows indexed by point, read from
 the orbit partition of each subgroup (``_orbits``) and kept in the
 theory's memo: ``local_row`` holds one shared ``LocalState`` per commutant
-orbit, and ``purity_row`` the product-state verdict at each point.  A
-node's states are built once per commutant orbit, not once per point.
+orbit, and ``purity_row`` the product-state verdict at each point, from
+``_meets_once``.  A node's states are built once per commutant orbit.
 ``restrict`` and ``is_product_state`` are unmemoised conveniences that
 check their arguments and index these rows; code that reads many points
 of one node reads the row.
@@ -169,6 +169,14 @@ PurityVerdict.__doc__ = """Outcome of the product-state test at one global state
 """
 
 
+def _meets_once(theory: GlobalTheory, a: Subgroup, b: Subgroup) -> tuple[bool, ...]:
+    """Whether the A-orbit and the B-orbit of each point meet only in it (unmemoised)."""
+    return tuple(
+        len(orbit_a & orbit_b) == 1
+        for orbit_a, orbit_b in zip(_orbits(theory, a), _orbits(theory, b))
+    )
+
+
 @theory_memo
 def purity_row(theory: GlobalTheory, sub: Subgroup) -> tuple[bool, ...]:
     """Whether each point is a product state over ``sub`` and its commutant.
@@ -180,15 +188,11 @@ def purity_row(theory: GlobalTheory, sub: Subgroup) -> tuple[bool, ...]:
     {k ∈ B : k p ∈ Ap}, which have |Ap ∩ Bp|·|A_p| and |Ap ∩ Bp|·|B_p|.
     The state is a product state when the joint stabilizer is their full
     direct product, which holds exactly when |Ap ∩ Bp| = 1: the two orbits
-    meet only in p.
+    meet only in p (``_meets_once``).
     """
     require_subgroup(theory, sub)
     require_self_bicommutant(theory, sub)
-    orbits_b = _orbits(theory, commutant(theory, sub))
-    return tuple(
-        len(orbit_a & orbit_b) == 1
-        for orbit_a, orbit_b in zip(_orbits(theory, sub), orbits_b)
-    )
+    return _meets_once(theory, sub, commutant(theory, sub))
 
 
 def is_product_state(theory: GlobalTheory, sub: Subgroup, point: int) -> PurityVerdict:
@@ -207,7 +211,7 @@ def factorizes(theory: GlobalTheory, a: Subgroup, b: Subgroup, point: int) -> bo
     if not is_orthogonal(theory, a, b):
         raise NotOrthogonal("the factorization test requires commuting subgroups")
     require_point(theory, point)
-    return len(_orbits(theory, a)[point] & _orbits(theory, b)[point]) == 1
+    return _meets_once(theory, a, b)[point]
 
 
 @theory_memo

@@ -21,7 +21,7 @@ from .lattice import (
 from .perms import GlobalTheory, Subgroup, theory_memo
 from .states import (
     LocalState,
-    _orbits,
+    _meets_once,
     local_row,
     pure_local_states,
     purity_row,
@@ -101,13 +101,8 @@ def _product_points(theory: GlobalTheory, a: System, b: System) -> tuple[int, ..
     and its orbits are single points.
     """
     pure_j = purity_row(theory, join(theory, a.transf, b.transf))
-    orbits_a = _orbits(theory, a.transf)
-    orbits_b = _orbits(theory, b.transf)
-    return tuple(
-        point
-        for point in theory.points
-        if pure_j[point] and len(orbits_a[point] & orbits_b[point]) == 1
-    )
+    meets_once = _meets_once(theory, a.transf, b.transf)
+    return tuple(p for p in theory.points if pure_j[p] and meets_once[p])
 
 
 @theory_memo

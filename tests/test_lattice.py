@@ -464,6 +464,48 @@ def test_planted_commutant_fault_breaks_the_order_reversal(monkeypatch, t1):
     assert count not in clean.notices
 
 
+def test_planted_commutant_fault_breaks_the_order_reversal_the_other_way(monkeypatch, t5):
+    # Nodes are listed by order, so a node inside a later one is seen only
+    # in the first direction.  Listed with node 8 ahead of node 1, which it
+    # contains, the pair is seen in the second.  The commutant of node 1
+    # goes to node 11, which meets node 1 as before but does not contain
+    # the commutant of node 8, node 8 itself.
+    nodes = enumerate_self_bicommutant(t5).nodes
+    small, big = nodes[1], nodes[8]
+    assert small.is_subset_of(big) and commutant(t5, big) == big
+    assert small.is_subset_of(nodes[11]) and not big.is_subset_of(nodes[11])
+    order = list(nodes)
+    order[1], order[8] = big, small
+    planted_lattice = SbcLattice(t5, tuple(order))
+    right = checks.commutant
+
+    def planted(theory, sub):
+        return nodes[11] if sub == small else right(theory, sub)
+
+    for module in (checks, oracles):
+        monkeypatch.setattr(module, "enumerate_self_bicommutant", lambda theory: planted_lattice)
+        monkeypatch.setattr(module, "commutant", planted)
+    found = checks.lattice_suite(t5)
+    assert found == oracles.lattice_suite(t5)
+    # Node 8 of the planted list is node 1, and node 1 is node 8.
+    assert (
+        "lattice: taking commutants does not reverse the inclusion of nodes 8, 1"
+        in found.violations
+    )
+
+
+def test_a_product_that_is_not_a_node_is_a_notice(monkeypatch, t5):
+    # The product of the commuting nodes 0 and 1 planted as A4, which is
+    # not its own double commutant in S4.
+    nodes = enumerate_self_bicommutant(t5).nodes
+    a4 = _sub(t5, (1, 2, 0, 3), (0, 2, 3, 1))
+    assert a4 not in nodes
+    _plant(monkeypatch, "product_set", {nodes[0], nodes[1]}, a4)
+    found = checks.lattice_suite(t5)
+    assert found == oracles.lattice_suite(t5)
+    assert "lattice: product of commuting nodes 0, 1 is not a node" in found.notices
+
+
 def test_lattice_suite_reports_a_missing_node_without_a_traceback(
     monkeypatch, t1
 ):

@@ -616,6 +616,51 @@ def test_a_bool_tensor_key_is_read_cell_by_cell(t1):
     assert repr([v for v in report if v.kind == "functoriality"]) == repr(full)
 
 
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_bool_tensor_key_gives_the_oracles_witnesses(t5, position):
+    # True and False name morphisms 1 and 0 but print otherwise.  A witness
+    # the checker reads off the table's keys is spelled as the table spells
+    # it; one it reads off its own rows is the int it names, as in the
+    # oracle: fullness's present entries and the interchange law's g and q.
+    clean = extract_instance(t5)
+    ends = [(clean.dom[1], clean.dom[1]), (clean.cod[1], clean.cod[1])]
+    assert not all(pair in clean.tensor_obj for pair in ends)
+    planted = dict(clean.tensor_mor)
+    planted[(1, True) if position else (True, 1)] = 0
+    # An entry with morphism 0 at ``position``, rekeyed to False and
+    # reassigned alone, then together with its swap.
+    key = max(k for k in clean.tensor_mor if k[position] == 0 and k[1 - position] != 0)
+    spelled = (key[0], False) if position else (False, key[1])
+    m = clean.tensor_mor[key]
+    value = min(x for x in clean.hom_sets[clean.dom[m], clean.cod[m]] if x != m)
+    rekeyed = {(spelled if k == key else k): v for k, v in clean.tensor_mor.items()}
+    rekeyed[spelled] = value
+    both = {**rekeyed, key[::-1]: value}
+    kinds = []
+    for tensor in (planted, rekeyed, both):
+        inst = dataclasses.replace(clean, tensor_mor=tensor)
+        report = check_partially_monoidal(inst)
+        assert repr(report) == repr(oracles.pmcat_violations(inst))
+        kinds.append({v.kind for v in report})
+    assert "fullness" in kinds[0]
+    assert {"functoriality", "symmetry"} <= kinds[1]
+    assert "functoriality" in kinds[2] and "symmetry" not in kinds[2]
+
+
+def test_an_identity_with_wrong_endpoints_is_reported_as_the_oracle_does(t1):
+    # Object 1's identity planted as object 0's.
+    clean = extract_instance(t1)
+    identity = (clean.identity[0], clean.identity[0], *clean.identity[2:])
+    inst = dataclasses.replace(clean, identity=identity)
+    report = check_partially_monoidal(inst)
+    assert repr(report) == repr(oracles.pmcat_violations(inst))
+    assert report == (
+        Violation(
+            "category-identity", (1,), f"identity of {clean.objects[1]} has wrong endpoints"
+        ),
+    )
+
+
 def test_a_fault_off_the_generators_is_still_reported(t1):
     # A reassigned composite whose report holds a triple (h, g, f) with g
     # outside the corrupted instance's generating set: Light's test fails

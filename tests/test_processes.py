@@ -54,7 +54,13 @@ import emergent.checks
 import emergent.pmcat
 import emergent.processes
 from emergent.checks import run_suites
-from emergent.processes import default_system_seeds, process_table, system_universe
+from emergent.processes import (
+    _names,
+    _names_pair,
+    default_system_seeds,
+    process_table,
+    system_universe,
+)
 from emergent.sectors import check_special_pair_claims, parse_decomposition
 from emergent.states import state_key
 from emergent.systems import system_key
@@ -807,7 +813,7 @@ def test_each_pair_checks_its_product_against_the_total(t2):
         _replaced(cat, classes=classes),
         [typing.index(t) for t in typing],
         compose_process,
-        emergent.checks._restricted_outputs,
+        emergent.processes._restricted_outputs,
     )
     table(gi, first)
     with pytest.raises(ElementNotInGroup, match="does not belong to the composite"):
@@ -920,6 +926,30 @@ def _replaced(cat, **changes):
         "compose", "tensor_obj", "tensor_mor", "unit",
     )
     return ProcessCategory(**{f: changes.get(f, getattr(cat, f)) for f in fields})
+
+
+def test_representatives_that_do_not_commute_are_a_processes_violation(t2):
+    # A tensor entry's first representative planted with a transformation
+    # of the second's total that does not commute with the second's own.
+    # It lies outside the totals of the first class's other composites and
+    # tensors, so that entry is the only one kept.
+    cat = build_process_category(t2)
+    ci, cj, out, v = next(
+        (ci, cj, out, v)
+        for (ci, cj), out in cat.tensor_mor.items()
+        for d in [cat.classes[cj].representative]
+        for v in tensor_systems(t2, d.domain.system, d.ancilla).transf.members
+        if v * d.transform != d.transform * v
+    )
+    c = cat.classes[ci]
+    swapped = MorphismClass(c.dom, c.cod, c.table, c.representative._replace(transform=v))
+    classes = cat.classes[:ci] + (swapped,) + cat.classes[ci + 1 :]
+    planted = _replaced(cat, classes=classes, compose={}, tensor_mor={(ci, cj): out})
+    violations = emergent.checks.processes_suite(planted).violations
+    assert (
+        f"processes: the transformations of representatives of {ci}, {cj} do not commute"
+        in violations
+    )
 
 
 def test_effect_check_counts_the_planted_effects(t2):
@@ -1036,6 +1066,63 @@ def test_the_closure_skips_entries_that_name_no_class(t1):
     stray = {(0, 0): 1.0, 5: 2, "ab": 3, (0, 10**6): 5, (0, 0.5): 6}
     tables = _replaced(cat, compose=stray, tensor_mor={(0, 0): 4})
     assert emergent.processes._closure(tables, {0}) == {0, 4}
+
+
+def _fixpoint_closure(cat, start):
+    """The span as a fixpoint over the tables: passes until one adds nothing."""
+    named = tuple(range(len(cat.classes)))
+    span = set(start)
+    missing = set(named) - span
+    changed = True
+    while changed and missing:
+        changed = False
+        for table in (cat.compose, cat.tensor_mor):
+            for key, out in table.items():
+                if not _names(named, out) or out not in missing or not _names_pair(named, key):
+                    continue
+                a, b = key
+                if a in span and b in span:
+                    span.add(out)
+                    missing.discard(out)
+                    if not missing:
+                        return span
+                    changed = True
+    return span
+
+
+@pytest.fixture(autouse=True)
+def _closure_is_the_fixpoint(monkeypatch):
+    # Every span a test in this module asks for, planted categories
+    # included, is also found by the fixpoint over the tables.
+    closure = emergent.processes._closure
+
+    def checked(cat, start):
+        span = closure(cat, start)
+        assert span == _fixpoint_closure(cat, start)
+        return span
+
+    monkeypatch.setattr(emergent.processes, "_closure", checked)
+
+
+@pytest.mark.parametrize("theory", ["t1", "t2"])
+@pytest.mark.parametrize("seed", range(6))
+def test_the_closure_is_the_fixpoint_with_entries_deleted(request, theory, seed):
+    # Deleting entries leaves spans that take several passes of the fixpoint
+    # and stop short of every class.
+    cat = build_process_category(request.getfixturevalue(theory))
+    rng = random.Random(seed)
+    keep = (0.3, 0.5, 0.7, 0.9)[seed % 4]
+    compose = {k: v for k, v in cat.compose.items() if rng.random() < keep}
+    tensor = {k: v for k, v in cat.tensor_mor.items() if rng.random() < keep}
+    planted = _replaced(cat, compose=compose, tensor_mor=tensor)
+    n = len(cat.classes)
+    spans = set()
+    for size in (1, 3, n // 10):
+        start = {*rng.sample(range(n), size)}
+        span = emergent.processes._closure(planted, start)
+        assert span == _fixpoint_closure(planted, start)
+        spans.add(len(span))
+    assert 1 < max(spans) < n
 
 
 @pytest.mark.parametrize("theory", ["t1", "t2", "t3", "t4", "t5"])

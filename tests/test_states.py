@@ -430,3 +430,28 @@ def test_planted_purity_fault_gives_the_member_loops_violations(t2, monkeypatch)
     at_cols = [symmetric(j)]
     expected = at_rows + at_cols if i < j else at_cols + at_rows
     assert found.violations == tuple(expected)
+
+
+def test_planted_stabilizer_fault_gives_the_member_loops_violations(t2, monkeypatch):
+    # The two routes to the stabilizer of the pure state of the rows node at
+    # point 4 planted apart: the pointwise one is the trivial subgroup.
+    rows = _sub(t2, ROWS)
+    target = restrict(t2, rows, 4)
+    assert is_product_state(t2, rows, 4).pure
+
+    def bad_pure_stabilizer(theory, state):
+        local_stab, fixed_stab = pure_stabilizer(theory, state)
+        if state == target:
+            return local_stab, theory.group.trivial_subgroup()
+        return local_stab, fixed_stab
+
+    monkeypatch.setattr(checks, "pure_stabilizer", bad_pure_stabilizer)
+    monkeypatch.setattr(oracles, "pure_stabilizer", bad_pure_stabilizer)
+    found = checks.states_suite(t2)
+    assert found == oracles.states_suite(t2)
+    i = enumerate_self_bicommutant(t2).nodes.index(rows)
+    assert found.violations == tuple(
+        f"states: the stabilizer of a pure state of node {i} "
+        f"differs from the pointwise stabilizer at point {p}"
+        for p in sorted(target.points)
+    )

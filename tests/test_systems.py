@@ -11,7 +11,7 @@ import oracles
 from emergent import checks
 from emergent import systems as systems_module
 from emergent.perms import theory_memo
-from emergent.states import local_row
+from emergent.states import local_row, purity_row
 from emergent import (
     IncompatibleSystems,
     LocalState,
@@ -23,6 +23,7 @@ from emergent import (
     are_compatible,
     enumerate_self_bicommutant,
     enumerate_systems,
+    is_product_state,
     load_theory,
     make_system,
     restrict,
@@ -550,25 +551,25 @@ def test_composites_are_the_enumerated_systems(fixture):
 
 def test_systems_suite_builds_one_product_point_row_per_compatible_pair(monkeypatch):
     # A freshly loaded theory, so the memo holds no row yet.  Every orbit
-    # meet of two factors is in the row build, so counting the factors'
-    # orbit reads in the systems layer counts every such scan.
+    # meet of two factors is in the row build, so counting the orbit-meet
+    # rows the systems layer reads counts every such scan.
     theory, _ = load_theory(FIXTURES / "s3x3.json")
     build = systems_module._product_points.__wrapped__
-    orbits = systems_module._orbits
-    rows, orbit_reads = [], []
+    meets_once = systems_module._meets_once
+    rows, meet_rows = [], []
 
     def spy_build(theory, a, b):
         rows.append((a, b))
         return build(theory, a, b)
 
-    def spy_orbits(theory, sub):
-        orbit_reads.append(sub)
-        return orbits(theory, sub)
+    def spy_meets_once(theory, a, b):
+        meet_rows.append((a, b))
+        return meets_once(theory, a, b)
 
     product_points = theory_memo(spy_build)
     monkeypatch.setattr(systems_module, "_product_points", product_points)
     monkeypatch.setattr(checks, "_product_points", product_points)
-    monkeypatch.setattr(systems_module, "_orbits", spy_orbits)
+    monkeypatch.setattr(systems_module, "_meets_once", spy_meets_once)
     assert not checks.systems_suite(theory).violations
     compatible = [
         (a, b)
@@ -577,4 +578,87 @@ def test_systems_suite_builds_one_product_point_row_per_compatible_pair(monkeypa
     ]
     assert len(rows) == len(set(rows)) == len(compatible) == 78
     assert set(rows) == set(compatible)
-    assert len(orbit_reads) == 2 * len(rows)
+    assert meet_rows == [(a.transf, b.transf) for a, b in rows]
+
+
+def test_a_listed_state_that_is_not_pure_is_a_violation(t2, monkeypatch):
+    # Purity over the rows node planted false everywhere: each listed pure
+    # state of the rows system is reported once.
+    rows, _ = _rows_cols(t2)
+
+    def bad_purity_row(theory, sub):
+        row = purity_row(theory, sub)
+        return (False,) * len(row) if sub == rows.transf else row
+
+    def bad_is_product_state(theory, sub, point):
+        verdict = is_product_state(theory, sub, point)
+        return verdict._replace(pure=False) if sub == rows.transf else verdict
+
+    monkeypatch.setattr(checks, "purity_row", bad_purity_row)
+    monkeypatch.setattr(oracles, "is_product_state", bad_is_product_state)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    i = enumerate_systems(t2).index(rows)
+    message = f"systems: a listed state of system {i} is not pure"
+    assert found.violations.count(message) == len(rows.pure_orbit)
+
+
+def test_a_state_pair_without_a_composite_is_a_violation(t2, monkeypatch):
+    # The tensor of (rho1, sigma0) fails on its first call only, the state
+    # pair loop's, so the moved-factors check still finds every composite.
+    rows, cols = _rows_cols(t2)
+    target = (rows, cols, rows.pure_orbit[1], cols.pure_orbit[0])
+    failed = []
+
+    def bad_tensor_pure_states(theory, a, b, rho, sigma):
+        if (a, b, rho, sigma) == target and not failed:
+            failed.append(target)
+            raise IncompatibleSystems("planted")
+        return tensor_pure_states(theory, a, b, rho, sigma)
+
+    monkeypatch.setattr(checks, "tensor_pure_states", bad_tensor_pure_states)
+    found = checks.systems_suite(t2)
+    failed.clear()
+    monkeypatch.setattr(oracles, "tensor_pure_states", bad_tensor_pure_states)
+    assert found == oracles.systems_suite(t2)
+    systems = enumerate_systems(t2)
+    i, j = systems.index(rows), systems.index(cols)
+    assert found.violations == (f"systems: no composite state for a state pair of {i}, {j}",)
+
+
+def test_a_state_pair_with_two_composites_is_a_violation(t2, monkeypatch):
+    # The rows node planted to see point 4 alone at point 4.  A unit factor
+    # and the rows system compose to the rows system, and a unit state with
+    # the rows state {3, 4, 5} has the product points 3, 4 and 5, which now
+    # restrict to two composite states.
+    rows, _ = _rows_cols(t2)
+    bogus = LocalState(rows.transf, frozenset({4}))
+    assert restrict(t2, rows.transf, 4).points == {3, 4, 5}
+
+    def bad_local_row(theory, sub):
+        row = local_row(theory, sub)
+        return row[:4] + (bogus,) + row[5:] if sub == rows.transf else row
+
+    def bad_restrict(theory, sub, point):
+        return bogus if (sub, point) == (rows.transf, 4) else restrict(theory, sub, point)
+
+    monkeypatch.setattr(checks, "local_row", bad_local_row)
+    monkeypatch.setattr(oracles, "restrict", bad_restrict)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    systems = enumerate_systems(t2)
+    i, u = systems.index(rows), systems.index(trivial_system(t2))
+    assert found.violations == tuple(
+        f"systems: a state pair of {a}, {b} has more than one composite state"
+        for a, b in sorted([(u, i), (i, u)])
+    )
+
+
+def test_a_missing_trivial_system_is_a_violation(t2, monkeypatch):
+    unit = trivial_system(t2)
+    listed = tuple(s for s in enumerate_systems(t2) if s != unit)
+    monkeypatch.setattr(checks, "enumerate_systems", lambda theory: listed)
+    monkeypatch.setattr(oracles, "enumerate_systems", lambda theory: listed)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    assert found.violations == ("systems: the trivial system is missing",)
