@@ -457,7 +457,12 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                     for p in product_points
                     if p in rho.points and p in sigma.points
                 }
-                if len(composites) != 1:
+                if not composites:
+                    violations.append(
+                        f"systems: a state pair of {i}, {j} has no product point "
+                        "in both states"
+                    )
+                elif len(composites) > 1:
                     violations.append(
                         f"systems: a state pair of {i}, {j} has more than one "
                         "composite state"

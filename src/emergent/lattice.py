@@ -55,14 +55,15 @@ def enumerate_self_bicommutant(
     is an intersection of single-element centralizers, so
     ``perms.close`` enumerates the lattice exactly by intersecting each node
     with every centralizer, under ``max_nodes``.  The full group and the
-    trivial subgroup appear as centralizer(identity) and the centre.  The
-    centralizers come from ``GroupIndex.element_centralizers``: elements
-    generating one cyclic subgroup share a centralizer, so it makes one
-    commutation test per pair of cyclic subgroups, not per pair of elements.
+    trivial subgroup appear as centralizer(identity) and the centre.  Each
+    element's centralizer is ``GroupIndex.element_centralizer``: for each
+    base point ``b``, the elements ``x`` that send ``g b`` to ``g`` of their
+    image of ``b``, read as the OR over points ``q`` of
+    ``transfers[b][q] & transfers[g b][g q]``, and ANDed over the base.
     """
     group = theory.group
     index = group.index
-    seeds = tuple(set(index.element_centralizers()))
+    seeds = tuple(set(map(index.element_centralizer, range(group.order))))
     nodes = set(seeds)
     message = f"lattice exceeds cap of {max_nodes} subgroups"
     close(nodes, lambda a: (a & b for b in seeds), max_nodes, message)

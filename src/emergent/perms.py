@@ -20,21 +20,25 @@ Element numbering: element ``i`` of a group is ``group.elements[i]``, so
 the numbers follow the sorted order and the identity is element 0.
 ``group.index``, a :class:`GroupIndex` built on first use, maps elements
 to their numbers and holds one compiled right multiplication per element.
-It keeps nothing of size |G|^2, so every group order takes the same path.
+Its largest table, ``transfers``, holds degree^2 masks of |G| bits and
+nothing of size |G|^2, so every group order takes the same path.
 
 Base: ``group.index.base`` is a short list of points that only the
 identity fixes all of (a base of the group, in the sense of Sims), chosen
-greedily when first read.  Two elements agreeing on the base are equal, so
-a commutation test compares two products on the base points alone: 2 of
-27 points on the 27-point product of three S3s, 1 point for a regular
-action, none for the group of degree one.
+greedily when first read.  Two elements agreeing on the base are equal:
+2 of 27 points on the 27-point product of three S3s, 1 point for a
+regular action, none for the group of degree one.  So ``x`` commutes with
+``g`` exactly when, for each base point ``b``, ``x`` sends ``g b`` to
+``g`` of its image of ``b``, and ``element_centralizer`` reads the mask
+of those ``x`` off ``group.index.transfers``, whose entry ``[p][q]`` is
+the mask of the elements sending point ``p`` to ``q``.
 
 Bitmasks: a set of elements is a Python int whose bit ``i`` is set
 exactly when element ``i`` is in the set.  A :class:`Subgroup` is
 identified by such a mask over its parent's numbering.  Intersection is
 ``a & b``, inclusion is ``a & ~b == 0``, and the centralizer of a set is
-the AND of the centralizer masks of its elements, each computed on the
-base once per group.  ``Subgroup.members`` is the sorted member tuple,
+the AND of the centralizer masks of its elements, each computed once
+per group.  ``Subgroup.members`` is the sorted member tuple,
 derived from the mask when first read.
 
 Memoisation: :func:`theory_memo` stores ``fn(theory, *args)`` in a dict
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial, wraps
-from math import gcd
 from operator import itemgetter
 
 from .errors import (
@@ -189,11 +192,12 @@ class GroupIndex:
 
     ``position[g]`` is the number of element ``g`` and ``right[i](h)`` is
     the product ``h * elements[i]`` as a plain tuple.  Inverses, point
-    images, the base, products read on the base and single-element
-    centralizer masks are computed on first use.  ``element_centralizer``
-    computes one mask, so a centre check costs one per generator;
-    ``element_centralizers`` computes every element's at once, one test
-    per pair of cyclic subgroups.
+    images, the point-transfer masks, the base and single-element
+    centralizer masks are computed on first use.  ``transfers[p][q]`` is
+    the mask of the elements sending point ``p`` to ``q``, built in one
+    pass over ``images``; ``element_centralizer(i)`` is the AND over base
+    points ``b`` of the OR over points ``q`` of
+    ``transfers[b][q] & transfers[g b][g q]``, with ``g = elements[i]``.
     """
 
     def __init__(self, elements: tuple[Perm, ...]) -> None:
@@ -241,17 +245,27 @@ class GroupIndex:
         return self.pack(numbers)
 
     @cached_property
+    def transfers(self) -> tuple[tuple[int, ...], ...]:
+        """``transfers[p][q]`` is the mask of the elements sending ``p`` to ``q``."""
+        degree = len(self.images)
+        table = []
+        for row in self.images:
+            sent: list[list[int]] = [[] for _ in range(degree)]
+            for i, q in enumerate(row):
+                sent[q].append(i)
+            table.append(tuple(map(self.pack, sent)))
+        return tuple(table)
+
+    @cached_property
     def base(self) -> tuple[int, ...]:
         """A few points that only the identity fixes all of, chosen greedily.
 
         Each step takes the point that the most elements fixing every
-        earlier point move.  Two elements agree on the base exactly when
-        they are equal.
+        earlier point move; ``transfers[p][p]`` is the mask of the elements
+        fixing ``p``.  Two elements agree on the base exactly when they are
+        equal.
         """
-        fixers = [
-            self.pack(i for i, q in enumerate(images) if q == p)
-            for p, images in enumerate(self.images)
-        ]
+        fixers = [row[p] for p, row in enumerate(self.transfers)]
         base = []
         unfixed = self.full & ~1  # every element but the identity
         while unfixed:
@@ -260,82 +274,27 @@ class GroupIndex:
             unfixed &= fixers[p]
         return tuple(base)
 
-    @cached_property
-    def right_on_base(self) -> list[Callable[[Sequence], tuple]]:
-        """``right_on_base[i](h)`` is ``h * elements[i]`` read on the base."""
-        base = self.base
-        return [_tuple_getter([g[b] for b in base]) for g in self.elements]
-
     def element_centralizer(self, i: int) -> int:
         """The mask of the elements commuting with element ``i``, memoised.
 
-        ``x`` commutes with ``g`` exactly when ``x * g`` and ``g * x``
-        agree on the base.
+        ``x * g == g * x`` exactly when, for each base point ``b``, ``x``
+        sends ``g b`` to ``g`` of its image of ``b``.  So the mask is the AND
+        over the base of the OR over points ``q`` of
+        ``transfers[b][q] & transfers[g b][g q]``.
         """
         mask = self._centralizers[i]
         if mask is None:
             g = self.elements[i]
-            on_base = self.right_on_base
-            times_g = on_base[i]
-            mask = self.pack(
-                j
-                for j, (x, times_x) in enumerate(zip(self.elements, on_base))
-                if times_g(x) == times_x(g)
-            )
+            transfers = self.transfers
+            mask = self.full
+            for b in self.base:
+                to_g = transfers[g[b]]
+                agree = 0
+                for sent, gq in zip(transfers[b], g):
+                    agree |= sent & to_g[gq]
+                mask &= agree
             self._centralizers[i] = mask
         return mask
-
-    def element_centralizers(self) -> tuple[int, ...]:
-        """Every element's centralizer mask, in element order.
-
-        ``x`` commutes with ``g`` exactly when every power of ``x`` commutes
-        with every power of ``g``, so all generators of one cyclic subgroup
-        share one centralizer, and a pair of cyclic subgroups either
-        commutes elementwise or not at all.  Each unordered pair is tested
-        once, through its least generators, on the base; a commuting pair
-        adds each subgroup's generators to the other's centralizer.  Fills
-        the masks ``element_centralizer`` reads.
-        """
-        if None in self._centralizers:
-            elements = self.elements
-            on_base = self.right_on_base
-            identity = elements[0]
-            cyclic = [-1] * len(elements)  # element -> its cyclic subgroup
-            leads: list[Perm] = []  # each cyclic subgroup's least generator
-            leads_on_base: list[Callable[[Sequence], tuple]] = []
-            generators: list[int] = []  # the mask of each one's generators
-            for i, g in enumerate(elements):
-                if cyclic[i] >= 0:
-                    continue
-                # Elements come in ascending order, so the first one not yet
-                # placed is the least generator of its cyclic subgroup.
-                powers = [identity]
-                times_g = self.right[i]
-                power = times_g(identity)
-                while power != identity:
-                    powers.append(power)
-                    power = times_g(power)
-                order = len(powers)
-                own = [
-                    self.position[powers[k]] for k in range(1, order) if gcd(k, order) == 1
-                ] or [0]
-                for j in own:
-                    cyclic[j] = len(leads)
-                leads.append(g)
-                leads_on_base.append(on_base[i])
-                generators.append(self.pack(own))
-            masks = [0] * len(leads)
-            for c, (g, times_g) in enumerate(zip(leads, leads_on_base)):
-                mask, bits = masks[c], generators[c]
-                for d, x, times_x in zip(
-                    range(c, len(leads)), leads[c:], leads_on_base[c:]
-                ):
-                    if times_g(x) == times_x(g):
-                        mask |= generators[d]
-                        masks[d] |= bits
-                masks[c] = mask
-            self._centralizers = [masks[c] for c in cyclic]
-        return tuple(self._centralizers)
 
     def centralizer(self, mask: int) -> int:
         """The mask of the elements commuting with every element of ``mask``.

@@ -70,6 +70,11 @@ def s5():
 
 
 @pytest.fixture(scope="session")
+def s6():
+    return _from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+
+
+@pytest.fixture(scope="session")
 def s3_regular():
     """S3 acting on its own six elements by left multiplication."""
     elements = sorted(itertools.permutations(range(3)))
@@ -78,3 +83,28 @@ def s3_regular():
     return _from_generators(
         6, [[index[tuple(a[x[i]] for i in range(3))] for x in elements] for a in generators]
     )
+
+
+# Larger groups, given by generators only: too large to validate or
+# enumerate in a unit test, they measure the per-element code.
+
+
+@pytest.fixture(scope="session")
+def s7_generators():
+    """S7 on seven points: a transposition and a 7-cycle."""
+    return 7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)]
+
+
+@pytest.fixture(scope="session")
+def gl42_generators():
+    """GL(4,2) on the 15 nonzero vectors of F2^4, by its 12 elementary transvections.
+
+    Vector ``v`` (a 4-bit number) is point ``v - 1``; the transvection
+    ``I + E_ij`` adds coordinate ``j`` to coordinate ``i``.
+    """
+    return 15, [
+        tuple((v ^ 1 << i if v >> j & 1 else v) - 1 for v in range(1, 16))
+        for i in range(4)
+        for j in range(4)
+        if i != j
+    ]

@@ -1140,7 +1140,12 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                     )
                     continue
                 candidates = [p for p in points if p in rho.points and p in sigma.points]
-                if len({restrict(theory, composite.transf, p) for p in candidates}) != 1:
+                if not candidates:
+                    violations.append(
+                        f"systems: a state pair of {i}, {j} has no product point "
+                        "in both states"
+                    )
+                elif len({restrict(theory, composite.transf, p) for p in candidates}) > 1:
                     violations.append(
                         f"systems: a state pair of {i}, {j} has more than one "
                         "composite state"

@@ -368,6 +368,29 @@ def _subprocess_run(argv, seed, flags=()):
     return proc.returncode, proc.stdout
 
 
+def test_gl42_lattice_reaches_the_node_cap_within_budget(tmp_path, gl42_generators):
+    # GL(4,2) on 15 points has 20 160 elements and more than 4 096 nodes, so
+    # every element's centralizer is computed before the cap is reached.
+    degree, generators = gl42_generators
+    path = tmp_path / "gl42.json"
+    path.write_text(
+        json.dumps({"degree": degree, "generators": {"global": generators}})
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "emergent.cli", "lattice", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: lattice exceeds cap of 4096 subgroups\n"
+    assert elapsed < 6.0
+
+
 def test_lattice_suite_on_27_points_within_budget():
     # A fresh process, as on the command line: in a long test session the
     # theory-keyed caches may hold nodes of an equal but distinct group.

@@ -28,7 +28,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SMALL = ("s3.json", "s4.json", "s3_diagonal.json", "s3x3.json")
 VALID = SMALL + ("s3x3x3.json",)
 # Theories built from generators in conftest; s3_regular has a one-point base.
-GENERATED = ("d5", "f20", "a4", "s5", "s3_regular")
+GENERATED = ("d5", "f20", "a4", "s5", "s6", "s3_regular")
 # s3x3x3 has 216 nodes; its node pairs are sampled for the join oracle.
 PAIR_LIMIT = 2_000
 PAIR_SAMPLE = 300
@@ -85,29 +85,30 @@ def test_point_images_match_elements(name):
         assert [images[p][i] for p in range(group.degree)] == list(g)
 
 
+def _assert_centralizers_match_oracle(group, numbers):
+    """Each listed element's centralizer mask, on a fresh index, is the oracle's."""
+    index = GroupIndex(group.elements)
+    raw = [tuple(g) for g in group.elements]
+    for i in numbers:
+        got = {raw[j] for j in index.indices(index.element_centralizer(i))}
+        assert got == oracles.centralizer_in(raw, {raw[i]})
+
+
 @pytest.mark.parametrize("name", VALID + GENERATED + ("degree-one",))
 def test_element_centralizer_masks_match_oracle(request, name):
-    # One mask at a time and all at once, each on a fresh index.
     group = _group(request, name)
-    single = GroupIndex(group.elements)
-    masks = GroupIndex(group.elements).element_centralizers()
-    assert len(masks) == group.order
-    assert masks[0] == single.full
-    raw = [tuple(g) for g in group.elements]
-    for i, g in enumerate(raw):
-        got = {raw[j] for j in single.indices(single.element_centralizer(i))}
-        assert got == oracles.centralizer_in(raw, {g})
-        assert masks[i] == single.element_centralizer(i)
-        cyclic = single.pack(single.position[h] for h in oracles.mulclose({g}))
-        assert cyclic & ~masks[i] == 0
+    _assert_centralizers_match_oracle(group, range(group.order))
+    assert group.index.element_centralizer(0) == group.index.full
 
 
-def test_all_element_centralizers_of_s6_match_one_at_a_time():
-    group = generate_group(6, [Perm([1, 0, 2, 3, 4, 5]), Perm([1, 2, 3, 4, 5, 0])])
-    assert group.order == 720
-    masks = GroupIndex(group.elements).element_centralizers()
-    single = GroupIndex(group.elements)
-    assert masks == tuple(single.element_centralizer(i) for i in range(group.order))
+@pytest.mark.parametrize(
+    ("generators", "order"), [("s7_generators", 5040), ("gl42_generators", 20160)]
+)
+def test_sampled_element_centralizers_match_oracle(request, generators, order):
+    degree, gens = request.getfixturevalue(generators)
+    group = generate_group(degree, [Perm(g) for g in gens])
+    assert group.order == order
+    _assert_centralizers_match_oracle(group, random.Random(order).sample(range(order), 8))
 
 
 @pytest.mark.parametrize("name", VALID)
@@ -177,11 +178,9 @@ def _generating_sets(draw):
         lambda n: st.lists(st.permutations(range(n)), min_size=2, max_size=2)
     )
 )
-def test_all_element_centralizers_match_one_at_a_time_on_random_groups(gens):
+def test_element_centralizers_match_oracle_on_random_groups(gens):
     group = generate_group(len(gens[0]), [Perm(g) for g in gens])
-    masks = GroupIndex(group.elements).element_centralizers()
-    single = GroupIndex(group.elements)
-    assert masks == tuple(single.element_centralizer(i) for i in range(group.order))
+    _assert_centralizers_match_oracle(group, range(group.order))
 
 
 @settings(max_examples=25, deadline=None)

@@ -654,6 +654,31 @@ def test_a_state_pair_with_two_composites_is_a_violation(t2, monkeypatch):
     )
 
 
+def test_a_state_pair_with_no_product_point_is_a_violation(t2, monkeypatch):
+    # The rows and columns systems planted to have no product points, in
+    # that order only: each of their nine state pairs has no candidate
+    # composite, which is not the same fault as having two.
+    rows, cols = _rows_cols(t2)
+    raw_rows, raw_cols = oracles.raw_members(rows), oracles.raw_members(cols)
+    engine_points, oracle_points = checks._product_points, oracles.product_points
+
+    def bad_product_points(theory, a, b):
+        return () if (a, b) == (rows, cols) else engine_points(theory, a, b)
+
+    def bad_oracle_points(elements, a, b):
+        planted = (a, b) == (raw_rows, raw_cols)
+        return () if planted else oracle_points(elements, a, b)
+
+    monkeypatch.setattr(checks, "_product_points", bad_product_points)
+    monkeypatch.setattr(oracles, "product_points", bad_oracle_points)
+    found = checks.systems_suite(t2)
+    assert found == oracles.systems_suite(t2)
+    systems = enumerate_systems(t2)
+    i, j = systems.index(rows), systems.index(cols)
+    message = f"systems: a state pair of {i}, {j} has no product point in both states"
+    assert found.violations == (message,) * 9
+
+
 def test_a_missing_trivial_system_is_a_violation(t2, monkeypatch):
     unit = trivial_system(t2)
     listed = tuple(s for s in enumerate_systems(t2) if s != unit)
