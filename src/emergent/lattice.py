@@ -59,7 +59,7 @@ def enumerate_self_bicommutant(
     element's centralizer is ``GroupIndex.element_centralizer``: for each
     base point ``b``, the elements ``x`` that send ``g b`` to ``g`` of their
     image of ``b``, read as the OR over points ``q`` of
-    ``transfers[b][q] & transfers[g b][g q]``, and ANDed over the base.
+    ``transfers(b)[q] & transfers(g b)[g q]``, and ANDed over the base.
     """
     group = theory.group
     index = group.index

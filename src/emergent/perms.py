@@ -20,8 +20,6 @@ Element numbering: element ``i`` of a group is ``group.elements[i]``, so
 the numbers follow the sorted order and the identity is element 0.
 ``group.index``, a :class:`GroupIndex` built on first use, maps elements
 to their numbers and holds one compiled right multiplication per element.
-Its largest table, ``transfers``, holds degree^2 masks of |G| bits and
-nothing of size |G|^2, so every group order takes the same path.
 
 Base: ``group.index.base`` is a short list of points that only the
 identity fixes all of (a base of the group, in the sense of Sims), chosen
@@ -30,8 +28,15 @@ greedily when first read.  Two elements agreeing on the base are equal:
 regular action, none for the group of degree one.  So ``x`` commutes with
 ``g`` exactly when, for each base point ``b``, ``x`` sends ``g b`` to
 ``g`` of its image of ``b``, and ``element_centralizer`` reads the mask
-of those ``x`` off ``group.index.transfers``, whose entry ``[p][q]`` is
-the mask of the elements sending point ``p`` to ``q``.
+of those ``x`` off the point-transfer rows ``group.index.transfers(p)``,
+whose entry ``[q]`` is the mask of the elements sending point ``p`` to
+``q``.  A row holds degree masks of up to |G| bits and is built when first
+read, so a centre check builds only the rows of the base points and of
+their images under the generators.  All rows together hold degree^2
+masks, |G|^3 bits for a regular action.  So where degree^3 > |G|^2, and
+a mask would hold fewer than sqrt(degree) elements (a regular action, or
+any small point stabilizer), ``element_centralizer`` reads ``x (g b)``
+from the point images beside ``g (x b)`` and builds no row.
 
 Bitmasks: a set of elements is a Python int whose bit ``i`` is set
 exactly when element ``i`` is in the set.  A :class:`Subgroup` is
@@ -192,12 +197,13 @@ class GroupIndex:
 
     ``position[g]`` is the number of element ``g`` and ``right[i](h)`` is
     the product ``h * elements[i]`` as a plain tuple.  Inverses, point
-    images, the point-transfer masks, the base and single-element
-    centralizer masks are computed on first use.  ``transfers[p][q]`` is
-    the mask of the elements sending point ``p`` to ``q``, built in one
-    pass over ``images``; ``element_centralizer(i)`` is the AND over base
-    points ``b`` of the OR over points ``q`` of
-    ``transfers[b][q] & transfers[g b][g q]``, with ``g = elements[i]``.
+    images, the base, each point-transfer row and single-element
+    centralizer masks are computed on first use.  ``transfers(p)[q]`` is
+    the mask of the elements sending point ``p`` to ``q``;
+    ``element_centralizer(i)`` is the AND over base points ``b`` of the OR
+    over points ``q`` of ``transfers(b)[q] & transfers(g b)[g q]``, with
+    ``g = elements[i]``, or, where degree^3 > |G|^2, the same test read
+    from ``images``.
     """
 
     def __init__(self, elements: tuple[Perm, ...]) -> None:
@@ -205,6 +211,7 @@ class GroupIndex:
         self.position = {g: i for i, g in enumerate(elements)}
         self.right = [_tuple_getter(g) for g in elements]
         self.full = (1 << len(elements)) - 1
+        self._transfers: list[tuple[int, ...] | None] = [None] * len(elements[0])
         self._centralizers: list[int | None] = [None] * len(elements)
         self._set_centralizers: dict[int, int] = {}
 
@@ -244,28 +251,31 @@ class GroupIndex:
             numbers.append(i)
         return self.pack(numbers)
 
-    @cached_property
-    def transfers(self) -> tuple[tuple[int, ...], ...]:
-        """``transfers[p][q]`` is the mask of the elements sending ``p`` to ``q``."""
-        degree = len(self.images)
-        table = []
-        for row in self.images:
-            sent: list[list[int]] = [[] for _ in range(degree)]
-            for i, q in enumerate(row):
+    def transfers(self, p: int) -> tuple[int, ...]:
+        """``transfers(p)[q]`` is the mask of the elements sending ``p`` to ``q``.
+
+        Built from ``images[p]`` when first read, and kept.
+        """
+        row = self._transfers[p]
+        if row is None:
+            sent: list[list[int]] = [[] for _ in self._transfers]
+            for i, q in enumerate(self.images[p]):
                 sent[q].append(i)
-            table.append(tuple(map(self.pack, sent)))
-        return tuple(table)
+            row = self._transfers[p] = tuple(map(self.pack, sent))
+        return row
 
     @cached_property
     def base(self) -> tuple[int, ...]:
         """A few points that only the identity fixes all of, chosen greedily.
 
         Each step takes the point that the most elements fixing every
-        earlier point move; ``transfers[p][p]`` is the mask of the elements
-        fixing ``p``.  Two elements agree on the base exactly when they are
-        equal.
+        earlier point move.  Two elements agree on the base exactly when
+        they are equal.
         """
-        fixers = [row[p] for p, row in enumerate(self.transfers)]
+        fixers = [
+            self.pack(i for i, q in enumerate(images) if q == p)
+            for p, images in enumerate(self.images)
+        ]
         base = []
         unfixed = self.full & ~1  # every element but the identity
         while unfixed:
@@ -280,18 +290,26 @@ class GroupIndex:
         ``x * g == g * x`` exactly when, for each base point ``b``, ``x``
         sends ``g b`` to ``g`` of its image of ``b``.  So the mask is the AND
         over the base of the OR over points ``q`` of
-        ``transfers[b][q] & transfers[g b][g q]``.
+        ``transfers(b)[q] & transfers(g b)[g q]``.  Where degree^3 > |G|^2
+        those masks are sparse and their rows large (see the module
+        docstring), so ``x (g b)`` is read from ``images`` beside ``g (x b)``
+        instead, and no row is built.
         """
         mask = self._centralizers[i]
         if mask is None:
             g = self.elements[i]
-            transfers = self.transfers
+            images = self.images
+            read_points = len(g) ** 3 > len(self.elements) ** 2
             mask = self.full
             for b in self.base:
-                to_g = transfers[g[b]]
-                agree = 0
-                for sent, gq in zip(transfers[b], g):
-                    agree |= sent & to_g[gq]
+                if read_points:
+                    pairs = zip(images[b], images[g[b]])
+                    agree = self.pack(x for x, (q, r) in enumerate(pairs) if g[q] == r)
+                else:
+                    to_g = self.transfers(g[b])
+                    agree = 0
+                    for sent, gq in zip(self.transfers(b), g):
+                        agree |= sent & to_g[gq]
                 mask &= agree
             self._centralizers[i] = mask
         return mask

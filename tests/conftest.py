@@ -74,15 +74,19 @@ def s6():
     return _from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
 
 
+def _left_regular(n, generators):
+    """Sn acting on its own n! elements by left multiplication: degree, generators."""
+    elements = sorted(itertools.permutations(range(n)))
+    index = {x: i for i, x in enumerate(elements)}
+    return len(elements), [
+        [index[tuple(a[x[i]] for i in range(n))] for x in elements] for a in generators
+    ]
+
+
 @pytest.fixture(scope="session")
 def s3_regular():
     """S3 acting on its own six elements by left multiplication."""
-    elements = sorted(itertools.permutations(range(3)))
-    index = {x: i for i, x in enumerate(elements)}
-    generators = [(1, 0, 2), (1, 2, 0)]
-    return _from_generators(
-        6, [[index[tuple(a[x[i]] for i in range(3))] for x in elements] for a in generators]
-    )
+    return _from_generators(*_left_regular(3, [(1, 0, 2), (1, 2, 0)]))
 
 
 # Larger groups, given by generators only: too large to validate or
@@ -108,3 +112,9 @@ def gl42_generators():
         for j in range(4)
         if i != j
     ]
+
+
+@pytest.fixture(scope="session")
+def s6_regular_generators():
+    """S6 acting on its own 720 elements by left multiplication: a one-point base."""
+    return _left_regular(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])

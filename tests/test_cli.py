@@ -391,6 +391,29 @@ def test_gl42_lattice_reaches_the_node_cap_within_budget(tmp_path, gl42_generato
     assert elapsed < 6.0
 
 
+def test_s6_regular_lattice_within_budget(tmp_path, s6_regular_generators):
+    # S6 acting on its own 720 elements: 513 nodes, as on six points.  Its
+    # centralizers read the point images; no point-transfer row (720 masks
+    # each) is built.
+    degree, generators = s6_regular_generators
+    path = tmp_path / "s6_regular.json"
+    path.write_text(
+        json.dumps({"degree": degree, "generators": {"global": generators}})
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "emergent.cli", "lattice", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["nodes"]) == 513
+    assert elapsed < 6.0
+
+
 def test_lattice_suite_on_27_points_within_budget():
     # A fresh process, as on the command line: in a long test session the
     # theory-keyed caches may hold nodes of an equal but distinct group.

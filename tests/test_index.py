@@ -22,7 +22,7 @@ from emergent import (
     meet,
     subgroup_closure,
 )
-from emergent.perms import GroupIndex
+from emergent.perms import GroupIndex, reduce_generators
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SMALL = ("s3.json", "s4.json", "s3_diagonal.json", "s3x3.json")
@@ -102,13 +102,36 @@ def test_element_centralizer_masks_match_oracle(request, name):
 
 
 @pytest.mark.parametrize(
-    ("generators", "order"), [("s7_generators", 5040), ("gl42_generators", 20160)]
+    ("generators", "order"),
+    [
+        ("s7_generators", 5040),
+        ("gl42_generators", 20160),
+        ("s6_regular_generators", 720),
+    ],
 )
 def test_sampled_element_centralizers_match_oracle(request, generators, order):
     degree, gens = request.getfixturevalue(generators)
     group = generate_group(degree, [Perm(g) for g in gens])
     assert group.order == order
     _assert_centralizers_match_oracle(group, random.Random(order).sample(range(order), 8))
+
+
+@pytest.mark.parametrize("name", VALID + GENERATED)
+def test_a_centre_check_builds_only_the_transfer_rows_it_reads(request, name):
+    # The rows of the base points and of their images under the generators;
+    # none where degree^3 > order^2 (d5, s3_regular), whose test reads the
+    # point images.
+    group = _group(request, name)
+    index = GroupIndex(group.elements)
+    gens = reduce_generators(group.elements, group.degree)
+    assert index.centralizer(index.mask_of(gens)) == 1
+    read = {g[b] for g in (group.identity, *gens) for b in index.base}
+    if group.degree**3 > group.order**2:
+        read = set()
+    built = {p for p in range(group.degree) if index._transfers[p] is not None}
+    assert built == read
+    if name == "s3x3x3.json":
+        assert len(built) < group.degree
 
 
 @pytest.mark.parametrize("name", VALID)
