@@ -20,7 +20,11 @@ quartiles, and the change fails no larger share of its operations than
 the parent.  It also says whether the change's median is worse than the
 parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a
 share of the parent's median in the metric's better direction: a change
-that does so regresses.  Standard library only.
+that does so regresses.  A change that does not is unresolved, not within
+bound, when the distance between the parent's quartiles exceeds that share
+of the parent's median, unless every change run beats every parent run:
+the parent's own runs then spread too widely to tell.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ def verdict(
     ``parent_failed`` and ``change_failed`` are the shares of each side's
     operations that failed over all its runs.  ``worse`` is how much worse
     the change's median is than the parent's, as a share of the parent's;
-    the change regresses when that exceeds ``bound``.
+    the change regresses when that exceeds ``bound``.  ``unresolved`` is
+    true when the parent's quartile distance exceeds ``bound`` times its
+    median, unless every change run beats every parent run.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
@@ -70,6 +76,7 @@ def verdict(
     spread = parent_q[2] - parent_q[0]
     gain = sign * (parent_q[1] - change_q[1])
     worse = -gain / abs(parent_q[1]) if parent_q[1] else (math.inf if gain < 0 else 0.0)
+    separated = max(sign * c for c in change) < min(sign * p for p in parent)
     return {
         "pairs": len(parent),
         "wins": wins,
@@ -84,6 +91,7 @@ def verdict(
         "bound": bound,
         "worse": worse,
         "regresses": worse > bound,
+        "unresolved": spread > bound * abs(parent_q[1]) and not separated,
     }
 
 
@@ -163,13 +171,14 @@ def main(argv=None) -> int:
             failed_share["change"],
             bounds.get(name, 0.0),
         )
+        standing = "unresolved" if v["unresolved"] else "within bound"
         print(
             f"{name}: parent {v['parent'][1]:.6g} (q1 {v['parent'][0]:.6g}, q3 {v['parent'][2]:.6g}); "
             f"change {v['change'][1]:.6g} (q1 {v['change'][0]:.6g}, q3 {v['change'][2]:.6g}); "
             f"change wins {v['wins']} of {v['pairs']}; median gain {v['gain']:.6g} "
             f"against parent spread {v['spread']:.6g}; gain rule {'holds' if v['holds'] else 'fails'}; "
             f"worse by {v['worse']:.2%} against bound {v['bound']:.0%}: "
-            f"{'regresses' if v['regresses'] else 'within bound'}"
+            f"{'regresses' if v['regresses'] else standing}"
         )
     return 0
 

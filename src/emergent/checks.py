@@ -56,7 +56,6 @@ from .states import (
     state_key,
 )
 from .systems import (
-    System,
     _product_points,
     compatibility_rows,
     enumerate_systems,
@@ -367,14 +366,17 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
 
     Moving the factors of a compatible pair's first state pair (rho, sigma)
     by every (h, k) must agree with moving their composite tau by h k.
-    ``_moves_agree`` decides that with one comparison per moved pair
-    (h0 rho, k0 sigma), h0 and k0 the first members that reach it, once it
-    has seen that the stabilizer of sigma fixes tau (C1) and the stabilizer
-    of rho fixes each k0 tau (C2).  When C1, C2 or a comparison fails, the
-    loop over every (h, k) runs and reports as it always has.  Purity is
-    read from each system's ``purity_row``.  A state pair's composites are
-    the pair's product points (one ``_product_points`` row per pair) that
-    lie in both states, restricted through the composite's ``local_row``.
+    ``act_local`` is a set image, so a group action, and each member is a
+    word in generators; so if each generator of either factor moves the
+    composite T of every stored state pair as it moves that factor,
+    induction on the word of k gives T(rho, k sigma) = k tau, then on that
+    of h T(h rho, k sigma) = (h k) tau.  Only where that generator test
+    fails or misses a pair does the loop over every (h, k) run.  The test
+    cannot raise: each stored composite has restricted back to both
+    factors, so its owner holds their generators.  Purity is read from
+    each system's ``purity_row``.  A state pair's composites are its
+    product points (one ``_product_points`` row per pair) in both states,
+    restricted through the composite's ``local_row``.
     """
     violations: list[str] = []
     notices: list[str] = []
@@ -382,16 +384,18 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     unit = trivial_system(theory)
     index = {s: i for i, s in enumerate(systems)}
 
+    # moves[i]: each generator of system i, with its images of the pure states.
+    moves: list[list[tuple[Perm, dict[LocalState, LocalState]]]] = []
     for i, system in enumerate(systems):
         orbit = system.pure_set
+        moves.append([
+            (g, {state: act_local(theory, g, state) for state in system.pure_orbit})
+            for g in reduce_generators(system.transf.members, theory.degree)
+        ])
         # A set of states is closed under a group exactly when it is closed
         # under the group's generators; only a system whose generators leave
         # it is tested member by member, for the same violations.
-        closed = all(
-            act_local(theory, g, state) in orbit
-            for g in reduce_generators(system.transf.members, theory.degree)
-            for state in system.pure_orbit
-        )
+        closed = all(image in orbit for _, images in moves[i] for image in images.values())
         pure = purity_row(theory, system.transf)
         for state in system.pure_orbit:
             if not pure[state.representative]:
@@ -434,15 +438,14 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                     continue
                 tensor[i][j] = index[composite]
 
-    # movers[i] is _first_movers of system i's first pure state, found on
-    # first use.
-    movers: list[tuple[dict[LocalState, Perm], list[Perm]] | None] = [None] * len(systems)
     for i, j in compatible_pairs:
         a, b = systems[i], systems[j]
         composite = tensor_systems(theory, a, b)
         composite_orbit = composite.pure_set
         composite_row = local_row(theory, composite.transf)
         product_points = _product_points(theory, a, b)
+        # taus[rho, sigma] is the composite of each state pair that has one.
+        taus: dict[tuple[LocalState, LocalState], LocalState] = {}
         for rho in a.pure_orbit:
             for sigma in b.pure_orbit:
                 try:
@@ -452,6 +455,7 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                         f"systems: no composite state for a state pair of {i}, {j}"
                     )
                     continue
+                taus[rho, sigma] = tau
                 composites = {
                     composite_row[p]
                     for p in product_points
@@ -481,22 +485,10 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
                         f"systems: the composite state of {i}, {j} does not "
                         "restrict back to its second factor"
                     )
-        # The identity leads every subgroup, so (rho, sigma) is also the
-        # first pair the loop tensors: computing tau first raises no earlier.
         rho, sigma = a.pure_orbit[0], b.pure_orbit[0]
-        tau = tensor_pure_states(theory, a, b, rho, sigma)
-        try:
-            for s in (i, j):
-                if movers[s] is None:
-                    movers[s] = _first_movers(
-                        theory, systems[s].transf.members, systems[s].pure_orbit[0]
-                    )
-            agree = _moves_agree(theory, a, b, tau, movers[i], movers[j])
-        except TheoryError:
-            # The member loop then reports, or raises, in its own order.
-            agree = False
-        if agree:
+        if _generators_move_composites(theory, taus, (rho, sigma), moves[i], moves[j]):
             continue
+        tau = tensor_pure_states(theory, a, b, rho, sigma)
         moved_sigmas = [act_local(theory, k, sigma) for k in b.transf.members]
         for h in a.transf.members:
             moved_rho = act_local(theory, h, rho)
@@ -542,56 +534,23 @@ def systems_suite(theory: GlobalTheory) -> SuiteResult:
     return SuiteResult("systems", tuple(violations), tuple(notices))
 
 
-def _moves_agree(
-    theory: GlobalTheory,
-    a: System,
-    b: System,
-    tau: LocalState,
-    a_movers: tuple[dict[LocalState, Perm], list[Perm]],
-    b_movers: tuple[dict[LocalState, Perm], list[Perm]],
+def _generators_move_composites(
+    theory: GlobalTheory, taus: dict, first: tuple, a_moves: list, b_moves: list
 ) -> bool:
-    """Whether tensoring (h rho, k sigma) gives (h k) tau for all h in A, k in B.
+    """Whether every generator moves each stored composite as it moves its factor.
 
-    ``rho`` and ``sigma`` are the first pure states of ``a`` and ``b``, and
-    ``a_movers`` and ``b_movers`` their ``_first_movers``.
-
-    ``act_local`` is a group action, so each h with h rho = h0 rho is h0 s
-    for an s fixing rho, and each k with k sigma = k0 sigma is k0 t for a t
-    fixing sigma.  If every such t fixes tau (C1) and every such s fixes
-    each k0 tau (C2), then (h k) tau = h0 (s (k0 (t tau))) = (h0 k0) tau,
-    while the tensor of the moved factors is that of (h0 rho, k0 sigma).
-    So one comparison per moved pair decides, with h0 and k0 the first
-    members, in member order, that reach it.  False when C1, C2 or a
-    comparison fails; what the engine raises propagates.
+    ``taus`` maps state pairs to their composites and must hold ``first``;
+    ``a_moves`` and ``b_moves`` are the factors' generators with their images.
     """
-    h_first, rho_fixers = a_movers
-    k_first, sigma_fixers = b_movers
-    if any(act_local(theory, t, tau) != tau for t in sigma_fixers):
-        return False
-    for k in k_first.values():
-        k_tau = act_local(theory, k, tau)
-        if any(act_local(theory, s, k_tau) != k_tau for s in rho_fixers):
-            return False
-    return all(
-        tensor_pure_states(theory, a, b, h_rho, k_sigma)
-        == act_local(theory, h * k, tau)
-        for h_rho, h in h_first.items()
-        for k_sigma, k in k_first.items()
+    return first in taus and all(
+        taus.get((images[rho], sigma)) == act_local(theory, g, tau)
+        for (rho, sigma), tau in taus.items()
+        for g, images in a_moves
+    ) and all(
+        taus.get((rho, images[sigma])) == act_local(theory, g, tau)
+        for (rho, sigma), tau in taus.items()
+        for g, images in b_moves
     )
-
-
-def _first_movers(
-    theory: GlobalTheory, members: Iterable[Perm], state: LocalState
-) -> tuple[dict[LocalState, Perm], list[Perm]]:
-    """The first member reaching each image of ``state``, and the members fixing it."""
-    first: dict[LocalState, Perm] = {}
-    fixers = []
-    for g in members:
-        moved = act_local(theory, g, state)
-        first.setdefault(moved, g)
-        if moved == state:
-            fixers.append(g)
-    return first, fixers
 
 
 def processes_suite(cat: ProcessCategory) -> SuiteResult:

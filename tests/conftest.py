@@ -70,6 +70,12 @@ def s5():
 
 
 @pytest.fixture(scope="session")
+def a5():
+    """A5 on five points: two 3-cycles.  Its systems suite reports violations."""
+    return _from_generators(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+
+
+@pytest.fixture(scope="session")
 def s6():
     return _from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
 

@@ -85,3 +85,27 @@ def test_bench_pairs_bound_on_fixed_numbers():
     assert not verdict(parent, [p - 6 for p in parent], bound=0.0)["regresses"]
     assert verdict(parent, [p - 2 for p in parent], lower_is_better=False, bound=0.25)["regresses"]
     assert not verdict(parent, [p + 2 for p in parent], lower_is_better=False, bound=0.0)["regresses"]
+
+
+def test_bench_pairs_calls_a_parent_spread_past_the_bound_unresolved():
+    verdict = _bench_pairs().verdict
+    parent = [float(x) for x in range(1, 11)]  # median 5.5, quartiles 2.75 and 8.25
+    # A spread of 5.5 is more than 25 % of 5.5: a change 10 % worse in the
+    # median neither regresses nor is within bound.
+    wide = verdict(parent, [p + 0.55 for p in parent], bound=0.25)
+    assert (wide["spread"], wide["regresses"], wide["unresolved"]) == (5.5, False, True)
+    # A spread of 5.5 is within a bound of 100 % of 5.5.
+    assert not verdict(parent, [p + 0.55 for p in parent], bound=1.0)["unresolved"]
+    # Every change run at most 0 beats every parent run, at least 1; one
+    # change run of 1 beats none.
+    assert not verdict(parent, [p - 10 for p in parent], bound=0.25)["unresolved"]
+    tie = verdict(parent, [p - 10 for p in parent[:-1]] + [1.0], bound=0.25)
+    assert tie["unresolved"]
+    # Where higher is better, every change run at least 11 beats every
+    # parent run, at most 10.
+    higher = verdict(parent, [p + 10 for p in parent], lower_is_better=False, bound=0.25)
+    assert not higher["unresolved"]
+    assert verdict(parent, [p + 10 for p in parent], bound=0.25)["regresses"]
+    # The parent's quartiles 10.0 and 10.0 leave no spread.
+    flat = verdict([10.0] * 10, [10.5] * 10, bound=0.25)
+    assert (flat["spread"], flat["unresolved"]) == (0.0, False)

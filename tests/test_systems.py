@@ -10,7 +10,7 @@ import pytest
 import oracles
 from emergent import checks
 from emergent import systems as systems_module
-from emergent.perms import theory_memo
+from emergent.perms import reduce_generators, theory_memo
 from emergent.states import local_row, purity_row
 from emergent import (
     IncompatibleSystems,
@@ -280,9 +280,24 @@ def test_every_state_pair_has_exactly_one_composite_state(t2):
     assert pairs
 
 
-def test_systems_suite_equals_the_member_loops(t1, t5, t3, t2):
-    for theory in (t1, t5, t3, t2):
+def test_systems_suite_equals_the_member_loops(t1, t5, t3, t2, d5, f20, a4, s5, a5):
+    # A5's state pairs without a composite state make its suite report.
+    for theory in (t1, t5, t3, t2, d5, f20, a4, s5, a5):
         assert checks.systems_suite(theory) == oracles.systems_suite(theory)
+
+
+def _suite_with_verdicts(theory, monkeypatch):
+    """The systems suite's result, and the generator test's verdict on each
+    compatible pair in the suite's order, with the pair's first state pair."""
+    verdicts = []
+    generator_test = checks._generators_move_composites
+
+    def spy(theory, taus, first, a_moves, b_moves):
+        verdicts.append((first, generator_test(theory, taus, first, a_moves, b_moves)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(checks, "_generators_move_composites", spy)
+    return checks.systems_suite(theory), verdicts
 
 
 def test_planted_closure_fault_gives_the_member_loop_violations(t2, monkeypatch):
@@ -352,11 +367,11 @@ def _moving(found, i, j):
     return found.violations.count(message)
 
 
-def test_a_planted_fault_at_a_later_state_pair_fails_a_representative(t2, monkeypatch):
+def test_a_planted_fault_at_a_later_state_pair_fails_the_generator_test(t2, monkeypatch):
     # The composite of (rho1, sigma0) is wrong; tau, from the first pair,
-    # is not.  So C1 and C2 hold, the representative comparison that
-    # reaches (rho1, sigma0) fails, and the member loop then reports once
-    # per h that moves rho0 to rho1.
+    # is not.  So a generator of rows that moves rho0 to rho1, or rho1 to
+    # another state, does not move the composites with it, and the member
+    # loop then reports once per h that moves rho0 to rho1.
     rows, cols = _rows_cols(t2)
     rho0, rho1 = rows.pure_orbit[:2]
     sigma0 = cols.pure_orbit[0]
@@ -370,76 +385,93 @@ def test_a_planted_fault_at_a_later_state_pair_fails_a_representative(t2, monkey
 
     monkeypatch.setattr(checks, "tensor_pure_states", bad_tensor_pure_states)
     monkeypatch.setattr(oracles, "tensor_pure_states", bad_tensor_pure_states)
-    found = checks.systems_suite(t2)
+    found, verdicts = _suite_with_verdicts(t2, monkeypatch)
     assert found == oracles.systems_suite(t2)
+    assert dict(verdicts)[rho0, sigma0] is False
     systems = enumerate_systems(t2)
     reaching = [h for h in rows.transf.members if act_local(t2, h, rho0) == rho1]
     assert _moving(found, systems.index(rows), systems.index(cols)) == len(reaching) == 2
 
 
-def _first_movers(theory, members, state):
+def _first_members(theory, members, state):
     first = {}
     for g in members:
         first.setdefault(act_local(theory, g, state), g)
     return first
 
 
-def test_a_planted_fault_at_the_first_state_pair_fails_c1_or_c2(t2, monkeypatch):
+def test_a_planted_fault_at_the_first_state_pair_fails_the_generator_test(t2, monkeypatch):
     # The first pair's composite is another pure state of the composite,
     # and every other pair's is moved from it by the first members that
-    # move the factors there.  So each representative comparison holds,
-    # and only C1 or C2 sends the suite to the member loop.
+    # move the factors there.  So the composites agree with those first
+    # members, but not with every generator, and the generator test sends
+    # the suite to the member loop.
     rows, cols = _rows_cols(t2)
     rho0, sigma0 = rows.pure_orbit[0], cols.pure_orbit[0]
     tau = tensor_pure_states(t2, rows, cols, rho0, sigma0)
     wrong = next(
         state for state in tensor_systems(t2, rows, cols).pure_orbit if state != tau
     )
-    h_first = _first_movers(t2, rows.transf.members, rho0)
-    k_first = _first_movers(t2, cols.transf.members, sigma0)
+    h_first = _first_members(t2, rows.transf.members, rho0)
+    k_first = _first_members(t2, cols.transf.members, sigma0)
 
     def bad_tensor_pure_states(theory, a, b, rho, sigma):
         if (a, b) == (rows, cols):
             return act_local(theory, h_first[rho] * k_first[sigma], wrong)
         return tensor_pure_states(theory, a, b, rho, sigma)
 
-    rho_fixers = [h for h in rows.transf.members if act_local(t2, h, rho0) == rho0]
-    sigma_fixers = [k for k in cols.transf.members if act_local(t2, k, sigma0) == sigma0]
-    c1 = all(act_local(t2, t, wrong) == wrong for t in sigma_fixers)
-    c2 = all(
-        act_local(t2, s, act_local(t2, k, wrong)) == act_local(t2, k, wrong)
-        for s in rho_fixers
-        for k in k_first.values()
-    )
-    assert not (c1 and c2)
-
     monkeypatch.setattr(checks, "tensor_pure_states", bad_tensor_pure_states)
     monkeypatch.setattr(oracles, "tensor_pure_states", bad_tensor_pure_states)
-    found = checks.systems_suite(t2)
+    found, verdicts = _suite_with_verdicts(t2, monkeypatch)
     assert found == oracles.systems_suite(t2)
+    assert dict(verdicts)[rho0, sigma0] is False
     systems = enumerate_systems(t2)
     assert _moving(found, systems.index(rows), systems.index(cols)) > 0
 
 
-@pytest.mark.parametrize("theory", ["t1", "t5", "t3", "t2", "t4"])
+def test_a_planted_fault_on_the_second_factor_fails_the_generator_test(t2, monkeypatch):
+    # The unit has one pure state and no generators, so only the
+    # generators of cols, the second factor, can show that the composite
+    # of (rho0, sigma1) is wrong, sigma1 being a generator's image of sigma0.
+    unit, (_, cols) = trivial_system(t2), _rows_cols(t2)
+    rho0, sigma0 = unit.pure_orbit[0], cols.pure_orbit[0]
+    assert unit.pure_orbit == (rho0,)
+    assert reduce_generators(unit.transf.members, t2.degree) == []
+    sigma1 = next(
+        act_local(t2, g, sigma0)
+        for g in reduce_generators(cols.transf.members, t2.degree)
+        if act_local(t2, g, sigma0) != sigma0
+    )
+    wrong = tensor_pure_states(t2, unit, cols, rho0, sigma0)
+    assert wrong != tensor_pure_states(t2, unit, cols, rho0, sigma1)
+
+    def bad_tensor_pure_states(theory, a, b, rho, sigma):
+        if (a, b, rho, sigma) == (unit, cols, rho0, sigma1):
+            return wrong
+        return tensor_pure_states(theory, a, b, rho, sigma)
+
+    monkeypatch.setattr(checks, "tensor_pure_states", bad_tensor_pure_states)
+    monkeypatch.setattr(oracles, "tensor_pure_states", bad_tensor_pure_states)
+    found, verdicts = _suite_with_verdicts(t2, monkeypatch)
+    assert found == oracles.systems_suite(t2)
+    assert dict(verdicts)[rho0, sigma0] is False
+    systems = enumerate_systems(t2)
+    assert _moving(found, systems.index(unit), systems.index(cols)) == 1
+
+
+@pytest.mark.parametrize(
+    "theory", ["t1", "t5", "t3", "t2", "t4", "d5", "f20", "a4", "s5", "s3_regular"]
+)
 def test_clean_theories_never_enter_the_member_loop(request, theory, monkeypatch):
-    # The member loop runs only where the representative test is false.
+    # The member loop runs only where the generator test is false.
     theory = request.getfixturevalue(theory)
-    moves_agree = checks._moves_agree
-    verdicts = []
-
-    def spy(*args):
-        verdicts.append(moves_agree(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(checks, "_moves_agree", spy)
-    found = checks.systems_suite(theory)
+    found, verdicts = _suite_with_verdicts(theory, monkeypatch)
     assert not found.violations
     pairs = sum(
         are_compatible(theory, a, b) is not None
         for a, b in itertools.product(enumerate_systems(theory), repeat=2)
     )
-    assert verdicts == [True] * pairs
+    assert [verdict for _, verdict in verdicts] == [True] * pairs
 
 
 def test_one_sided_compatibility_row_is_reported_both_ways(t2, monkeypatch):
@@ -460,26 +492,8 @@ def test_one_sided_compatibility_row_is_reported_both_ways(t2, monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("theory", ["t2", "t4"])
-def test_first_movers_run_once_per_system(request, theory, monkeypatch):
-    theory = request.getfixturevalue(theory)
-    first_movers = checks._first_movers
-    calls = []
-
-    def spy(theory, members, state):
-        calls.append((members, state))
-        return first_movers(theory, members, state)
-
-    monkeypatch.setattr(checks, "_first_movers", spy)
-    for _ in range(2):
-        calls.clear()
-        assert not checks.systems_suite(theory).violations
-        assert calls
-        assert len(calls) == len(set(calls)) <= len(enumerate_systems(theory))
-
-
 def test_act_local_is_a_group_action(t2):
-    # The premise of the representative test: moving by g h is moving by h,
+    # The premise of the generator test: moving by g h is moving by h,
     # then by g, on every local state of every system, pure or not, for
     # every pair of its members.
     for system in enumerate_systems(t2):
@@ -624,6 +638,27 @@ def test_a_state_pair_without_a_composite_is_a_violation(t2, monkeypatch):
     systems = enumerate_systems(t2)
     i, j = systems.index(rows), systems.index(cols)
     assert found.violations == (f"systems: no composite state for a state pair of {i}, {j}",)
+
+
+def test_a_first_state_pair_without_a_composite_raises_as_the_member_loop_does(
+    t2, monkeypatch
+):
+    # The unit with itself has one state pair and no generators, so the
+    # generator test has nothing to compare once that pair's tensor fails:
+    # it must still send the suite to the member loop, which raises.
+    unit = trivial_system(t2)
+
+    def bad_tensor_pure_states(theory, a, b, rho, sigma):
+        if (a, b) == (unit, unit):
+            raise IncompatibleSystems("planted")
+        return tensor_pure_states(theory, a, b, rho, sigma)
+
+    monkeypatch.setattr(checks, "tensor_pure_states", bad_tensor_pure_states)
+    monkeypatch.setattr(oracles, "tensor_pure_states", bad_tensor_pure_states)
+    with pytest.raises(IncompatibleSystems):
+        oracles.systems_suite(t2)
+    with pytest.raises(IncompatibleSystems):
+        checks.systems_suite(t2)
 
 
 def test_a_state_pair_with_two_composites_is_a_violation(t2, monkeypatch):
